@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import LOG_GUARD, UfParams, frechet_cdf  # noqa: F401  (re-exported for callers)
+from .core import LOG_GUARD, UfParams
 from .errors import DomainError, NumericalError, ParameterError
 
 __all__ = [
@@ -100,6 +100,22 @@ def _powers(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> tuple[np.ndarray, n
     return u, v
 
 
+def _coords(x1, x2, strict: bool) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Both coordinates as broadcast 1-d float arrays plus a was-scalar
+    flag. Every coordinate must be > 0 (``strict``) or >= 0; NaN is
+    neither and is rejected."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    scalar = x1.ndim == 0 and x2.ndim == 0
+    x1, x2 = np.broadcast_arrays(np.atleast_1d(x1), np.atleast_1d(x2))
+    low = np.minimum(x1, x2)  # NaN propagates
+    if strict and not np.all(low > 0.0):
+        raise DomainError("coordinates must be strictly positive")
+    if not np.all(low >= 0.0):
+        raise DomainError("coordinates must be nonnegative")
+    return x1, x2, scalar
+
+
 def biv_cdf(x1, x2, p: BivParams | Sequence[float]):
     """Joint CDF of the bivariate extreme distribution.
 
@@ -107,13 +123,7 @@ def biv_cdf(x1, x2, p: BivParams | Sequence[float]):
     must be nonnegative.
     """
     p = BivParams.of(p)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    scalar = x1.ndim == 0 and x2.ndim == 0
-    x1, x2 = np.atleast_1d(x1), np.atleast_1d(x2)
-    x1, x2 = np.broadcast_arrays(x1, x2)
-    if np.any(x1 < 0.0) or np.any(x2 < 0.0):
-        raise DomainError("coordinates must be nonnegative")
+    x1, x2, scalar = _coords(x1, x2, strict=False)
     out = np.zeros(x1.shape, dtype=float)
     pos = (x1 > 0.0) & (x2 > 0.0)
     if np.any(pos):
@@ -137,13 +147,7 @@ def biv_pdf(x1, x2, p: BivParams | Sequence[float]):
     (u+v)^-2), so the density is nonnegative everywhere.
     """
     p = BivParams.of(p)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    scalar = x1.ndim == 0 and x2.ndim == 0
-    x1, x2 = np.atleast_1d(x1), np.atleast_1d(x2)
-    x1, x2 = np.broadcast_arrays(x1, x2)
-    if np.any(x1 <= 0.0) or np.any(x2 <= 0.0):
-        raise DomainError("coordinates must be strictly positive")
+    x1, x2, scalar = _coords(x1, x2, strict=True)
     u, v = _powers(x1, x2, p)
     t = u + v
     logF = -1.0 / u - 1.0 / v + p.rho / t

@@ -21,6 +21,7 @@ Output directory resolution: ``--outdir`` flag, else the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -52,7 +53,7 @@ from .inference import (
     model_select,
 )
 from .moments import MomentInputs, approx_moment, approx_var, frechet_moments
-from .simulation import PARAM_NAMES, SimConfig, run_study
+from .simulation import SimConfig, run_study
 
 MODEL_ORDER = ("uf", "beta", "kumaraswamy")
 FITTERS = {"uf": fit_uf, "beta": fit_beta, "kumaraswamy": fit_kumaraswamy}
@@ -181,53 +182,30 @@ def _parse_models(csv_arg: str) -> list[str]:
     return models
 
 
-def _report_lines(report: FitReport) -> list[str]:
-    theta = "  ".join(
-        f"{name}={value:.10g}"
-        for name, value in zip(report.param_names, report.theta_hat)
-    )
-    rows = [
-        ("model", report.model),
-        ("n", str(report.n)),
-        ("theta_hat", theta),
-        ("loglik", f"{report.loglik:.10g}"),
-        ("aic", f"{report.aic:.10g}"),
-        ("bic", f"{report.bic:.10g}"),
-        ("k_params", str(report.k_params)),
-        ("ks_stat", f"{report.ks_stat:.10g}"),
-        ("ks_pvalue", f"{report.ks_pvalue:.10g}"),
-        ("converged", "true" if report.converged else "false"),
-        ("boundary_hit", "true" if report.boundary_hit else "false"),
-        ("iterations", str(report.iterations)),
-        ("message", report.message),
-    ]
-    return [f"{key:<13} {value}" for key, value in rows]
-
-
-def _report_json(report: FitReport) -> dict:
-    return {
-        "model": report.model,
-        "n": report.n,
-        "param_names": list(report.param_names),
-        "theta_hat": list(report.theta_hat),
-        "loglik": report.loglik,
-        "aic": report.aic,
-        "bic": report.bic,
-        "k_params": report.k_params,
-        "ks_stat": report.ks_stat,
-        "ks_pvalue": report.ks_pvalue,
-        "converged": report.converged,
-        "boundary_hit": report.boundary_hit,
-        "iterations": report.iterations,
-        "message": report.message,
-    }
-
-
 def _write_report_file(outdir: Path, report: FitReport) -> None:
-    lines = _report_lines(report)
+    """Text block then JSON block, both in FitReport's field order; the
+    residuals go to their own CSV."""
+    doc = {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(FitReport)
+        if f.name != "residuals"
+    }
+    lines = []
+    for key, value in doc.items():
+        if key == "param_names":
+            continue
+        if key == "theta_hat":
+            value = "  ".join(
+                f"{name}={v:.10g}" for name, v in zip(report.param_names, value)
+            )
+        elif isinstance(value, bool):
+            value = json.dumps(value)
+        elif isinstance(value, float):
+            value = f"{value:.10g}"
+        lines.append(f"{key:<13} {value}")
     lines.append("")
     lines.append("--- machine readable ---")
-    lines.append(json.dumps(_report_json(report), indent=2))
+    lines.append(json.dumps(doc, indent=2))
     (outdir / f"report_{report.model}.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -251,11 +229,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     desc = describe(data)
     print("descriptives")
-    for key in (
-        "n", "mean", "median", "sd", "min", "q1", "q3", "max",
-        "skewness", "kurtosis_excess",
-    ):
-        value = desc[key]
+    for key, value in desc.items():
         shown = str(value) if key == "n" else f"{value:.6g}"
         print(f"  {key:<16} {shown}")
 
@@ -411,74 +385,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _config_problems(raw) -> tuple[list[str], dict]:
-    """Validate the simulate config, reporting every defect by field path."""
-    problems: list[str] = []
-    clean: dict = {}
-    if not isinstance(raw, dict):
-        return ["config: expected a JSON object"], clean
-
-    known = {"thetas", "sample_sizes", "replications", "master_seed", "parallelism"}
-    for key in raw:
-        if key not in known:
-            problems.append(f"{key}: unknown field")
-
-    def is_number(v) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    def is_int(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    if "thetas" not in raw:
-        problems.append("thetas: required field")
-    elif not isinstance(raw["thetas"], list) or not raw["thetas"]:
-        problems.append("thetas: expected a nonempty array")
-    else:
-        thetas = []
-        for i, item in enumerate(raw["thetas"]):
-            if not isinstance(item, list) or len(item) != 3 or not all(
-                is_number(v) for v in item
-            ):
-                problems.append(f"thetas[{i}]: expected an array of 3 numbers")
-                continue
-            sg, al, rh = (float(v) for v in item)
-            ok = True
-            if not (sg > 0.0 and math.isfinite(sg)):
-                problems.append(f"thetas[{i}][0]: sigma must be finite and > 0")
-                ok = False
-            if not (al > 0.0 and math.isfinite(al)):
-                problems.append(f"thetas[{i}][1]: alpha must be finite and > 0")
-                ok = False
-            if not (0.0 <= rh <= 1.0):
-                problems.append(f"thetas[{i}][2]: rho must be in [0, 1]")
-                ok = False
-            if ok:
-                thetas.append((sg, al, rh))
-        clean["thetas"] = tuple(thetas)
-
-    if "sample_sizes" in raw:
-        if not isinstance(raw["sample_sizes"], list) or not raw["sample_sizes"]:
-            problems.append("sample_sizes: expected a nonempty array")
-        else:
-            sizes = []
-            for j, v in enumerate(raw["sample_sizes"]):
-                if not is_int(v) or v < 4:
-                    problems.append(f"sample_sizes[{j}]: must be an integer >= 4")
-                else:
-                    sizes.append(int(v))
-            clean["sample_sizes"] = tuple(sizes)
-
-    for key, low in (("replications", 1), ("master_seed", 0), ("parallelism", 1)):
-        if key in raw:
-            v = raw[key]
-            if not is_int(v) or v < low:
-                problems.append(f"{key}: must be an integer >= {low}")
-            else:
-                clean[key] = int(v)
-
-    return problems, clean
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         text = Path(args.config).read_text()
@@ -490,10 +396,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"config: invalid JSON: {exc}") from None
-    problems, clean = _config_problems(raw)
-    if problems:
-        raise DataError("\n".join(problems))
-    config = SimConfig(**clean)
+    try:
+        config = SimConfig.of(raw)
+    except DomainError as exc:
+        raise DataError(str(exc)) from None
 
     report = run_study(config)
     outdir = _resolve_outdir(args.outdir)
@@ -528,16 +434,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ]
     (outdir / "cells.json").write_text(json.dumps(cells_doc, indent=2) + "\n")
 
-    canonical = json.dumps(
-        {
-            "thetas": [list(t) for t in config.thetas],
-            "sample_sizes": list(config.sample_sizes),
-            "replications": config.replications,
-            "master_seed": config.master_seed,
-            "parallelism": config.parallelism,
-        },
-        sort_keys=True,
-    )
+    canonical = json.dumps(dataclasses.asdict(config), sort_keys=True)
     _write_manifest(
         outdir,
         command="simulate",
@@ -561,8 +458,6 @@ def _theta_from_args(args: argparse.Namespace) -> UfParams:
 
 
 def cmd_quantile(args: argparse.Namespace) -> int:
-    if not (0.0 < args.p < 1.0):
-        raise DomainError("p must be strictly between 0 and 1")
     print(f"{uf_quantile(args.p, _theta_from_args(args)):.12g}")
     return 0
 

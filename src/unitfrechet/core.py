@@ -21,15 +21,21 @@ The kernel density and CDF satisfy the exact reflection identities
     kernel_cdf(1/x, rho) = 1 - kernel_cdf(x, rho)
     kernel_pdf(1/x, rho) / x**2 = kernel_pdf(x, rho)
 
-which this module uses throughout: arguments larger than 1 are folded
-back to (0, 1], so tail evaluation never overflows and the sigma = 1
-symmetry of the density holds to machine precision. Arguments of the
-form ``(s / sigma) ** alpha`` are always formed in log space with a
-+-700 guard; beyond the guard the enclosing expression takes its
-analytic limit (CDF tends to 0 or 1, density to 0).
+which this module applies in exactly one place, ``_fold``: arguments
+larger than 1 are folded back to (0, 1], so tail evaluation never
+overflows and the sigma = 1 symmetry of the density holds to machine
+precision. Arguments of the form ``(s / sigma) ** alpha`` are always
+formed in log space with a +-700 guard (``kernel_arg``); beyond the
+guard the enclosing expression takes its analytic limit (CDF tends to
+0 or 1, density to 0).
 
-All functions are pure and accept scalars or numpy arrays; scalar input
-yields a Python float.
+Public functions validate their arguments once (NaN raises
+``DomainError``); the unvalidated array layer beneath them
+(``kernel_arg``, ``kernel_*_unchecked``, ``kernel_score_ratios``)
+serves sibling modules whose data is already validated.
+
+All public functions are pure and accept scalars or numpy arrays;
+scalar input yields a Python float.
 """
 
 from __future__ import annotations
@@ -139,9 +145,22 @@ class FrechetParams:
         return cls(*vals)
 
 
-def _prepare(x: ArrayLike) -> tuple[np.ndarray, bool]:
+# Argument domains for _prepare: an elementwise test and the complaint
+# when it fails. NaN fails every test.
+_REAL = (lambda a: ~np.isnan(a), "must not be NaN")
+_POSITIVE = (lambda a: a > 0.0, "must be strictly positive")
+_UNIT_OPEN = (lambda a: (a > 0.0) & (a < 1.0), "must lie strictly inside (0, 1)")
+
+
+def _prepare(x: ArrayLike, name: str, domain=_REAL) -> tuple[np.ndarray, bool]:
+    """x as a 1-d float array plus a was-scalar flag, checked against
+    ``domain``; the shared check of every public array argument."""
     arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
+    flat = np.atleast_1d(arr)
+    test, rule = domain
+    if not np.all(test(flat)):
+        raise DomainError(f"{name} {rule}")
+    return flat, arr.ndim == 0
 
 
 def _finish(arr: np.ndarray, scalar: bool):
@@ -167,7 +186,7 @@ def frechet_pdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
     ``z = (x - mu) / sigma``.
     """
     p = FrechetParams.of(p)
-    x, scalar = _prepare(x)
+    x, scalar = _prepare(x, "x")
     out = np.zeros_like(x)
     pos = x > p.mu
     if np.any(pos):
@@ -184,7 +203,7 @@ def frechet_pdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
 def frechet_cdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
     """CDF of the Frechet(mu, sigma, alpha) distribution."""
     p = FrechetParams.of(p)
-    x, scalar = _prepare(x)
+    x, scalar = _prepare(x, "x")
     out = np.zeros_like(x)
     pos = x > p.mu
     if np.any(pos):
@@ -202,7 +221,7 @@ def _kernel_pdf_direct(x: np.ndarray, rho: float) -> np.ndarray:
     # nonnegative for rho in [0,1]: the textbook two-fraction form
     # cancels catastrophically near rho=1 for small x (g(x;1) ~ 4x with
     # the leading 1/(x+1)^2 terms wiping each other out). Intended for
-    # moderate x; public entry points reflect x > 1 first.
+    # moderate x; callers fold x > 1 into (0, 1) first (see _fold).
     num = (
         (1.0 - rho) * x**4
         + 4.0 * x**3
@@ -239,9 +258,60 @@ def _kernel_drho_direct(x: np.ndarray, rho: float) -> np.ndarray:
     return -num / d**3
 
 
-def _check_positive(x: np.ndarray, name: str) -> None:
-    if np.any(~(x > 0.0)):
-        raise DomainError(f"{name} must be strictly positive")
+# ---------------------------------------------------------------------------
+# Array layer: float arrays in, arrays out, no validation
+# ---------------------------------------------------------------------------
+
+def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflect x into (0, 1]: returns ``y = min(x, 1/x)`` and the mask
+    ``x > 1``. The only place the x -> 1/x reflection is applied; the
+    reciprocal is never formed for x <= 1, so subnormal x cannot
+    overflow."""
+    big = x > 1.0
+    return np.divide(1.0, x, out=x.copy(), where=big), big
+
+
+def kernel_arg(log_odds: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
+    """Kernel argument ``(s / sigma) ** alpha`` from ``log s``, formed in
+    log space and clipped at +-LOG_GUARD."""
+    logx = alpha * (log_odds - math.log(sigma))
+    return np.exp(np.clip(logx, -LOG_GUARD, LOG_GUARD))
+
+
+def kernel_pdf_unchecked(x: np.ndarray, rho: float) -> np.ndarray:
+    """g(x; rho) for x > 0, through ``g(x) = g(1/x) / x**2`` above 1."""
+    y, big = _fold(x)
+    g = _kernel_pdf_direct(y, rho)
+    return np.where(big, g * y * y, g)
+
+
+def kernel_cdf_unchecked(x: np.ndarray, rho: float, upper: bool = False) -> np.ndarray:
+    """G(x; rho), or 1 - G(x; rho) when ``upper``, for x > 0.
+
+    Uses ``1 - G(x) = G(1/x)``: whichever tail the folded point lands in
+    is evaluated directly, the other as its complement.
+    """
+    y, big = _fold(x)
+    c = _kernel_cdf_direct(y, rho)
+    return np.where(big == upper, c, 1.0 - c)
+
+
+def kernel_score_ratios(x: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stable evaluation of x g'(x)/g(x) and (dg/drho)/g.
+
+    Both ratios are finite for all x but their numerators and
+    denominators underflow separately at extreme x, so they are folded
+    into (0, 1] first: with y = min(x, 1/x),
+
+        x g'(x)/g(x) = -[y g'(y)/g(y)] - 2      for x > 1
+        (dg/drho)(x)/g(x) = (dg/drho)(y)/g(y)   for all x
+
+    both consequences of the density reflection identity.
+    """
+    y, big = _fold(x)
+    g = _kernel_pdf_direct(y, rho)
+    r = y * _kernel_dx_direct(y, rho) / g
+    return np.where(big, -r - 2.0, r), _kernel_drho_direct(y, rho) / g
 
 
 def kernel_pdf(x: ArrayLike, rho: float):
@@ -264,16 +334,8 @@ def kernel_pdf(x: ArrayLike, rho: float):
         Association parameter in [0, 1].
     """
     rho = _check_rho(rho)
-    x, scalar = _prepare(x)
-    _check_positive(x, "x")
-    out = np.empty_like(x)
-    small = x <= 1.0
-    if np.any(small):
-        out[small] = _kernel_pdf_direct(x[small], rho)
-    if np.any(~small):
-        inv = 1.0 / x[~small]
-        out[~small] = _kernel_pdf_direct(inv, rho) * inv * inv
-    return _finish(out, scalar)
+    x, scalar = _prepare(x, "x", _POSITIVE)
+    return _finish(kernel_pdf_unchecked(x, rho), scalar)
 
 
 def kernel_cdf(x: ArrayLike, rho: float):
@@ -284,15 +346,8 @@ def kernel_cdf(x: ArrayLike, rho: float):
     ``kernel_cdf(1.0, rho)`` is exactly 0.5 for every rho.
     """
     rho = _check_rho(rho)
-    x, scalar = _prepare(x)
-    _check_positive(x, "x")
-    out = np.empty_like(x)
-    small = x <= 1.0
-    if np.any(small):
-        out[small] = _kernel_cdf_direct(x[small], rho)
-    if np.any(~small):
-        out[~small] = 1.0 - _kernel_cdf_direct(1.0 / x[~small], rho)
-    return _finish(out, scalar)
+    x, scalar = _prepare(x, "x", _POSITIVE)
+    return _finish(kernel_cdf_unchecked(x, rho), scalar)
 
 
 def kernel_sf(x: ArrayLike, rho: float):
@@ -303,15 +358,8 @@ def kernel_sf(x: ArrayLike, rho: float):
     the underflow threshold.
     """
     rho = _check_rho(rho)
-    x, scalar = _prepare(x)
-    _check_positive(x, "x")
-    out = np.empty_like(x)
-    small = x <= 1.0
-    if np.any(small):
-        out[small] = 1.0 - _kernel_cdf_direct(x[small], rho)
-    if np.any(~small):
-        out[~small] = _kernel_cdf_direct(1.0 / x[~small], rho)
-    return _finish(out, scalar)
+    x, scalar = _prepare(x, "x", _POSITIVE)
+    return _finish(kernel_cdf_unchecked(x, rho, upper=True), scalar)
 
 
 def kernel_pdf_dx(x: ArrayLike, rho: float):
@@ -328,18 +376,11 @@ def kernel_pdf_dx(x: ArrayLike, rho: float):
     differentiating the density reflection identity.
     """
     rho = _check_rho(rho)
-    x, scalar = _prepare(x)
-    _check_positive(x, "x")
-    out = np.empty_like(x)
-    small = x <= 1.0
-    if np.any(small):
-        out[small] = _kernel_dx_direct(x[small], rho)
-    if np.any(~small):
-        xl = x[~small]
-        inv = 1.0 / xl
-        g_here = _kernel_pdf_direct(inv, rho) * inv * inv
-        out[~small] = -_kernel_dx_direct(inv, rho) * inv**4 - 2.0 * g_here * inv
-    return _finish(out, scalar)
+    x, scalar = _prepare(x, "x", _POSITIVE)
+    y, big = _fold(x)
+    d = _kernel_dx_direct(y, rho)
+    g = _kernel_pdf_direct(y, rho) * y * y
+    return _finish(np.where(big, -d * y**4 - 2.0 * g * y, d), scalar)
 
 
 def kernel_pdf_drho(x: ArrayLike, rho: float):
@@ -351,16 +392,10 @@ def kernel_pdf_drho(x: ArrayLike, rho: float):
     used for x > 1.
     """
     rho = _check_rho(rho)
-    x, scalar = _prepare(x)
-    _check_positive(x, "x")
-    out = np.empty_like(x)
-    small = x <= 1.0
-    if np.any(small):
-        out[small] = _kernel_drho_direct(x[small], rho)
-    if np.any(~small):
-        inv = 1.0 / x[~small]
-        out[~small] = _kernel_drho_direct(inv, rho) * inv * inv
-    return _finish(out, scalar)
+    x, scalar = _prepare(x, "x", _POSITIVE)
+    y, big = _fold(x)
+    h = _kernel_drho_direct(y, rho)
+    return _finish(np.where(big, h * y * y, h), scalar)
 
 
 def _positive_cubic_root(p: np.ndarray, rho: float) -> np.ndarray:
@@ -415,9 +450,11 @@ def kernel_quantile(p: ArrayLike, rho: float):
     steps on ``kernel_cdf(x) - p`` restore full precision.
     """
     rho = _check_rho(rho)
-    p, scalar = _prepare(p)
-    if np.any(~((p > 0.0) & (p < 1.0))):
-        raise DomainError("p must lie strictly inside (0, 1)")
+    p, scalar = _prepare(p, "p", _UNIT_OPEN)
+    return _finish(_kernel_quantile(p, rho), scalar)
+
+
+def _kernel_quantile(p: np.ndarray, rho: float) -> np.ndarray:
     lower = p <= 0.5
     q = np.where(lower, p, 1.0 - p)
     x = np.empty_like(q)
@@ -437,8 +474,7 @@ def kernel_quantile(p: ArrayLike, rho: float):
         # never step below a tenth of the current iterate: keeps the
         # iteration inside (0, 1] where the direct forms are stable
         x = np.clip(x - step, x * 0.1, None)
-    x = np.where(lower, x, 1.0 / x)
-    return _finish(x, scalar)
+    return np.where(lower, x, 1.0 / x)
 
 
 # ---------------------------------------------------------------------------
@@ -459,28 +495,18 @@ def uf_cdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     ``w**alpha / (w**alpha + sigma**alpha (1-w)**alpha)``.
     """
     th = UfParams.of(theta)
-    w, scalar = _prepare(w)
-    out = np.empty_like(w)
-    out[w <= 0.0] = 0.0
-    out[w >= 1.0] = 1.0
+    w, scalar = _prepare(w, "w")
+    out = np.where(w >= 1.0, 1.0, 0.0)
     inside = (w > 0.0) & (w < 1.0)
     if np.any(inside):
-        logx = th.alpha * (_log_odds(w[inside]) - math.log(th.sigma))
-        x = np.exp(np.clip(logx, -LOG_GUARD, LOG_GUARD))
-        out[inside] = kernel_cdf(x, th.rho)
+        x = kernel_arg(_log_odds(w[inside]), th.sigma, th.alpha)
+        out[inside] = kernel_cdf_unchecked(x, th.rho)
     return _finish(out, scalar)
 
 
-def uf_logpdf(w: ArrayLike, theta: UfParams | Sequence[float]):
-    """Natural log of the UF density; -inf where the density underflows."""
-    th = UfParams.of(theta)
-    w, scalar = _prepare(w)
-    if np.any(~((w > 0.0) & (w < 1.0))):
-        raise DomainError("w must lie strictly inside (0, 1)")
+def _uf_logpdf(w: np.ndarray, th: UfParams) -> np.ndarray:
     logs = _log_odds(w)
-    logx = th.alpha * (logs - math.log(th.sigma))
-    x = np.exp(np.clip(logx, -LOG_GUARD, LOG_GUARD))
-    gx = kernel_pdf(x, th.rho)
+    gx = kernel_pdf_unchecked(kernel_arg(logs, th.sigma, th.alpha), th.rho)
     logpref = (
         math.log(th.alpha)
         - th.alpha * math.log(th.sigma)
@@ -488,8 +514,14 @@ def uf_logpdf(w: ArrayLike, theta: UfParams | Sequence[float]):
         + 2.0 * np.log1p(np.exp(np.clip(logs, None, LOG_GUARD)))
     )
     with np.errstate(divide="ignore"):
-        out = logpref + np.log(gx)
-    return _finish(out, scalar)
+        return logpref + np.log(gx)
+
+
+def uf_logpdf(w: ArrayLike, theta: UfParams | Sequence[float]):
+    """Natural log of the UF density; -inf where the density underflows."""
+    th = UfParams.of(theta)
+    w, scalar = _prepare(w, "w", _UNIT_OPEN)
+    return _finish(_uf_logpdf(w, th), scalar)
 
 
 def uf_pdf(w: ArrayLike, theta: UfParams | Sequence[float]):
@@ -501,11 +533,8 @@ def uf_pdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     Tests verify agreement with the fully expanded closed form.
     """
     th = UfParams.of(theta)
-    w, scalar = _prepare(w)
-    if np.any(~((w > 0.0) & (w < 1.0))):
-        raise DomainError("w must lie strictly inside (0, 1)")
-    out = np.exp(np.atleast_1d(uf_logpdf(w, th)))
-    return _finish(out, scalar)
+    w, scalar = _prepare(w, "w", _UNIT_OPEN)
+    return _finish(np.exp(_uf_logpdf(w, th)), scalar)
 
 
 def uf_quantile(p: ArrayLike, theta: UfParams | Sequence[float]):
@@ -520,16 +549,17 @@ def uf_quantile(p: ArrayLike, theta: UfParams | Sequence[float]):
     returned instead.
     """
     th = UfParams.of(theta)
-    p, scalar = _prepare(p)
-    if np.any(~((p > 0.0) & (p < 1.0))):
-        raise DomainError("p must lie strictly inside (0, 1)")
-    y = kernel_quantile(p, th.rho)
+    p, scalar = _prepare(p, "p", _UNIT_OPEN)
+    return _finish(_uf_quantile(p, th), scalar)
+
+
+def _uf_quantile(p: np.ndarray, th: UfParams) -> np.ndarray:
+    y = _kernel_quantile(p, th.rho)
     # t = sigma * y**(1/alpha) in log space, then w = t / (1 + t)
-    logt = math.log(th.sigma) + np.log(np.atleast_1d(y)) / th.alpha
+    logt = math.log(th.sigma) + np.log(y) / th.alpha
     logt = np.clip(logt, -LOG_GUARD, LOG_GUARD)
     w = 1.0 / (1.0 + np.exp(-logt))
-    w = np.minimum(w, np.nextafter(1.0, 0.0))
-    return _finish(w, scalar)
+    return np.minimum(w, np.nextafter(1.0, 0.0))
 
 
 def uf_sample(theta: UfParams | Sequence[float], n: int, seed: int) -> np.ndarray:
@@ -547,7 +577,7 @@ def uf_sample(theta: UfParams | Sequence[float], n: int, seed: int) -> np.ndarra
         raise DomainError(f"n must be >= 1, got {n}")
     gen = np.random.Generator(np.random.Philox(int(seed)))
     u = np.clip(gen.random(n), 1e-300, 1.0 - 1e-16)
-    return np.asarray(uf_quantile(u, th))
+    return _uf_quantile(u, th)
 
 
 def stress_strength(theta: UfParams | Sequence[float]) -> float:

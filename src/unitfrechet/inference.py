@@ -26,12 +26,10 @@ import numpy as np
 from scipy import optimize, special, stats
 
 from .core import (
-    LOG_GUARD,
     UfParams,
-    _kernel_cdf_direct,
-    _kernel_drho_direct,
-    _kernel_dx_direct,
-    _kernel_pdf_direct,
+    kernel_arg,
+    kernel_pdf_unchecked,
+    kernel_score_ratios,
     uf_cdf,
     uf_pdf,
 )
@@ -162,34 +160,30 @@ class FitReport:
 
     The identities ``aic = -2 loglik + 2 k_params`` and
     ``bic = -2 loglik + k_params ln(n)`` hold exactly; residuals are in
-    ingestion order and have length n.
+    ingestion order and have length n. Fields are declared in the order
+    the CLI report prints them.
     """
 
     model: str
-    theta_hat: tuple[float, ...]
+    n: int
     param_names: tuple[str, ...]
+    theta_hat: tuple[float, ...]
     loglik: float
     aic: float
     bic: float
     k_params: int
     ks_stat: float
     ks_pvalue: float
-    residuals: tuple[float, ...]
     converged: bool
     boundary_hit: bool
     iterations: int
-    n: int
+    residuals: tuple[float, ...]
     message: str = ""
 
 
 # ---------------------------------------------------------------------------
 # UF likelihood and score
 # ---------------------------------------------------------------------------
-
-def _kernel_values(data: DataSeries, th: UfParams) -> np.ndarray:
-    logx = th.alpha * (data.log_odds - math.log(th.sigma))
-    return np.exp(np.clip(logx, -LOG_GUARD, LOG_GUARD))
-
 
 def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
     """UF log-likelihood.
@@ -199,17 +193,11 @@ def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
     x_i = (s_i/sigma)^alpha. Returns -inf when any kernel density
     evaluation underflows to zero, which tells the optimizer the point
     is hopeless without poisoning it with NaNs. Agrees with summing
-    uf_logpdf to 1e-10 (asserted in tests; the two are independent
-    routes).
+    uf_logpdf to 1e-10 (asserted in tests; the two share the kernel
+    but assemble the Jacobian terms independently).
     """
     th = UfParams.of(theta)
-    x = _kernel_values(data, th)
-    small = x <= 1.0
-    gx = np.empty_like(x)
-    gx[small] = _kernel_pdf_direct(x[small], th.rho)
-    if np.any(~small):
-        inv = 1.0 / x[~small]
-        gx[~small] = _kernel_pdf_direct(inv, th.rho) * inv * inv
+    gx = kernel_pdf_unchecked(kernel_arg(data.log_odds, th.sigma, th.alpha), th.rho)
     if np.any(gx <= 0.0) or not np.all(np.isfinite(gx)):
         return float("-inf")
     n = data.n
@@ -220,26 +208,6 @@ def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
         + 2.0 * data._sum_log1p_odds
         + np.log(gx).sum()
     )
-
-
-def _score_ratios(x: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stable evaluation of x g'(x)/g(x) and (dg/drho)/g.
-
-    Both ratios are finite for all x but their numerators and
-    denominators underflow separately at extreme x, so they are folded
-    into (0, 1] first: with y = min(x, 1/x),
-
-        x g'(x)/g(x) = -[y g'(y)/g(y)] - 2      for x > 1
-        (dg/drho)(x)/g(x) = (dg/drho)(y)/g(y)   for all x
-
-    both consequences of the density reflection identity.
-    """
-    y = np.minimum(x, 1.0 / x)
-    g = _kernel_pdf_direct(y, rho)
-    r_small = y * _kernel_dx_direct(y, rho) / g
-    r = np.where(x <= 1.0, r_small, -r_small - 2.0)
-    h = _kernel_drho_direct(y, rho) / g
-    return r, h
 
 
 def score_uf(theta: UfParams | Sequence[float], data: DataSeries) -> np.ndarray:
@@ -255,8 +223,8 @@ def score_uf(theta: UfParams | Sequence[float], data: DataSeries) -> np.ndarray:
     comparison is a standing test.
     """
     th = UfParams.of(theta)
-    x = _kernel_values(data, th)
-    r, h = _score_ratios(x, th.rho)
+    x = kernel_arg(data.log_odds, th.sigma, th.alpha)
+    r, h = kernel_score_ratios(x, th.rho)
     n = data.n
     logs = data.log_odds
     log_sigma = math.log(th.sigma)

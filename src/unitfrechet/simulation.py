@@ -12,14 +12,16 @@ makes the parallel path bit-identical to the serial one.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import UfParams, uf_sample
-from .errors import DomainError, ParameterError, UnitFrechetError
+from .core import uf_sample
+from .errors import DomainError, UnitFrechetError
 from .inference import DataSeries, FitOptions, fit_uf
 
 __all__ = [
@@ -44,6 +46,28 @@ def default_theta_grid() -> tuple[tuple[float, float, float], ...]:
     )
 
 
+def _entries(value) -> tuple:
+    """The entries of a list, tuple or array; () for anything else."""
+    if isinstance(value, (list, tuple)) or (
+        isinstance(value, np.ndarray) and value.ndim > 0
+    ):
+        return tuple(value)
+    return ()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> Optional[int]:
+    """value as an int when it is an integral number other than a bool."""
+    if not _is_number(value):
+        return None
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    return int(value) if float(value).is_integer() else None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Study layout: parameter points, sample sizes, replication count.
@@ -51,6 +75,13 @@ class SimConfig:
     ``parallelism`` > 1 fans cells out to worker processes; results are
     identical either way because every replication seeds itself from
     (master_seed, theta_index, n, j).
+
+    This is the one validator of a study config. Construction checks
+    every field and raises a single DomainError that lists each defect
+    on its own line with its field path, such as
+    ``thetas[1][0]: sigma must be finite and > 0`` or
+    ``sample_sizes[1]: must be an integer >= 4``. The integer fields
+    accept integral floats (30.0) but reject fractions and booleans.
     """
 
     thetas: tuple[tuple[float, float, float], ...]
@@ -60,33 +91,69 @@ class SimConfig:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        thetas = tuple(tuple(float(v) for v in th) for th in self.thetas)
-        if not thetas:
-            raise DomainError("config needs at least one theta")
+        problems: list[str] = []
+
+        def integer(path: str, value, low: int) -> Optional[int]:
+            n = _integer(value)
+            if n is None or n < low:
+                problems.append(f"{path}: must be an integer >= {low}")
+            return n
+
+        thetas = _entries(self.thetas)
+        if self.thetas is None:
+            problems.append("thetas: required field")
+        elif not thetas:
+            problems.append("thetas: expected a nonempty array")
         for i, th in enumerate(thetas):
-            if len(th) != 3:
-                raise DomainError(f"thetas[{i}] must have 3 entries, got {len(th)}")
-            try:
-                UfParams.of(th)
-            except ParameterError as exc:
-                raise DomainError(f"thetas[{i}]: {exc}") from exc
-        object.__setattr__(self, "thetas", thetas)
-        sizes = tuple(int(n) for n in self.sample_sizes)
+            th = _entries(th)
+            if len(th) != 3 or not all(_is_number(v) for v in th):
+                problems.append(f"thetas[{i}]: expected an array of 3 numbers")
+                continue
+            sg, al, rh = (float(v) for v in th)
+            if not (math.isfinite(sg) and sg > 0.0):
+                problems.append(f"thetas[{i}][0]: sigma must be finite and > 0")
+            if not (math.isfinite(al) and al > 0.0):
+                problems.append(f"thetas[{i}][1]: alpha must be finite and > 0")
+            if not 0.0 <= rh <= 1.0:
+                problems.append(f"thetas[{i}][2]: rho must be in [0, 1]")
+        sizes = _entries(self.sample_sizes)
         if not sizes:
-            raise DomainError("config needs at least one sample size")
-        for n in sizes:
-            if n < 4:
-                raise DomainError(f"sample sizes must be at least 4, got {n}")
-        object.__setattr__(self, "sample_sizes", sizes)
-        if int(self.replications) < 1:
-            raise DomainError("replications must be positive")
-        object.__setattr__(self, "replications", int(self.replications))
-        if int(self.master_seed) < 0:
-            raise DomainError("master_seed must be nonnegative")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        if int(self.parallelism) < 1:
-            raise DomainError("parallelism must be positive")
-        object.__setattr__(self, "parallelism", int(self.parallelism))
+            problems.append("sample_sizes: expected a nonempty array")
+        clean = {
+            "sample_sizes": tuple(
+                integer(f"sample_sizes[{j}]", n, 4) for j, n in enumerate(sizes)
+            ),
+            "replications": integer("replications", self.replications, 1),
+            "master_seed": integer("master_seed", self.master_seed, 0),
+            "parallelism": integer("parallelism", self.parallelism, 1),
+        }
+        if problems:
+            raise DomainError("\n".join(problems))
+        clean["thetas"] = tuple(tuple(float(v) for v in th) for th in thetas)
+        for name, value in clean.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, raw: object) -> "SimConfig":
+        """Build a config from a mapping such as a parsed JSON object.
+
+        Only ``thetas`` is required; the other fields take their
+        defaults. An unknown key is reported as ``<key>: unknown field``
+        together with every defect construction finds.
+        """
+        if not isinstance(raw, Mapping):
+            raise DomainError("config: expected a JSON object")
+        known = {f.name for f in fields(cls)}
+        problems = [f"{key}: unknown field" for key in raw if key not in known]
+        values = {key: value for key, value in raw.items() if key in known}
+        values.setdefault("thetas", None)  # reported as a required field
+        try:
+            config = cls(**values)
+        except DomainError as exc:
+            problems.append(str(exc))
+        if problems:
+            raise DomainError("\n".join(problems))
+        return config
 
 
 @dataclass(frozen=True)

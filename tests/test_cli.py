@@ -127,6 +127,11 @@ class TestExitCodes:
         )
         assert "synthetic" in capsys.readouterr().err
 
+    def test_cdf_nan(self, capsys):
+        assert run("cdf", "-w", "nan", "--sigma", "1", "--alpha", "2",
+                   "--rho", "0.5") == 2
+        assert "NaN" in capsys.readouterr().err
+
     def test_quantile_p_out_of_range(self, capsys):
         assert (
             run("quantile", "-p", "1.5", "--sigma", "1", "--alpha", "1",
@@ -147,8 +152,10 @@ class TestExitCodes:
             tmp_path / "c.json",
             json.dumps({
                 "thetas": [[1, 2, 0.5], [0, -1, 2]],
-                "sample_sizes": [30, 2],
-                "replications": 3,
+                "sample_sizes": [30, 2, 30.7],
+                "replications": True,
+                "master_seed": 2.9,
+                "parallelism": 1.5,
                 "bogus": 1,
             }),
         )
@@ -159,6 +166,10 @@ class TestExitCodes:
         assert "thetas[1][1]: alpha" in err
         assert "thetas[1][2]: rho" in err
         assert "sample_sizes[1]" in err
+        assert "sample_sizes[2]: must be an integer" in err
+        assert "replications: must be an integer" in err
+        assert "master_seed: must be an integer" in err
+        assert "parallelism: must be an integer" in err
 
 
 class TestPrintedValues:
@@ -288,6 +299,38 @@ class TestFit:
         assert_allclose(doc["theta_hat"][0], 0.7956563513998594, rtol=1e-6)
         assert doc["theta_hat"][2] == 0.0
 
+    @pytest.mark.parametrize("model", ["uf", "beta"])
+    def test_report_layout(self, fit_dir, model):
+        # pins every byte of the report given its values: labels, line
+        # order and number formats of the text block, key order and
+        # layout of the JSON block
+        text = (fit_dir / f"report_{model}.txt").read_text()
+        head, block = text.split("\n\n--- machine readable ---\n")
+        doc = json.loads(block)
+        assert list(doc) == [
+            "model", "n", "param_names", "theta_hat", "loglik", "aic", "bic",
+            "k_params", "ks_stat", "ks_pvalue", "converged", "boundary_hit",
+            "iterations", "message",
+        ]
+        assert block == json.dumps(doc, indent=2) + "\n"
+        theta = "  ".join(
+            f"{name}={value:.10g}"
+            for name, value in zip(doc["param_names"], doc["theta_hat"])
+        )
+        rows = [
+            ("model", doc["model"]),
+            ("n", str(doc["n"])),
+            ("theta_hat", theta),
+            *((key, f"{doc[key]:.10g}") for key in ("loglik", "aic", "bic")),
+            ("k_params", str(doc["k_params"])),
+            *((key, f"{doc[key]:.10g}") for key in ("ks_stat", "ks_pvalue")),
+            ("converged", json.dumps(doc["converged"])),
+            ("boundary_hit", json.dumps(doc["boundary_hit"])),
+            ("iterations", str(doc["iterations"])),
+            ("message", doc["message"]),
+        ]
+        assert head == "\n".join(f"{key:<13} {value}" for key, value in rows)
+
     def test_residual_and_plot_sizes(self, fit_dir):
         assert len((fit_dir / "residuals_uf.csv").read_text().splitlines()) == 38
         assert len((fit_dir / "plot_pdf_uf.csv").read_text().splitlines()) == 402
@@ -340,6 +383,10 @@ class TestSimulateCli:
         assert cell["failures"] + cell["used"] == 3
         doc = json.loads((tmp_path / "manifest.json").read_text())
         assert doc["master_seed"] == 9
+        # sha256 of the config's canonical JSON, defaults filled in
+        assert doc["input_digest"] == (
+            "593e49a5277cd8fdc357fddbca4f8de16c448c41e7997c222acf27f750cfa057"
+        )
 
     def test_parallelism_does_not_change_results(self, tmp_path, capsys):
         base = {

@@ -15,6 +15,8 @@ from unitfrechet import (
     FrechetParams,
     ParameterError,
     UfParams,
+    biv_cdf,
+    biv_pdf,
     frechet_cdf,
     frechet_pdf,
     kernel_cdf,
@@ -413,3 +415,33 @@ class TestStressStrength:
     def test_extreme_sigma(self):
         assert stress_strength(UfParams(1e280, 2.0, 0.3)) > 1.0 - 1e-12
         assert stress_strength(UfParams(1e-280, 2.0, 0.3)) < 1e-12
+
+
+WITH_NAN = np.array([0.3, math.nan])
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (frechet_pdf, (WITH_NAN, (0.0, 1.0, 2.0))),
+        (frechet_cdf, (WITH_NAN, (0.0, 1.0, 2.0))),
+        (kernel_pdf, (WITH_NAN, 0.5)),
+        (kernel_cdf, (WITH_NAN, 0.5)),
+        (kernel_sf, (WITH_NAN, 0.5)),
+        (kernel_pdf_dx, (WITH_NAN, 0.5)),
+        (kernel_pdf_drho, (WITH_NAN, 0.5)),
+        (kernel_quantile, (WITH_NAN, 0.5)),
+        (uf_pdf, (WITH_NAN, (1.0, 2.0, 0.5))),
+        (uf_logpdf, (WITH_NAN, (1.0, 2.0, 0.5))),
+        (uf_cdf, (WITH_NAN, (1.0, 2.0, 0.5))),
+        (uf_cdf, (math.nan, (1.0, 2.0, 0.5))),
+        (uf_quantile, (WITH_NAN, (1.0, 2.0, 0.5))),
+        (biv_cdf, (WITH_NAN, 1.0, (1.0, 2.0, 2.0, 0.5))),
+        (biv_cdf, (1.0, math.nan, (1.0, 2.0, 2.0, 0.5))),
+        (biv_pdf, (WITH_NAN, 1.0, (1.0, 2.0, 2.0, 0.5))),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_nan_argument_raises(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)

@@ -60,6 +60,15 @@ class TestSimConfig:
             SimConfig(thetas=((1.0, 2.0, 0.5),), master_seed=-1)
         with pytest.raises(DomainError):
             SimConfig(thetas=((1.0, 2.0, 0.5),), parallelism=0)
+        # non-integral numbers and booleans are rejected, not truncated,
+        # and every defect is reported with its field path
+        with pytest.raises(DomainError) as info:
+            SimConfig(
+                thetas=((1, 2, 0.5),), sample_sizes=(30.7,), replications=True,
+                master_seed=2.9, parallelism=1.5,
+            )
+        for path in ("sample_sizes[0]", "replications", "master_seed", "parallelism"):
+            assert f"{path}: must be an integer" in str(info.value)
 
     def test_coercion(self):
         c = SimConfig(
