@@ -31,8 +31,9 @@ guard the enclosing expression takes its analytic limit (CDF tends to
 
 Public functions validate their arguments once (NaN raises
 ``DomainError``); the unvalidated array layer beneath them
-(``kernel_arg``, ``kernel_*_unchecked``, ``kernel_score_ratios``)
-serves sibling modules whose data is already validated.
+(``log_odds``, ``kernel_arg``, ``kernel_*_unchecked``,
+``kernel_pdf_and_ratios``) serves sibling modules whose data is
+already validated.
 
 All public functions are pure and accept scalars or numpy arrays;
 scalar input yields a Python float.
@@ -271,10 +272,16 @@ def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(1.0, x, out=x.copy(), where=big), big
 
 
-def kernel_arg(log_odds: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
+def log_odds(w: np.ndarray) -> np.ndarray:
+    """``log(w / (1 - w))`` for w in (0, 1), the scale the likelihood
+    lives on."""
+    return np.log(w) - np.log1p(-w)
+
+
+def kernel_arg(logs: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
     """Kernel argument ``(s / sigma) ** alpha`` from ``log s``, formed in
     log space and clipped at +-LOG_GUARD."""
-    logx = alpha * (log_odds - math.log(sigma))
+    logx = alpha * (logs - math.log(sigma))
     return np.exp(np.clip(logx, -LOG_GUARD, LOG_GUARD))
 
 
@@ -296,12 +303,16 @@ def kernel_cdf_unchecked(x: np.ndarray, rho: float, upper: bool = False) -> np.n
     return np.where(big == upper, c, 1.0 - c)
 
 
-def kernel_score_ratios(x: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stable evaluation of x g'(x)/g(x) and (dg/drho)/g.
+def kernel_pdf_and_ratios(
+    x: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g(x; rho) with the score ratios x g'(x)/g(x) and (dg/drho)/g,
+    from one fold and one density evaluation.
 
-    Both ratios are finite for all x but their numerators and
-    denominators underflow separately at extreme x, so they are folded
-    into (0, 1] first: with y = min(x, 1/x),
+    The density is ``kernel_pdf_unchecked(x, rho)`` bit for bit. The
+    ratios are formed at the folded point, so they stay finite where the
+    density underflows; only the rho ratio at rho = 1, which grows like
+    -1/(4y), overflows for subnormal y. With y = min(x, 1/x),
 
         x g'(x)/g(x) = -[y g'(y)/g(y)] - 2      for x > 1
         (dg/drho)(x)/g(x) = (dg/drho)(y)/g(y)   for all x
@@ -311,7 +322,11 @@ def kernel_score_ratios(x: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarr
     y, big = _fold(x)
     g = _kernel_pdf_direct(y, rho)
     r = y * _kernel_dx_direct(y, rho) / g
-    return np.where(big, -r - 2.0, r), _kernel_drho_direct(y, rho) / g
+    return (
+        np.where(big, g * y * y, g),
+        np.where(big, -r - 2.0, r),
+        _kernel_drho_direct(y, rho) / g,
+    )
 
 
 def kernel_pdf(x: ArrayLike, rho: float):
@@ -481,10 +496,6 @@ def _kernel_quantile(p: np.ndarray, rho: float) -> np.ndarray:
 # UF distribution
 # ---------------------------------------------------------------------------
 
-def _log_odds(w: np.ndarray) -> np.ndarray:
-    return np.log(w) - np.log1p(-w)
-
-
 def uf_cdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     """CDF of the UF distribution.
 
@@ -499,13 +510,13 @@ def uf_cdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     out = np.where(w >= 1.0, 1.0, 0.0)
     inside = (w > 0.0) & (w < 1.0)
     if np.any(inside):
-        x = kernel_arg(_log_odds(w[inside]), th.sigma, th.alpha)
+        x = kernel_arg(log_odds(w[inside]), th.sigma, th.alpha)
         out[inside] = kernel_cdf_unchecked(x, th.rho)
     return _finish(out, scalar)
 
 
 def _uf_logpdf(w: np.ndarray, th: UfParams) -> np.ndarray:
-    logs = _log_odds(w)
+    logs = log_odds(w)
     gx = kernel_pdf_unchecked(kernel_arg(logs, th.sigma, th.alpha), th.rho)
     logpref = (
         math.log(th.alpha)

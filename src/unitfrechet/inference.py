@@ -6,12 +6,13 @@ analytic score, plus the two standard unit-interval comparison models
 criteria, the Kolmogorov-Smirnov statistic with its asymptotic p-value,
 rank-based residuals, and AIC/BIC model ranking.
 
-The UF optimizer works in the unconstrained space
-(log sigma, log alpha, logit rho): a deterministic multistart grid is
-ranked by likelihood, the best few starts run through a Nelder-Mead
-simplex, the winner is polished by L-BFGS-B with the analytic gradient,
-and a rho estimate pinned against 0 or 1 triggers a two-parameter refit
-on that boundary with ``boundary_hit`` set. There is no hidden
+The UF optimizer works in (log sigma, log alpha, rho) with rho boxed
+to [0, 1]: a deterministic multistart grid is ranked by likelihood, and
+bounded L-BFGS-B runs from the best few starts and from the best start
+at each rho level of the grid, and restarts from the winner while it
+fails the convergence test. Every run evaluates the log-likelihood and
+its analytic score together, from one pass over the kernel. A rho
+estimate on 0 or 1 sets ``boundary_hit``. There is no hidden
 randomness anywhere in the fit, so results are reproducible bit for bit.
 """
 
@@ -28,8 +29,9 @@ from scipy import optimize, special, stats
 from .core import (
     UfParams,
     kernel_arg,
+    kernel_pdf_and_ratios,
     kernel_pdf_unchecked,
-    kernel_score_ratios,
+    log_odds,
     uf_cdf,
     uf_pdf,
 )
@@ -55,7 +57,9 @@ __all__ = [
     "score_uf",
 ]
 
-RHO_CLIP = 1e-9
+# Fresh L-BFGS-B runs fit_uf may make from its best point while that
+# point fails the convergence test.
+UF_RESTARTS = 2
 
 # Deterministic multistart grid for fit_uf, ranked by likelihood before
 # any optimizer runs. A moment-matched start derived from the sample
@@ -108,7 +112,7 @@ class DataSeries:
     @cached_property
     def log_odds(self) -> np.ndarray:
         """log(w/(1-w)) per observation, the scale the likelihood lives on."""
-        arr = np.log(self.array) - np.log1p(-self.array)
+        arr = log_odds(self.array)
         arr.setflags(write=False)
         return arr
 
@@ -137,6 +141,13 @@ class ModelHandle:
 class FitOptions:
     """Tuning knobs for fit_uf; the defaults are the tested contract.
 
+    ``top_starts`` is how many of the best-ranked starts L-BFGS-B runs
+    from, besides the best start at each rho level; ``polish_ftol`` and
+    ``polish_gtol`` are the ``ftol`` and ``gtol`` of every run.
+    ``starts`` replaces START_GRID; starts whose log-likelihood is not
+    finite are skipped, and fit_uf raises DomainError when no start is
+    left (never the case with START_GRID).
+
     ``grad_tol`` governs the ``converged`` flag: the fit counts as
     converged when the reparameterized score has infinity norm below
     grad_tol * max(1, |loglik|), with a one-sided (KKT) check on the
@@ -144,12 +155,8 @@ class FitOptions:
     """
 
     top_starts: int = 3
-    simplex_xatol: float = 1e-6
-    simplex_fatol: float = 1e-10
-    simplex_maxiter: int = 400
     polish_gtol: float = 1e-8
     polish_ftol: float = 1e-14
-    boundary_tol: float = 1e-6
     grad_tol: float = 1e-6
     starts: Optional[tuple[tuple[float, float, float], ...]] = None
 
@@ -185,6 +192,20 @@ class FitReport:
 # UF likelihood and score
 # ---------------------------------------------------------------------------
 
+def _assemble_loglik(th: UfParams, data: DataSeries, gx: np.ndarray) -> float:
+    # -inf when a kernel density underflows to zero (or is not finite)
+    if np.any(gx <= 0.0) or not np.all(np.isfinite(gx)):
+        return float("-inf")
+    n = data.n
+    return float(
+        n * math.log(th.alpha)
+        - n * th.alpha * math.log(th.sigma)
+        + (th.alpha - 1.0) * data.log_odds.sum()
+        + 2.0 * data._sum_log1p_odds
+        + np.log(gx).sum()
+    )
+
+
 def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
     """UF log-likelihood.
 
@@ -198,16 +219,29 @@ def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
     """
     th = UfParams.of(theta)
     gx = kernel_pdf_unchecked(kernel_arg(data.log_odds, th.sigma, th.alpha), th.rho)
-    if np.any(gx <= 0.0) or not np.all(np.isfinite(gx)):
-        return float("-inf")
+    return _assemble_loglik(th, data, gx)
+
+
+def _loglik_and_score(th: UfParams, data: DataSeries) -> tuple[float, np.ndarray]:
+    """(loglik_uf, score_uf) at th from one kernel evaluation.
+
+    Both values equal the public functions' bit for bit, including the
+    -inf log-likelihood sentinel, where the score is still returned.
+    """
+    x = kernel_arg(data.log_odds, th.sigma, th.alpha)
+    gx, r, h = kernel_pdf_and_ratios(x, th.rho)
     n = data.n
-    return float(
-        n * math.log(th.alpha)
-        - n * th.alpha * math.log(th.sigma)
-        + (th.alpha - 1.0) * data.log_odds.sum()
-        + 2.0 * data._sum_log1p_odds
-        + np.log(gx).sum()
+    logs = data.log_odds
+    log_sigma = math.log(th.sigma)
+    d_sigma = -n * th.alpha / th.sigma - (th.alpha / th.sigma) * r.sum()
+    d_alpha = (
+        n / th.alpha
+        - n * log_sigma
+        + logs.sum()
+        + float(np.dot(r, logs - log_sigma))
     )
+    d_rho = h.sum()
+    return _assemble_loglik(th, data, gx), np.array([d_sigma, d_alpha, d_rho])
 
 
 def score_uf(theta: UfParams | Sequence[float], data: DataSeries) -> np.ndarray:
@@ -222,21 +256,7 @@ def score_uf(theta: UfParams | Sequence[float], data: DataSeries) -> np.ndarray:
     of loglik_uf to about 1e-9 relative; the finite-difference
     comparison is a standing test.
     """
-    th = UfParams.of(theta)
-    x = kernel_arg(data.log_odds, th.sigma, th.alpha)
-    r, h = kernel_score_ratios(x, th.rho)
-    n = data.n
-    logs = data.log_odds
-    log_sigma = math.log(th.sigma)
-    d_sigma = -n * th.alpha / th.sigma - (th.alpha / th.sigma) * r.sum()
-    d_alpha = (
-        n / th.alpha
-        - n * log_sigma
-        + logs.sum()
-        + float(np.dot(r, logs - log_sigma))
-    )
-    d_rho = h.sum()
-    return np.array([d_sigma, d_alpha, d_rho])
+    return _loglik_and_score(UfParams.of(theta), data)[1]
 
 
 def describe(data: DataSeries) -> dict:
@@ -416,20 +436,45 @@ def _ill_posed_report(model: str, names: tuple[str, ...], k: int,
     )
 
 
+def _uf_verdict(th: UfParams, data: DataSeries, grad_tol: float) -> tuple[float, bool]:
+    """(loglik, converged) of a UF estimate.
+
+    Converged means the score in (log sigma, log alpha, logit rho) has
+    infinity norm below grad_tol * max(1, |loglik|); on the rho boundary
+    the rho component need only point out of [0, 1] (a KKT condition).
+    """
+    sg, al, rh = th.astuple()
+    ll = loglik_uf(th, data)
+    d = score_uf(th, data)
+    # the attainable gradient floor scales with the likelihood magnitude
+    # (each component sums n rounded terms), so the test is relative
+    tol = grad_tol * max(1.0, abs(ll))
+    if rh in (0.0, 1.0):
+        free_grad = max(abs(d[0] * sg), abs(d[1] * al))
+        kkt = d[2] <= tol if rh == 0.0 else d[2] >= -tol
+        return ll, bool(free_grad < tol and kkt and math.isfinite(ll))
+    tgrad = np.array([d[0] * sg, d[1] * al, d[2] * rh * (1.0 - rh)])
+    return ll, bool(np.max(np.abs(tgrad)) < tol and math.isfinite(ll))
+
+
 def fit_uf(data: DataSeries, options: Optional[FitOptions] = None) -> FitReport:
     """Maximum-likelihood fit of the UF distribution.
 
-    Works in (log sigma, log alpha, logit rho). The multistart grid
-    (START_GRID plus a moment-matched start whose sigma solves the
-    median equation sigma/(1+sigma) = sample median) is ranked by
-    log-likelihood; the best ``top_starts`` candidates each run a
-    Nelder-Mead simplex; the overall winner gets an L-BFGS-B polish
-    with the analytic gradient. If the polished rho sits within
-    ``boundary_tol`` of 0 or 1 the fit is redone over (sigma, alpha)
-    with rho fixed at that boundary and ``boundary_hit`` is set; the
-    convergence flag then checks the two free gradient components plus
-    the sign of the rho derivative (a KKT condition) instead of all
-    three.
+    The multistart grid (START_GRID plus a moment-matched start whose
+    sigma solves the median equation sigma/(1+sigma) = sample median) is
+    ranked by log-likelihood. L-BFGS-B, driven by the log-likelihood and
+    its analytic score from one kernel pass, then runs from the best
+    ``top_starts`` starts and from the best start at each distinct rho
+    level of the grid, in (log sigma, log alpha, rho) with rho boxed to
+    [0, 1]; the best run wins. The per-level starts matter because the
+    rho profile can have one mode on the boundary and another inside.
+    While the winner fails the convergence test, L-BFGS-B restarts from
+    it, up to UF_RESTARTS times.
+
+    ``boundary_hit`` is set when the estimate of rho sits on 0 or 1.
+    The convergence flag then checks the two free gradient components
+    plus the sign of the rho derivative (a KKT condition) instead of
+    all three.
 
     Never raises for non-convergence; the report says what happened.
     """
@@ -439,96 +484,58 @@ def fit_uf(data: DataSeries, options: Optional[FitOptions] = None) -> FitReport:
     if degenerate:
         return _ill_posed_report("uf", names, 3, data, degenerate)
 
-    def unpack(t: np.ndarray) -> tuple[float, float, float]:
-        t = np.clip(t, -600.0, 600.0)
-        rho = float(special.expit(t[2]))
-        rho = min(max(rho, RHO_CLIP), 1.0 - RHO_CLIP)
-        return float(np.exp(t[0])), float(np.exp(t[1])), rho
+    def unpack(t: np.ndarray) -> UfParams:
+        sg, al = np.exp(np.clip(t[:2], -600.0, 600.0))
+        return UfParams(float(sg), float(al), min(max(float(t[2]), 0.0), 1.0))
 
-    def nll(t: np.ndarray) -> float:
-        sg, al, rh = unpack(t)
-        return -loglik_uf((sg, al, rh), data)
-
-    def grad(t: np.ndarray) -> np.ndarray:
-        sg, al, rh = unpack(t)
-        d = score_uf((sg, al, rh), data)
-        return -np.array([d[0] * sg, d[1] * al, d[2] * rh * (1.0 - rh)])
+    def objective(t: np.ndarray) -> tuple[float, np.ndarray]:
+        th = unpack(t)
+        ll, d = _loglik_and_score(th, data)
+        return -ll, -np.array([d[0] * th.sigma, d[1] * th.alpha, d[2]])
 
     med = float(np.median(data.array))
     starts = [(med / (1.0 - med), 1.0, 0.5)]
     starts.extend(opts.starts if opts.starts is not None else START_GRID)
     values = np.array([loglik_uf(s, data) for s in starts])
-    order = np.argsort(values)[::-1]
+    order = [i for i in np.argsort(values)[::-1] if math.isfinite(values[i])]
+    if not order:
+        raise DomainError("no start has a finite log-likelihood")
+    picked = order[: opts.top_starts]
+    for level in sorted({starts[i][2] for i in order}):
+        best_at_level = next(i for i in order if starts[i][2] == level)
+        if best_at_level not in picked:
+            picked.append(best_at_level)
 
-    iterations = 0
-    best = None
-    for idx in order[: opts.top_starts]:
-        sg, al, rh = starts[idx]
-        t0 = np.array([math.log(sg), math.log(al), math.log(rh / (1.0 - rh))])
-        res = optimize.minimize(
-            nll,
+    def run(t0: np.ndarray):
+        return optimize.minimize(
+            objective,
             t0,
-            method="Nelder-Mead",
-            options={
-                "xatol": opts.simplex_xatol,
-                "fatol": opts.simplex_fatol,
-                "maxiter": opts.simplex_maxiter,
-            },
-        )
-        iterations += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-    polished = optimize.minimize(
-        nll,
-        best.x,
-        method="L-BFGS-B",
-        jac=grad,
-        options={"ftol": opts.polish_ftol, "gtol": opts.polish_gtol, "maxiter": 200},
-    )
-    iterations += int(polished.nit)
-    final = polished if polished.fun <= best.fun else best
-    sg, al, rh = unpack(final.x)
-
-    boundary_hit = False
-    if rh < opts.boundary_tol or rh > 1.0 - opts.boundary_tol:
-        rho_fixed = 0.0 if rh < opts.boundary_tol else 1.0
-
-        def nll2(t2: np.ndarray) -> float:
-            t2 = np.clip(t2, -600.0, 600.0)
-            return -loglik_uf((float(np.exp(t2[0])), float(np.exp(t2[1])), rho_fixed), data)
-
-        def grad2(t2: np.ndarray) -> np.ndarray:
-            t2 = np.clip(t2, -600.0, 600.0)
-            sg2, al2 = float(np.exp(t2[0])), float(np.exp(t2[1]))
-            d = score_uf((sg2, al2, rho_fixed), data)
-            return -np.array([d[0] * sg2, d[1] * al2])
-
-        refit = optimize.minimize(
-            nll2,
-            final.x[:2],
             method="L-BFGS-B",
-            jac=grad2,
+            jac=True,
+            bounds=((None, None), (None, None), (0.0, 1.0)),
             options={"ftol": opts.polish_ftol, "gtol": opts.polish_gtol, "maxiter": 200},
         )
-        iterations += int(refit.nit)
-        sg, al = float(np.exp(refit.x[0])), float(np.exp(refit.x[1]))
-        rh = rho_fixed
-        boundary_hit = True
 
-    ll = loglik_uf((sg, al, rh), data)
-    d = score_uf((sg, al, rh), data)
-    # the attainable gradient floor scales with the likelihood magnitude
-    # (each component sums n rounded terms), so the test is relative
-    tol = opts.grad_tol * max(1.0, abs(ll))
-    if boundary_hit:
-        free_grad = max(abs(d[0] * sg), abs(d[1] * al))
-        kkt = d[2] <= tol if rh == 0.0 else d[2] >= -tol
-        converged = bool(free_grad < tol and kkt and math.isfinite(ll))
-    else:
-        tgrad = np.array([d[0] * sg, d[1] * al, d[2] * rh * (1.0 - rh)])
-        converged = bool(np.max(np.abs(tgrad)) < tol and math.isfinite(ll))
+    runs = [
+        run(np.array([math.log(sg), math.log(al), rh]))
+        for sg, al, rh in (starts[i] for i in picked)
+    ]
+    iterations = sum(int(res.nit) for res in runs)
+    best = min(runs, key=lambda res: res.fun)  # the first of equals
+    ll, converged = _uf_verdict(unpack(best.x), data, opts.grad_tol)
+    # L-BFGS-B can stall on a stale curvature model (seen close to
+    # rho = 1); a restart from where it stopped builds a fresh one
+    for _ in range(UF_RESTARTS):
+        if converged:
+            break
+        res = run(best.x)
+        iterations += int(res.nit)
+        if not res.fun < best.fun:
+            break
+        best = res
+        ll, converged = _uf_verdict(unpack(best.x), data, opts.grad_tol)
 
-    theta_hat = (sg, al, rh)
+    theta_hat = unpack(best.x).astuple()
     return _build_report(
         model="uf",
         theta_hat=theta_hat,
@@ -538,7 +545,7 @@ def fit_uf(data: DataSeries, options: Optional[FitOptions] = None) -> FitReport:
         data=data,
         handle=model_handle("uf", theta_hat),
         converged=converged,
-        boundary_hit=boundary_hit,
+        boundary_hit=theta_hat[2] in (0.0, 1.0),
         iterations=iterations,
         message="" if converged else "gradient tolerance not reached",
     )

@@ -75,7 +75,8 @@ class MomentInputs:
             if not math.isfinite(self.cov):
                 raise ParameterError(f"cov must be finite, got {self.cov!r}")
             if self.var1 is not None and self.var2 is not None:
-                bound = math.sqrt(self.var1 * self.var2)
+                # sqrt of each factor: the product underflows for tiny variances
+                bound = math.sqrt(self.var1) * math.sqrt(self.var2)
                 if abs(self.cov) > bound * (1.0 + 1e-12) + 1e-300:
                     raise ParameterError(
                         f"cov={self.cov!r} violates the Cauchy-Schwarz bound "

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -72,9 +73,15 @@ def _integer(value) -> Optional[int]:
 class SimConfig:
     """Study layout: parameter points, sample sizes, replication count.
 
-    ``parallelism`` > 1 fans cells out to worker processes; results are
-    identical either way because every replication seeds itself from
-    (master_seed, theta_index, n, j).
+    ``parallelism`` > 1 splits every cell's replications into
+    contiguous ranges and fits those (cell, range) shards on worker
+    processes, at most ``min(parallelism, os.cpu_count())`` of them and
+    never more than there are shards; one worker means the serial path.
+    Each worker caps the OpenBLAS builds bundled with scipy and numpy at
+    one thread, so workers do not oversubscribe the cores; the calling
+    process is left alone. Results are identical either way because
+    every replication seeds itself from (master_seed, theta_index, n, j)
+    and each cell is summarised from its outcomes in replication order.
 
     This is the one validator of a study config. Construction checks
     every field and raises a single DomainError that lists each defect
@@ -203,28 +210,33 @@ def replication_seed(master_seed: int, theta_index: int, n: int, j: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_cell(args) -> CellResult:
+def _run_replications(args) -> list:
+    """Fit a range of one cell's replications: per replication,
+    (theta_hat, boundary_hit), or None when it failed."""
     theta_index, theta, n, replications, master_seed, options = args
-    truth = np.asarray(theta, dtype=float)
-    estimates = []
-    boundary = 0
-    failures = 0
-    for j in range(replications):
+    outcomes = []
+    for j in replications:
         seed = replication_seed(master_seed, theta_index, n, j)
         sample = uf_sample(theta, n, seed)
         try:
             report = fit_uf(DataSeries(tuple(float(v) for v in sample)), options)
         except UnitFrechetError:
-            failures += 1
+            outcomes.append(None)
             continue
         if not report.converged or not all(
             math.isfinite(v) for v in report.theta_hat
         ):
-            failures += 1
+            outcomes.append(None)
             continue
-        estimates.append(report.theta_hat)
-        if report.boundary_hit:
-            boundary += 1
+        outcomes.append((report.theta_hat, report.boundary_hit))
+    return outcomes
+
+
+def _summarise(theta_index, theta, n, outcomes) -> CellResult:
+    """A cell's result from its replication outcomes, in replication
+    order."""
+    truth = np.asarray(theta, dtype=float)
+    estimates = [o[0] for o in outcomes if o is not None]
     used = len(estimates)
     if used:
         est = np.asarray(estimates, dtype=float)
@@ -244,10 +256,65 @@ def _run_cell(args) -> CellResult:
         rb=tuple(float(v) for v in rb_arr),
         mse=tuple(float(v) for v in mse_arr),
         rmse=tuple(float(v) for v in rmse_arr),
-        failure_count=failures,
-        boundary_count=boundary,
+        failure_count=len(outcomes) - used,
+        boundary_count=sum(o is not None and o[1] for o in outcomes),
         used=used,
     )
+
+
+def _run_cell(args) -> CellResult:
+    theta_index, theta, n, replications, master_seed, options = args
+    outcomes = _run_replications(
+        (theta_index, theta, n, range(replications), master_seed, options)
+    )
+    return _summarise(theta_index, theta, n, outcomes)
+
+
+# Thread-count setters of the OpenBLAS builds numpy and scipy bundle
+# (64-bit and 32-bit integer interfaces), then of a plain OpenBLAS.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: cap the OpenBLAS libraries bundled with scipy
+    and numpy at one thread in this worker process, best effort.
+
+    scipy's compiled L-BFGS-B calls into its OpenBLAS, whose thread
+    pool would otherwise contend with the other workers for the same
+    cores. A library that is not found or has no setter is skipped.
+    """
+    import ctypes
+
+    for path in _openblas_libraries():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def _openblas_libraries() -> list[str]:
+    """Paths of the OpenBLAS builds vendored next to scipy and numpy
+    (the ``<package>.libs`` directories of their wheels)."""
+    from pathlib import Path
+
+    import scipy
+
+    found = []
+    for package in (scipy, np):
+        libs = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
+        found.extend(str(p) for p in sorted(libs.glob("*openblas*")))
+    return found
 
 
 def run_study(
@@ -258,18 +325,36 @@ def run_study(
     A replication counts as failed when fitting raises or the report
     does not converge; failed replications are excluded from the
     averages and only show up in ``failure_count``. Cells are processed
-    in grid order (theta major, sample size minor) and the parallel
-    path preserves that order exactly.
+    in grid order (theta major, sample size minor).
+
+    The parallel path splits every cell's replications into contiguous
+    ranges, fits the (cell, range) shards on worker processes, and
+    merges each cell's outcomes back in replication order before
+    summarising it, so its cells equal the serial path's bit for bit.
     """
-    jobs = [
-        (i, th, n, config.replications, config.master_seed, options)
-        for i, th in enumerate(config.thetas)
-        for n in config.sample_sizes
+    cells = [
+        (i, th, n) for i, th in enumerate(config.thetas) for n in config.sample_sizes
     ]
-    if config.parallelism == 1 or len(jobs) == 1:
-        cells = [_run_cell(job) for job in jobs]
-    else:
-        workers = min(config.parallelism, len(jobs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, jobs))
-    return SimReport(config=config, cells=tuple(cells))
+    reps, seed = config.replications, config.master_seed
+    workers = min(config.parallelism, os.cpu_count() or 1)
+    size = -(-reps // workers)
+    shards = [
+        (k, range(lo, min(lo + size, reps)))
+        for k in range(len(cells))
+        for lo in range(0, reps, size)
+    ]
+    workers = min(workers, len(shards))
+    if workers == 1:
+        return SimReport(config=config, cells=tuple(
+            _run_cell((*cell, reps, seed, options)) for cell in cells
+        ))
+    outcomes: list[list] = [[] for _ in cells]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        parts = pool.map(
+            _run_replications, [(*cells[k], js, seed, options) for k, js in shards]
+        )
+        for (k, _), part in zip(shards, parts):
+            outcomes[k].extend(part)
+    return SimReport(config=config, cells=tuple(
+        _summarise(*cell, part) for cell, part in zip(cells, outcomes)
+    ))

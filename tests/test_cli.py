@@ -403,6 +403,27 @@ class TestSimulateCli:
         assert (d1 / "simreport.csv").read_bytes() == (d2 / "simreport.csv").read_bytes()
         assert (d1 / "cells.json").read_bytes() == (d2 / "cells.json").read_bytes()
 
+    def test_sharded_simulate_byte_identical(self, tmp_path, capsys):
+        # 7 replications per cell do not divide evenly into shards
+        base = {
+            "thetas": [[1.0, 2.0, 0.5], [0.5, 1.0, 0.2]],
+            "sample_sizes": [30, 40],
+            "replications": 7,
+            "master_seed": 21,
+        }
+        d1, d3 = tmp_path / "p1", tmp_path / "p3"
+        c1 = write(tmp_path / "c1.json", json.dumps({**base, "parallelism": 1}))
+        c3 = write(tmp_path / "c3.json", json.dumps({**base, "parallelism": 3}))
+        assert run("simulate", "--config", c1, "--outdir", str(d1)) == 0
+        assert run("simulate", "--config", c3, "--outdir", str(d3)) == 0
+        names = sorted(p.name for p in d1.iterdir())
+        assert names == sorted(p.name for p in d3.iterdir())
+        assert len(names) > 1
+        for name in names:
+            # the manifest names the config file and digests parallelism
+            if name != "manifest.json":
+                assert (d1 / name).read_bytes() == (d3 / name).read_bytes(), name
+
 
 class TestEndToEnd:
     def test_bivariate_sample_ratio_fit_recovers(self, tmp_path, capsys):

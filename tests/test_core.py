@@ -32,6 +32,7 @@ from unitfrechet import (
     uf_quantile,
     uf_sample,
 )
+from unitfrechet.core import kernel_pdf_and_ratios, kernel_pdf_unchecked
 
 # mpmath references, 30 significant digits at authoring time
 UF_PDF_03_1_2_08 = 0.9481737759003594
@@ -183,6 +184,26 @@ class TestKernelDerivatives:
         lhs = kernel_pdf_dx(x, rho)
         rhs = -kernel_pdf_dx(1.0 / x, rho) / x**4 - 2.0 * kernel_pdf(x, rho) / x
         assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-300)
+
+    def test_fused_density_and_ratios(self):
+        # one fold yields the density bit for bit and both score ratios,
+        # finite even where g itself underflows
+        x = np.concatenate([
+            10.0 ** np.linspace(-300.0, 300.0, 61), [5e-324, 0.37, 1.0, 2.72],
+        ])
+        for rho in (0.0, 0.5, 0.9, 1.0):
+            with np.errstate(over="ignore"):
+                g, r, h = kernel_pdf_and_ratios(x, rho)
+            assert np.array_equal(g, kernel_pdf_unchecked(x, rho))
+            # at rho = 1 the rho ratio grows like -1/(4x) as x -> 0, past
+            # the double range for subnormal x
+            normal = x > 1e-300
+            assert np.all(np.isfinite(r)) and np.all(np.isfinite(h[normal]))
+            mid = (x > 0.05) & (x < 20.0)
+            assert_allclose(
+                r[mid], x[mid] * kernel_pdf_dx(x[mid], rho) / g[mid], rtol=1e-12
+            )
+            assert_allclose(h[mid], kernel_pdf_drho(x[mid], rho) / g[mid], rtol=1e-12)
 
 
 class TestKernelQuantile:

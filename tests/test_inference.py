@@ -13,6 +13,7 @@ from unitfrechet.core import UfParams, uf_logpdf, uf_quantile, uf_sample
 from unitfrechet.errors import DataError, DomainError
 from unitfrechet.inference import (
     DataSeries,
+    FitOptions,
     FitReport,
     describe,
     fit_beta,
@@ -25,6 +26,7 @@ from unitfrechet.inference import (
     residuals,
     score_uf,
 )
+from unitfrechet.simulation import replication_seed
 
 # An external reference fit of the bundled pass-completion data; the
 # forensic values below were frozen from this package's own evaluation
@@ -163,6 +165,22 @@ class TestScore:
         assert abs(s[1]) < 1e-6
         assert s[2] <= 0.0
 
+    def test_fused_matches_public_functions(self):
+        # the fit's fused evaluation is loglik_uf and score_uf bit for
+        # bit, including the -inf sentinel
+        from unitfrechet.inference import _loglik_and_score
+
+        cases = [
+            ((1.0, 2.0, 0.5), sample_series((1.0, 2.0, 0.5), 50, 3)),
+            ((0.3, 7.0, 0.0), sample_series((1.0, 2.0, 0.9), 20, 4)),
+            ((1.0, 20.0, 1.0), series([1.0 - 1e-16, 0.5])),
+        ]
+        for th, d in cases:
+            ll, score = _loglik_and_score(UfParams.of(th), d)
+            assert ll == loglik_uf(th, d)
+            assert np.array_equal(score, score_uf(th, d))
+        assert ll == -math.inf
+
     def test_symmetric_data_scale_stationary(self):
         # mirror pairs w, 1-w make sigma=1 a stationary point of the
         # profile in sigma for any alpha, rho
@@ -228,6 +246,22 @@ class TestFitUf:
         assert not r.converged
         assert all(math.isnan(v) for v in r.theta_hat)
         assert "ill-posed" in r.message
+
+    def test_no_finite_start(self):
+        # both the median start and the one custom start underflow the
+        # kernel at the datum next to 1
+        d = series([1e-300, 2e-300, 3e-300, 1.0 - 1e-16, 0.5])
+        with pytest.raises(DomainError, match="no start"):
+            fit_uf(d, FitOptions(starts=((1.0, 40.0, 1.0),)))
+        assert fit_uf(d).converged
+
+    def test_restart_from_stalled_run(self):
+        # the run from the best rho = 0.9 start stalls near rho = 0.99
+        # with a stale curvature model; the restart reaches rho = 1
+        d = sample_series((0.5, 4.0, 0.2), 100, replication_seed(1, 6, 100, 3))
+        r = fit_uf(d)
+        assert r.converged and r.boundary_hit and r.theta_hat[2] == 1.0
+        assert r.loglik >= 96.0148078238083 - 1e-9
 
     def test_too_few_observations(self):
         with pytest.raises(DataError):

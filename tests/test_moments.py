@@ -40,7 +40,9 @@ def scaled_inputs(mu1, mu2, f1, f2, t):
     """Inputs inside the documented validity region sqrt(var) < mu/2."""
     var1 = (0.5 * f1 * mu1) ** 2
     var2 = (0.5 * f2 * mu2) ** 2
-    cov = t * math.sqrt(var1 * var2)
+    # sqrt of each factor, as the Cauchy-Schwarz check takes it: the
+    # product var1 * var2 rounds (or underflows) in the subnormal range
+    cov = t * math.sqrt(var1) * math.sqrt(var2)
     return MomentInputs(mu1=mu1, mu2=mu2, var1=var1, var2=var2, cov=cov)
 
 
@@ -59,6 +61,13 @@ class TestMomentInputs:
         # the boundary itself is allowed
         m = MomentInputs(mu1=1.0, mu2=1.0, var1=1.0, var2=1.0, cov=1.0)
         assert m.complete
+
+    def test_cauchy_schwarz_tiny_variances(self):
+        # var1 * var2 underflows to 0, but the bound is 1e-200
+        m = MomentInputs(mu1=1.0, mu2=1.0, var1=1e-200, var2=1e-200, cov=5e-201)
+        assert m.cov == 5e-201
+        with pytest.raises(ParameterError):
+            MomentInputs(mu1=1.0, mu2=1.0, var1=1e-200, var2=1e-200, cov=2e-200)
 
     def test_completeness_and_with_cov(self):
         m = MomentInputs(mu1=2.0, mu2=1.0, var1=0.1, var2=0.2)
@@ -141,9 +150,13 @@ class TestApproxMoment:
         # W is a ratio, so consistent rescaling of the margins cannot
         # change any moment: mu by c, var and cov by c^2
         m = scaled_inputs(mu1, mu2, f1, f2, t)
+        var1, var2 = c * c * m.var1, c * c * m.var2
+        # the covariance comes from the scaled variances with the same
+        # t: c^2 * cov rounds independently of c^2 * var2 in the
+        # subnormal range and can then break the Cauchy-Schwarz bound
         scaled = MomentInputs(
-            mu1=c * m.mu1, mu2=c * m.mu2,
-            var1=c * c * m.var1, var2=c * c * m.var2, cov=c * c * m.cov,
+            mu1=c * m.mu1, mu2=c * m.mu2, var1=var1, var2=var2,
+            cov=t * math.sqrt(var1) * math.sqrt(var2),
         )
         assert_allclose(approx_moment(p, scaled), approx_moment(p, m), rtol=1e-9)
 

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo estimator-validation harness."""
 
+import ctypes
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from unitfrechet.errors import DomainError
 from unitfrechet.inference import DataSeries, fit_uf
 from unitfrechet.core import uf_sample
+from unitfrechet import simulation
 from unitfrechet.simulation import (
     CellResult,
     SimConfig,
@@ -131,6 +133,15 @@ class TestRunStudy:
         for a, b in zip(serial.cells, parallel.cells):
             assert_cells_equal(a, b)
 
+    def test_sharded_parallel_identical(self):
+        # 7 replications split into uneven ranges; parallelism 3 is
+        # capped at the machine's CPU count and the number of shards
+        config = dict(self.CONFIG, replications=7)
+        serial = run_study(SimConfig(**config, parallelism=1))
+        parallel = run_study(SimConfig(**config, parallelism=3))
+        assert repr(serial.cells) == repr(parallel.cells)
+        assert all(c.failure_count + c.used == 7 for c in parallel.cells)
+
     def test_cell_recomputation(self):
         # recompute one cell by hand from the published seeding rule;
         # the study must match to rounding
@@ -177,3 +188,31 @@ class TestRunStudy:
             assert set(row) == {
                 "theta_index", "n", "param", "rb", "mse", "rmse", "failures",
             }
+
+
+class TestWorkerInitializer:
+    def test_no_openblas_found_is_a_no_op(self, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(simulation, "_openblas_libraries", lambda: [])
+        monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: loaded.append(a))
+        simulation._one_blas_thread()
+        assert loaded == []
+
+    def test_sets_one_thread_through_the_first_setter(self, monkeypatch):
+        calls = []
+
+        class Setter:
+            def __init__(self, name):
+                self.name = name
+
+            def __call__(self, n):
+                calls.append((self.name, n, self.argtypes, self.restype))
+
+        class FakeLib:
+            scipy_openblas_set_num_threads = Setter("scipy")
+            openblas_set_num_threads = Setter("generic")
+
+        monkeypatch.setattr(simulation, "_openblas_libraries", lambda: ["a", "b"])
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: FakeLib())
+        simulation._one_blas_thread()
+        assert calls == [("scipy", 1, [ctypes.c_int], None)] * 2
