@@ -47,7 +47,6 @@ from .errors import (
 )
 from .inference import (
     DataSeries,
-    FitOptions,
     FitReport,
     KSResult,
     ModelComparison,
@@ -89,7 +88,6 @@ __all__ = [
     "DataError",
     "DataSeries",
     "DomainError",
-    "FitOptions",
     "FitReport",
     "FrechetParams",
     "KSResult",

@@ -55,7 +55,6 @@ from .inference import (
 from .moments import MomentInputs, approx_moment, approx_var, frechet_moments
 from .simulation import SimConfig, run_study
 
-MODEL_ORDER = ("uf", "beta", "kumaraswamy")
 FITTERS = {"uf": fit_uf, "beta": fit_beta, "kumaraswamy": fit_kumaraswamy}
 PDF_GRID_SIZE = 401
 
@@ -171,9 +170,9 @@ def _parse_models(csv_arg: str) -> list[str]:
         name = name.strip().lower()
         if not name:
             continue
-        if name not in MODEL_ORDER:
+        if name not in FITTERS:
             raise DomainError(
-                f"unknown model {name!r}; choose from {', '.join(MODEL_ORDER)}"
+                f"unknown model {name!r}; choose from {', '.join(FITTERS)}"
             )
         if name not in models:
             models.append(name)
@@ -210,8 +209,12 @@ def _write_report_file(outdir: Path, report: FitReport) -> None:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
+    """A header line, then one line per row of cells: strings as they
+    are, numbers through _fmt."""
     lines = [header]
-    lines.extend(rows)
+    lines.extend(
+        ",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows
+    )
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -242,10 +245,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         _write_csv(
             outdir / f"residuals_{report.model}.csv",
             "index,w,residual",
-            (
-                f"{i + 1},{_fmt(w[i])},{_fmt(report.residuals[i])}"
-                for i in range(data.n)
-            ),
+            zip(range(1, data.n + 1), w, report.residuals),
         )
         if all(math.isfinite(v) for v in report.theta_hat):
             handle = model_handle(report.model, report.theta_hat)
@@ -254,19 +254,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
             _write_csv(
                 outdir / f"plot_pdf_{report.model}.csv",
                 "w,pdf",
-                (f"{_fmt(g)},{_fmt(p)}" for g, p in zip(grid, pdf_vals)),
+                zip(grid, pdf_vals),
             )
             _write_csv(
                 outdir / f"plot_cdf_{report.model}.csv",
                 "w,cdf",
-                (f"{_fmt(g)},{_fmt(c)}" for g, c in zip(grid, cdf_vals)),
+                zip(grid, cdf_vals),
             )
             pit = np.sort(np.asarray(handle.cdf(np.sort(w)), dtype=float))
             theo = (np.arange(1, data.n + 1) - 0.5) / data.n
             _write_csv(
                 outdir / f"plot_qq_{report.model}.csv",
                 "theoretical,sample",
-                (f"{_fmt(t)},{_fmt(s)}" for t, s in zip(theo, pit)),
+                zip(theo, pit),
             )
 
     nbins = int(np.ceil(np.log2(data.n))) + 1 if data.n > 1 else 1
@@ -274,17 +274,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _write_csv(
         outdir / "plot_hist.csv",
         "bin_left,bin_right,density",
-        (
-            f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{_fmt(hist[i])}"
-            for i in range(nbins)
-        ),
+        zip(edges[:-1], edges[1:], hist),
     )
-    sorted_w = np.sort(w)
     ecdf = np.arange(1, data.n + 1) / data.n
     _write_csv(
         outdir / "plot_ecdf.csv",
         "w,ecdf",
-        (f"{_fmt(v)},{_fmt(e)}" for v, e in zip(sorted_w, ecdf)),
+        zip(np.sort(w), ecdf),
     )
 
     if len(reports) >= 2:
@@ -295,10 +291,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         outdir / "comparison.csv",
         "rank,model,k_params,loglik,aic,bic,ks_stat,ks_pvalue,converged,boundary_hit",
         (
-            f"{i + 1},{r.model},{r.k_params},{_fmt(r.loglik)},{_fmt(r.aic)},"
-            f"{_fmt(r.bic)},{_fmt(r.ks_stat)},{_fmt(r.ks_pvalue)},"
-            f"{'true' if r.converged else 'false'},"
-            f"{'true' if r.boundary_hit else 'false'}"
+            (i + 1, r.model, r.k_params, r.loglik, r.aic, r.bic, r.ks_stat,
+             r.ks_pvalue, json.dumps(r.converged), json.dumps(r.boundary_hit))
             for i, r in enumerate(ranked)
         ),
     )
@@ -340,35 +334,18 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if args.alpha is None or args.rho is None:
             raise DomainError("--bivariate needs --alpha and --rho")
         params = BivParams.of((args.sigma1, args.sigma2, args.alpha, args.rho))
-        draws = biv_sample(params, args.n, args.seed)
-        _write_csv(
-            path,
-            "x1,x2",
-            (f"{_fmt(a)},{_fmt(b)}" for a, b in draws),
-        )
-        options = {
-            "bivariate": True,
-            "sigma1": params.sigma1,
-            "sigma2": params.sigma2,
-            "alpha": params.alpha,
-            "rho": params.rho,
-            "n": args.n,
-            "seed": args.seed,
-        }
+        _write_csv(path, "x1,x2", biv_sample(params, args.n, args.seed))
     else:
         if args.sigma is None or args.alpha is None or args.rho is None:
             raise DomainError("sample needs --sigma, --alpha and --rho")
-        theta = UfParams.of((args.sigma, args.alpha, args.rho))
-        draws = uf_sample(theta, args.n, args.seed)
-        _write_csv(path, "w", (_fmt(v) for v in draws))
-        options = {
-            "bivariate": False,
-            "sigma": theta.sigma,
-            "alpha": theta.alpha,
-            "rho": theta.rho,
-            "n": args.n,
-            "seed": args.seed,
-        }
+        params = UfParams.of((args.sigma, args.alpha, args.rho))
+        _write_csv(path, "w", zip(uf_sample(params, args.n, args.seed)))
+    options = {
+        "bivariate": args.bivariate,
+        **dataclasses.asdict(params),
+        "n": args.n,
+        "seed": args.seed,
+    }
     digest_src = json.dumps(options, sort_keys=True)
     _write_manifest(
         outdir,
@@ -405,18 +382,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outdir = _resolve_outdir(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def rows():
-        for row in report.iter_rows():
-            yield (
-                f"{row['theta_index']},{row['n']},{row['param']},"
-                f"{_fmt(row['rb'])},{_fmt(row['mse'])},{_fmt(row['rmse'])},"
-                f"{row['failures']}"
-            )
-
     _write_csv(
         outdir / "simreport.csv",
         "theta_index,n,param,rb,mse,rmse,failures",
-        rows(),
+        (row.values() for row in report.iter_rows()),
     )
     cells_doc = [
         {

@@ -12,7 +12,9 @@ bounded L-BFGS-B runs from the best few starts and from the best start
 at each rho level of the grid, and restarts from the winner while it
 fails the convergence test. Every run evaluates the log-likelihood and
 its analytic score together, from one pass over the kernel. A rho
-estimate on 0 or 1 sets ``boundary_hit``. There is no hidden
+estimate on 0 or 1 sets ``boundary_hit``. The fit's settings are the
+module constants UF_TOP_STARTS, UF_FTOL, UF_GTOL, UF_GRAD_TOL and
+UF_RESTARTS; fit_uf takes no tuning options. There is no hidden
 randomness anywhere in the fit, so results are reproducible bit for bit.
 """
 
@@ -39,7 +41,6 @@ from .errors import DataError, DomainError
 
 __all__ = [
     "DataSeries",
-    "FitOptions",
     "FitReport",
     "KSResult",
     "ModelComparison",
@@ -57,8 +58,22 @@ __all__ = [
     "score_uf",
 ]
 
-# Fresh L-BFGS-B runs fit_uf may make from its best point while that
-# point fails the convergence test.
+# Parameter names of each fitted model, in theta order; every report and
+# model handle takes its parameter count from here.
+PARAM_NAMES: dict[str, tuple[str, ...]] = {
+    "uf": ("sigma", "alpha", "rho"),
+    "beta": ("a", "b"),
+    "kumaraswamy": ("a", "b"),
+}
+
+# fit_uf's fixed settings: L-BFGS-B runs from the UF_TOP_STARTS best
+# starts (besides the best start at each rho level) with ftol UF_FTOL
+# and gtol UF_GTOL; _uf_verdict's relative score tolerance UF_GRAD_TOL;
+# and up to UF_RESTARTS fresh runs from a best point that fails it.
+UF_TOP_STARTS = 3
+UF_FTOL = 1e-14
+UF_GTOL = 1e-8
+UF_GRAD_TOL = 1e-6
 UF_RESTARTS = 2
 
 # Deterministic multistart grid for fit_uf, ranked by likelihood before
@@ -135,30 +150,6 @@ class ModelHandle:
     k_params: int
     pdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Tuning knobs for fit_uf; the defaults are the tested contract.
-
-    ``top_starts`` is how many of the best-ranked starts L-BFGS-B runs
-    from, besides the best start at each rho level; ``polish_ftol`` and
-    ``polish_gtol`` are the ``ftol`` and ``gtol`` of every run.
-    ``starts`` replaces START_GRID; starts whose log-likelihood is not
-    finite are skipped, and fit_uf raises DomainError when no start is
-    left (never the case with START_GRID).
-
-    ``grad_tol`` governs the ``converged`` flag: the fit counts as
-    converged when the reparameterized score has infinity norm below
-    grad_tol * max(1, |loglik|), with a one-sided (KKT) check on the
-    rho component for boundary fits.
-    """
-
-    top_starts: int = 3
-    polish_gtol: float = 1e-8
-    polish_ftol: float = 1e-14
-    grad_tol: float = 1e-6
-    starts: Optional[tuple[tuple[float, float, float], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -261,9 +252,12 @@ def score_uf(theta: UfParams | Sequence[float], data: DataSeries) -> np.ndarray:
 
 def describe(data: DataSeries) -> dict:
     """Descriptive statistics: n, mean, median, sd (ddof=1), quartiles,
-    range, skewness and excess kurtosis."""
+    range, skewness and excess kurtosis. Skewness and kurtosis are NaN
+    when all observations are equal."""
     w = data.array
     q1, med, q3 = (float(q) for q in np.quantile(w, [0.25, 0.5, 0.75]))
+    # scipy would warn of catastrophic cancellation and return NaN
+    flat = float(np.ptp(w)) == 0.0
     return {
         "n": data.n,
         "mean": float(np.mean(w)),
@@ -273,8 +267,8 @@ def describe(data: DataSeries) -> dict:
         "q1": q1,
         "q3": q3,
         "max": float(np.max(w)),
-        "skewness": float(stats.skew(w)),
-        "kurtosis_excess": float(stats.kurtosis(w)),
+        "skewness": math.nan if flat else float(stats.skew(w)),
+        "kurtosis_excess": math.nan if flat else float(stats.kurtosis(w)),
     }
 
 
@@ -323,19 +317,19 @@ def residuals(data: DataSeries, cdf) -> np.ndarray:
 
 def _build_report(
     model: str,
-    theta_hat: tuple[float, ...],
-    param_names: tuple[str, ...],
-    loglik: float,
-    k: int,
     data: DataSeries,
-    handle: Optional[ModelHandle],
+    theta_hat: tuple[float, ...],
+    loglik: float,
     converged: bool,
     boundary_hit: bool,
     iterations: int,
-    message: str = "",
+    message: str,
 ) -> FitReport:
+    """The report of a fit; KS and residuals need a finite loglik."""
     n = data.n
-    if handle is not None and math.isfinite(loglik):
+    k = len(PARAM_NAMES[model])
+    if math.isfinite(loglik):
+        handle = model_handle(model, theta_hat)
         ks = ks_test(data, handle)
         res = tuple(float(r) for r in residuals(data, handle))
     else:
@@ -344,7 +338,7 @@ def _build_report(
     return FitReport(
         model=model,
         theta_hat=theta_hat,
-        param_names=param_names,
+        param_names=PARAM_NAMES[model],
         loglik=loglik,
         aic=-2.0 * loglik + 2.0 * k,
         bic=-2.0 * loglik + k * math.log(n),
@@ -369,86 +363,75 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
     model = model.lower()
     if model == "uf":
         th = UfParams.of(theta)
-        return ModelHandle(
-            name="uf",
-            k_params=3,
-            pdf=lambda w: np.asarray(uf_pdf(w, th)),
-            cdf=lambda w: np.asarray(uf_cdf(w, th)),
-        )
-    if model == "beta":
+
+        def pdf(w):
+            return np.asarray(uf_pdf(w, th))
+
+        def cdf(w):
+            return np.asarray(uf_cdf(w, th))
+
+    elif model == "beta":
         a, b = (float(v) for v in theta)
-        return ModelHandle(
-            name="beta",
-            k_params=2,
-            pdf=lambda w: np.exp(
+
+        def pdf(w):
+            return np.exp(
                 (a - 1.0) * np.log(w)
                 + (b - 1.0) * np.log1p(-np.asarray(w, dtype=float))
                 - special.betaln(a, b)
-            ),
-            cdf=lambda w: special.betainc(a, b, np.asarray(w, dtype=float)),
-        )
-    if model == "kumaraswamy":
+            )
+
+        def cdf(w):
+            return special.betainc(a, b, np.asarray(w, dtype=float))
+
+    elif model == "kumaraswamy":
         a, b = (float(v) for v in theta)
 
-        def kuma_pdf(w):
+        def pdf(w):
             w = np.asarray(w, dtype=float)
             wa = np.exp(a * np.log(w))
             return a * b * np.exp(
                 (a - 1.0) * np.log(w) + (b - 1.0) * np.log1p(-wa)
             )
 
-        def kuma_cdf(w):
+        def cdf(w):
             w = np.asarray(w, dtype=float)
             wa = np.exp(a * np.log(w))
             return -np.expm1(b * np.log1p(-wa))
 
-        return ModelHandle(name="kumaraswamy", k_params=2, pdf=kuma_pdf, cdf=kuma_cdf)
-    raise DomainError(f"unknown model {model!r}")
+    else:
+        raise DomainError(f"unknown model {model!r}")
+    return ModelHandle(name=model, k_params=len(PARAM_NAMES[model]), pdf=pdf, cdf=cdf)
 
 
 # ---------------------------------------------------------------------------
 # UF fit
 # ---------------------------------------------------------------------------
 
-def _check_fit_data(data: DataSeries, min_n: int) -> Optional[str]:
+def _ill_posed_report(model: str, data: DataSeries, min_n: int) -> Optional[FitReport]:
+    """An all-NaN report when every observation is the same, else None."""
     if data.n < min_n:
         raise DataError(f"fitting needs at least {min_n} observations, got {data.n}")
-    if float(np.ptp(data.array)) == 0.0:
-        return "ill-posed: all observations are identical"
-    return None
-
-
-def _ill_posed_report(model: str, names: tuple[str, ...], k: int,
-                      data: DataSeries, message: str) -> FitReport:
+    if float(np.ptp(data.array)) > 0.0:
+        return None
     nan = float("nan")
-    return _build_report(
-        model=model,
-        theta_hat=tuple([nan] * len(names)),
-        param_names=names,
-        loglik=nan,
-        k=k,
-        data=data,
-        handle=None,
-        converged=False,
-        boundary_hit=False,
-        iterations=0,
-        message=message,
-    )
+    theta_hat = (nan,) * len(PARAM_NAMES[model])
+    message = "ill-posed: all observations are identical"
+    return _build_report(model, data, theta_hat, nan, False, False, 0, message)
 
 
-def _uf_verdict(th: UfParams, data: DataSeries, grad_tol: float) -> tuple[float, bool]:
+def _uf_verdict(th: UfParams, data: DataSeries) -> tuple[float, bool]:
     """(loglik, converged) of a UF estimate.
 
     Converged means the score in (log sigma, log alpha, logit rho) has
-    infinity norm below grad_tol * max(1, |loglik|); on the rho boundary
-    the rho component need only point out of [0, 1] (a KKT condition).
+    infinity norm below UF_GRAD_TOL * max(1, |loglik|); on the rho
+    boundary the rho component need only point out of [0, 1] (a KKT
+    condition).
     """
     sg, al, rh = th.astuple()
-    ll = loglik_uf(th, data)
-    d = score_uf(th, data)
+    ll, d = _loglik_and_score(th, data)
     # the attainable gradient floor scales with the likelihood magnitude
     # (each component sums n rounded terms), so the test is relative
-    tol = grad_tol * max(1.0, abs(ll))
+    tol = UF_GRAD_TOL * max(1.0, abs(ll))
     if rh in (0.0, 1.0):
         free_grad = max(abs(d[0] * sg), abs(d[1] * al))
         kkt = d[2] <= tol if rh == 0.0 else d[2] >= -tol
@@ -457,32 +440,33 @@ def _uf_verdict(th: UfParams, data: DataSeries, grad_tol: float) -> tuple[float,
     return ll, bool(np.max(np.abs(tgrad)) < tol and math.isfinite(ll))
 
 
-def fit_uf(data: DataSeries, options: Optional[FitOptions] = None) -> FitReport:
+def fit_uf(data: DataSeries) -> FitReport:
     """Maximum-likelihood fit of the UF distribution.
 
     The multistart grid (START_GRID plus a moment-matched start whose
     sigma solves the median equation sigma/(1+sigma) = sample median) is
     ranked by log-likelihood. L-BFGS-B, driven by the log-likelihood and
-    its analytic score from one kernel pass, then runs from the best
-    ``top_starts`` starts and from the best start at each distinct rho
-    level of the grid, in (log sigma, log alpha, rho) with rho boxed to
-    [0, 1]; the best run wins. The per-level starts matter because the
+    its analytic score from one kernel pass, then runs from the
+    UF_TOP_STARTS best starts and from the best start at each distinct
+    rho level of the grid, in (log sigma, log alpha, rho) with rho boxed
+    to [0, 1] and L-BFGS-B's ``ftol`` and ``gtol`` set to UF_FTOL and
+    UF_GTOL; the best run wins. The per-level starts matter because the
     rho profile can have one mode on the boundary and another inside.
     While the winner fails the convergence test, L-BFGS-B restarts from
-    it, up to UF_RESTARTS times.
+    it, up to UF_RESTARTS times. These settings are fixed; the function
+    takes no tuning options.
 
-    ``boundary_hit`` is set when the estimate of rho sits on 0 or 1.
-    The convergence flag then checks the two free gradient components
-    plus the sign of the rho derivative (a KKT condition) instead of
-    all three.
+    ``converged`` means the reparameterized score has infinity norm
+    below UF_GRAD_TOL * max(1, |loglik|). ``boundary_hit`` is set when
+    the estimate of rho sits on 0 or 1; the convergence flag then checks
+    the two free gradient components plus the sign of the rho derivative
+    (a KKT condition) instead of all three.
 
     Never raises for non-convergence; the report says what happened.
     """
-    opts = options or FitOptions()
-    degenerate = _check_fit_data(data, 4)
-    names = ("sigma", "alpha", "rho")
-    if degenerate:
-        return _ill_posed_report("uf", names, 3, data, degenerate)
+    ill_posed = _ill_posed_report("uf", data, 4)
+    if ill_posed is not None:
+        return ill_posed
 
     def unpack(t: np.ndarray) -> UfParams:
         sg, al = np.exp(np.clip(t[:2], -600.0, 600.0))
@@ -494,13 +478,12 @@ def fit_uf(data: DataSeries, options: Optional[FitOptions] = None) -> FitReport:
         return -ll, -np.array([d[0] * th.sigma, d[1] * th.alpha, d[2]])
 
     med = float(np.median(data.array))
-    starts = [(med / (1.0 - med), 1.0, 0.5)]
-    starts.extend(opts.starts if opts.starts is not None else START_GRID)
+    starts = [(med / (1.0 - med), 1.0, 0.5), *START_GRID]
     values = np.array([loglik_uf(s, data) for s in starts])
+    # START_GRID starts are finite on every valid sample (worst -8948, at
+    # w = 5e-324, 1e-300, 1 - 2**-53); only the median start can be -inf
     order = [i for i in np.argsort(values)[::-1] if math.isfinite(values[i])]
-    if not order:
-        raise DomainError("no start has a finite log-likelihood")
-    picked = order[: opts.top_starts]
+    picked = order[:UF_TOP_STARTS]
     for level in sorted({starts[i][2] for i in order}):
         best_at_level = next(i for i in order if starts[i][2] == level)
         if best_at_level not in picked:
@@ -513,7 +496,7 @@ def fit_uf(data: DataSeries, options: Optional[FitOptions] = None) -> FitReport:
             method="L-BFGS-B",
             jac=True,
             bounds=((None, None), (None, None), (0.0, 1.0)),
-            options={"ftol": opts.polish_ftol, "gtol": opts.polish_gtol, "maxiter": 200},
+            options={"ftol": UF_FTOL, "gtol": UF_GTOL, "maxiter": 200},
         )
 
     runs = [
@@ -522,7 +505,7 @@ def fit_uf(data: DataSeries, options: Optional[FitOptions] = None) -> FitReport:
     ]
     iterations = sum(int(res.nit) for res in runs)
     best = min(runs, key=lambda res: res.fun)  # the first of equals
-    ll, converged = _uf_verdict(unpack(best.x), data, opts.grad_tol)
+    ll, converged = _uf_verdict(unpack(best.x), data)
     # L-BFGS-B can stall on a stale curvature model (seen close to
     # rho = 1); a restart from where it stopped builds a fresh one
     for _ in range(UF_RESTARTS):
@@ -533,18 +516,11 @@ def fit_uf(data: DataSeries, options: Optional[FitOptions] = None) -> FitReport:
         if not res.fun < best.fun:
             break
         best = res
-        ll, converged = _uf_verdict(unpack(best.x), data, opts.grad_tol)
+        ll, converged = _uf_verdict(unpack(best.x), data)
 
     theta_hat = unpack(best.x).astuple()
     return _build_report(
-        model="uf",
-        theta_hat=theta_hat,
-        param_names=names,
-        loglik=ll,
-        k=3,
-        data=data,
-        handle=model_handle("uf", theta_hat),
-        converged=converged,
+        "uf", data, theta_hat, ll, converged,
         boundary_hit=theta_hat[2] in (0.0, 1.0),
         iterations=iterations,
         message="" if converged else "gradient tolerance not reached",
@@ -563,10 +539,9 @@ def fit_beta(data: DataSeries) -> FitReport:
     trigamma values, damped to keep (a, b) positive, starting from the
     method-of-moments point.
     """
-    degenerate = _check_fit_data(data, 3)
-    names = ("a", "b")
-    if degenerate:
-        return _ill_posed_report("beta", names, 2, data, degenerate)
+    ill_posed = _ill_posed_report("beta", data, 3)
+    if ill_posed is not None:
+        return ill_posed
     w = data.array
     n = data.n
     mean_lw = float(np.mean(np.log(w)))
@@ -598,16 +573,8 @@ def fit_beta(data: DataSeries) -> FitReport:
     ll = float(
         n * ((a - 1.0) * mean_lw + (b - 1.0) * mean_l1w - special.betaln(a, b))
     )
-    theta_hat = (a, b)
     return _build_report(
-        model="beta",
-        theta_hat=theta_hat,
-        param_names=names,
-        loglik=ll,
-        k=2,
-        data=data,
-        handle=model_handle("beta", theta_hat),
-        converged=converged,
+        "beta", data, (a, b), ll, converged,
         boundary_hit=False,
         iterations=it,
         message="" if converged else "Newton iteration did not converge",
@@ -622,10 +589,9 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
     over log a remains: a coarse scan brackets the optimum and Brent
     iteration finishes it.
     """
-    degenerate = _check_fit_data(data, 3)
-    names = ("a", "b")
-    if degenerate:
-        return _ill_posed_report("kumaraswamy", names, 2, data, degenerate)
+    ill_posed = _ill_posed_report("kumaraswamy", data, 3)
+    if ill_posed is not None:
+        return ill_posed
     w = data.array
     n = data.n
     logw = np.log(w)
@@ -661,16 +627,8 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
     ll = -float(res.fun)
     at_edge = la <= grid[0] + 1e-9 or la >= grid[-1] - 1e-9
     converged = bool(res.success and not at_edge)
-    theta_hat = (a, b)
     return _build_report(
-        model="kumaraswamy",
-        theta_hat=theta_hat,
-        param_names=names,
-        loglik=ll,
-        k=2,
-        data=data,
-        handle=model_handle("kumaraswamy", theta_hat),
-        converged=converged,
+        "kumaraswamy", data, (a, b), ll, converged,
         boundary_hit=False,
         iterations=int(res.nfev) + grid.size,
         message="" if converged else "profile search hit its bounds",

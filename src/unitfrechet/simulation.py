@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import uf_sample
 from .errors import DomainError, UnitFrechetError
-from .inference import DataSeries, FitOptions, fit_uf
+from .inference import PARAM_NAMES, DataSeries, fit_uf
 
 __all__ = [
     "CellResult",
@@ -33,8 +33,6 @@ __all__ = [
     "replication_seed",
     "run_study",
 ]
-
-PARAM_NAMES = ("sigma", "alpha", "rho")
 
 
 def default_theta_grid() -> tuple[tuple[float, float, float], ...]:
@@ -192,7 +190,7 @@ class SimReport:
     def iter_rows(self) -> Iterator[dict]:
         """Long-format rows, one per (cell, parameter)."""
         for cell in self.cells:
-            for k, name in enumerate(PARAM_NAMES):
+            for k, name in enumerate(PARAM_NAMES["uf"]):
                 yield {
                     "theta_index": cell.theta_index,
                     "n": cell.n,
@@ -213,13 +211,13 @@ def replication_seed(master_seed: int, theta_index: int, n: int, j: int) -> int:
 def _run_replications(args) -> list:
     """Fit a range of one cell's replications: per replication,
     (theta_hat, boundary_hit), or None when it failed."""
-    theta_index, theta, n, replications, master_seed, options = args
+    theta_index, theta, n, replications, master_seed = args
     outcomes = []
     for j in replications:
         seed = replication_seed(master_seed, theta_index, n, j)
         sample = uf_sample(theta, n, seed)
         try:
-            report = fit_uf(DataSeries(tuple(float(v) for v in sample)), options)
+            report = fit_uf(DataSeries(tuple(float(v) for v in sample)))
         except UnitFrechetError:
             outcomes.append(None)
             continue
@@ -263,11 +261,8 @@ def _summarise(theta_index, theta, n, outcomes) -> CellResult:
 
 
 def _run_cell(args) -> CellResult:
-    theta_index, theta, n, replications, master_seed, options = args
-    outcomes = _run_replications(
-        (theta_index, theta, n, range(replications), master_seed, options)
-    )
-    return _summarise(theta_index, theta, n, outcomes)
+    """A whole cell: every replication fitted in order, then summarised."""
+    return _summarise(*args[:3], _run_replications(args))
 
 
 # Thread-count setters of the OpenBLAS builds numpy and scipy bundle
@@ -317,15 +312,15 @@ def _openblas_libraries() -> list[str]:
     return found
 
 
-def run_study(
-    config: SimConfig, options: Optional[FitOptions] = None
-) -> SimReport:
+def run_study(config: SimConfig) -> SimReport:
     """Run the full study described by ``config``.
 
-    A replication counts as failed when fitting raises or the report
-    does not converge; failed replications are excluded from the
-    averages and only show up in ``failure_count``. Cells are processed
-    in grid order (theta major, sample size minor).
+    Every replication is fitted by ``fit_uf(data)`` with its fixed
+    settings; the study takes no tuning options. A replication counts
+    as failed when fitting raises or the report does not converge;
+    failed replications are excluded from the averages and only show up
+    in ``failure_count``. Cells are processed in grid order (theta
+    major, sample size minor).
 
     The parallel path splits every cell's replications into contiguous
     ranges, fits the (cell, range) shards on worker processes, and
@@ -346,12 +341,12 @@ def run_study(
     workers = min(workers, len(shards))
     if workers == 1:
         return SimReport(config=config, cells=tuple(
-            _run_cell((*cell, reps, seed, options)) for cell in cells
+            _run_cell((*cell, range(reps), seed)) for cell in cells
         ))
     outcomes: list[list] = [[] for _ in cells]
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         parts = pool.map(
-            _run_replications, [(*cells[k], js, seed, options) for k, js in shards]
+            _run_replications, [(*cells[k], js, seed) for k, js in shards]
         )
         for (k, _), part in zip(shards, parts):
             outcomes[k].extend(part)

@@ -243,15 +243,31 @@ class TestSample:
         assert np.array_equal(parsed, biv_sample((1.0, 2.0, 2.0, 0.7), 20, 5))
 
     def test_manifest_digest_invariant(self, tmp_path, capsys):
+        uf_dir, biv_dir = tmp_path / "uf", tmp_path / "biv"
         assert run("sample", "--sigma", "1", "--alpha", "2", "--rho", "0.5",
-                   "-n", "10", "--seed", "9", "--outdir", str(tmp_path)) == 0
-        doc = json.loads((tmp_path / "manifest.json").read_text())
-        assert doc["command"] == "sample"
-        assert doc["master_seed"] == 9
-        recomputed = hashlib.sha256(
-            json.dumps(doc["options"], sort_keys=True).encode()
-        ).hexdigest()
-        assert doc["input_digest"] == recomputed
+                   "-n", "10", "--seed", "9", "--outdir", str(uf_dir)) == 0
+        assert run("sample", "--bivariate", "--sigma1", "1", "--sigma2", "2",
+                   "--alpha", "3", "--rho", "0.7", "-n", "12", "--seed", "4",
+                   "--outdir", str(biv_dir)) == 0
+        expected = {
+            uf_dir: {"bivariate": False, "sigma": 1.0, "alpha": 2.0, "rho": 0.5,
+                     "n": 10, "seed": 9},
+            biv_dir: {"bivariate": True, "sigma1": 1.0, "sigma2": 2.0,
+                      "alpha": 3.0, "rho": 0.7, "n": 12, "seed": 4},
+        }
+        for outdir, options in expected.items():
+            doc = json.loads((outdir / "manifest.json").read_text())
+            assert doc["command"] == "sample"
+            assert doc["master_seed"] == options["seed"]
+            assert doc["options"] == options
+            # bools stay bools, integers integers and floats floats
+            assert {k: type(v) for k, v in doc["options"].items()} == {
+                k: type(v) for k, v in options.items()
+            }
+            recomputed = hashlib.sha256(
+                json.dumps(doc["options"], sort_keys=True).encode()
+            ).hexdigest()
+            assert doc["input_digest"] == recomputed
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +353,36 @@ class TestFit:
         assert len((fit_dir / "plot_ecdf.csv").read_text().splitlines()) == 38
         # Sturges for n=37: ceil(log2(37)) + 1 = 7 bins
         assert len((fit_dir / "plot_hist.csv").read_text().splitlines()) == 8
+        headers = {
+            "plot_hist.csv": "bin_left,bin_right,density",
+            "plot_ecdf.csv": "w,ecdf",
+            "comparison.csv": "rank,model,k_params,loglik,aic,bic,ks_stat,"
+                              "ks_pvalue,converged,boundary_hit",
+        }
+        for model in ("uf", "beta", "kumaraswamy"):
+            headers[f"residuals_{model}.csv"] = "index,w,residual"
+            headers[f"plot_pdf_{model}.csv"] = "w,pdf"
+            headers[f"plot_cdf_{model}.csv"] = "w,cdf"
+            headers[f"plot_qq_{model}.csv"] = "theoretical,sample"
+        text_columns = {
+            "model": {"uf", "beta", "kumaraswamy"},
+            "converged": {"true", "false"},
+            "boundary_hit": {"true", "false"},
+        }
+        assert {p.name for p in fit_dir.glob("*.csv")} == set(headers)
+        for name, header in headers.items():
+            lines = (fit_dir / name).read_text().splitlines()
+            assert lines[0] == header, name
+            columns = header.split(",")
+            for line in lines[1:]:
+                cells = line.split(",")
+                assert len(cells) == len(columns), (name, line)
+                for column, cell in zip(columns, cells):
+                    if column in text_columns:
+                        assert cell in text_columns[column], (name, cell)
+                    else:
+                        # every number is written at full precision
+                        assert cell == "%.17g" % float(cell), (name, cell)
 
     def test_manifest_digest_invariant(self, fit_dir, uefa):
         doc = json.loads((fit_dir / "manifest.json").read_text())

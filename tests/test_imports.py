@@ -2,9 +2,12 @@
 
 Each module owns its underscore-prefixed helpers; a sibling that needs
 one should call the owner's public (or array-level) entry point instead.
+Every exported name resolves, and so does every module attribute the
+traced benchmark run (``perfbench/traced.py``) swaps from outside.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -13,10 +16,17 @@ import unitfrechet
 
 PACKAGE = Path(unitfrechet.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
 
 
 def is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def module_of(path: Path):
+    if path.stem == "__init__":
+        return unitfrechet
+    return importlib.import_module(f"unitfrechet.{path.stem}")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -30,3 +40,37 @@ def test_no_private_sibling_imports(path):
                 if is_private(alias.name)
             )
     assert not offenders, f"{path.name} imports private names: {offenders}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_resolve(path):
+    module = module_of(path)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{path.name} exports undefined names: {missing}"
+
+
+def test_traced_attributes_exist():
+    # the traced run imports package modules under aliases and swaps
+    # their attributes, as (alias, "name", ...) tuples or by assignment
+    tree = ast.parse(TRACED.read_text())
+    aliases = {
+        alias.asname: importlib.import_module(alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.startswith("unitfrechet.") and alias.asname
+    }
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            owner, attr = node.elts[:2]
+            if (isinstance(owner, ast.Name) and owner.id in aliases
+                    and isinstance(attr, ast.Constant) and isinstance(attr.value, str)):
+                used.add((owner.id, attr.value))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            used.add((node.value.id, node.attr))
+    assert {"_run_cell", "fit_uf", "loglik_uf", "estimate_cov"} <= {a for _, a in used}
+    missing = sorted(f"{owner}.{attr}" for owner, attr in used
+                     if not hasattr(aliases[owner], attr))
+    assert not missing, f"perfbench/traced.py swaps missing attributes: {missing}"

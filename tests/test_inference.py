@@ -1,6 +1,7 @@
 """Tests for likelihood, fitting, goodness of fit, and model comparison."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from scipy import stats
 from unitfrechet.core import UfParams, uf_logpdf, uf_quantile, uf_sample
 from unitfrechet.errors import DataError, DomainError
 from unitfrechet.inference import (
+    START_GRID,
     DataSeries,
-    FitOptions,
     FitReport,
     describe,
     fit_beta,
@@ -241,18 +242,29 @@ class TestFitUf:
         assert_allclose(ra.theta_hat[1], rb.theta_hat[1], rtol=1e-6)
         assert ra.theta_hat[2] == rb.theta_hat[2] == 1.0
 
-    def test_identical_data_ill_posed(self):
-        r = fit_uf(series([0.4] * 10))
-        assert not r.converged
+    @pytest.mark.parametrize(
+        "fitter", [fit_uf, fit_beta, fit_kumaraswamy], ids=lambda f: f.__name__
+    )
+    def test_identical_data_ill_posed(self, fitter):
+        r = fitter(series([0.4] * 10))
+        assert r.param_names and r.k_params == len(r.param_names)
+        assert len(r.theta_hat) == r.k_params
         assert all(math.isnan(v) for v in r.theta_hat)
+        for value in (r.loglik, r.aic, r.bic, r.ks_stat, r.ks_pvalue):
+            assert math.isnan(value)
+        assert len(r.residuals) == r.n == 10
+        assert all(math.isnan(v) for v in r.residuals)
+        assert r.iterations == 0
+        assert not r.converged
         assert "ill-posed" in r.message
 
-    def test_no_finite_start(self):
-        # both the median start and the one custom start underflow the
-        # kernel at the datum next to 1
+    def test_extreme_data_converges(self):
+        # the median start (sigma = median/(1 - median) = 3e-300)
+        # underflows the kernel at the datum next to 1; every grid start
+        # stays finite
         d = series([1e-300, 2e-300, 3e-300, 1.0 - 1e-16, 0.5])
-        with pytest.raises(DomainError, match="no start"):
-            fit_uf(d, FitOptions(starts=((1.0, 40.0, 1.0),)))
+        assert loglik_uf((3e-300, 1.0, 0.5), d) == -math.inf
+        assert all(math.isfinite(loglik_uf(s, d)) for s in START_GRID)
         assert fit_uf(d).converged
 
     def test_restart_from_stalled_run(self):
@@ -439,6 +451,13 @@ class TestDescribe:
         assert_allclose(got["q3"], 0.6, rtol=1e-12)
         assert_allclose(got["skewness"], 0.1705043541001442, rtol=1e-10)
         assert_allclose(got["kurtosis_excess"], -0.8127453172001822, rtol=1e-10)
+
+    def test_zero_spread_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = describe(series([0.4] * 4))
+        assert math.isnan(got["skewness"]) and math.isnan(got["kurtosis_excess"])
+        assert got["sd"] == 0.0 and got["min"] == got["max"] == 0.4
 
 
 class TestModelHandle:
