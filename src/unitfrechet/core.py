@@ -21,19 +21,21 @@ The kernel density and CDF satisfy the exact reflection identities
     kernel_cdf(1/x, rho) = 1 - kernel_cdf(x, rho)
     kernel_pdf(1/x, rho) / x**2 = kernel_pdf(x, rho)
 
-which this module applies in exactly one place, ``_fold``: arguments
-larger than 1 are folded back to (0, 1], so tail evaluation never
-overflows and the sigma = 1 symmetry of the density holds to machine
-precision. Arguments of the form ``(s / sigma) ** alpha`` are always
-formed in log space with a +-700 guard (``kernel_arg``); beyond the
-guard the enclosing expression takes its analytic limit (CDF tends to
-0 or 1, density to 0).
+which this module applies in one place, ``_fold`` (with its log-scale
+twin ``_fold_log`` beside it): arguments larger than 1 are folded back
+to (0, 1], so tail evaluation never overflows and the sigma = 1
+symmetry of the density holds to machine precision. Arguments of the
+form ``(s / sigma) ** alpha`` are always formed in log space with a
++-700 guard (``kernel_arg``); beyond the guard the enclosing expression
+takes its analytic limit (CDF tends to 0 or 1, density to 0).
+``kernel_log_derivs`` takes the log of the argument instead and never
+forms it, so it needs no guard.
 
 Public functions validate their arguments once (NaN raises
 ``DomainError``); the unvalidated array layer beneath them
 (``log_odds``, ``kernel_arg``, ``kernel_*_unchecked``,
-``kernel_pdf_and_ratios``) serves sibling modules whose data is
-already validated.
+``kernel_pdf_and_ratios``, ``kernel_log_derivs``) serves sibling
+modules whose data is already validated.
 
 All public functions are pure and accept scalars or numpy arrays;
 scalar input yields a Python float.
@@ -272,6 +274,12 @@ def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(1.0, x, out=x.copy(), where=big), big
 
 
+def _fold_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_fold`` for ``x = exp(u)`` given u: returns ``y = exp(-|u|)`` and
+    the mask ``u > 0``, without forming x, so no |u| overflows."""
+    return np.exp(-np.abs(u)), u > 0.0
+
+
 def log_odds(w: np.ndarray) -> np.ndarray:
     """``log(w / (1 - w))`` for w in (0, 1), the scale the likelihood
     lives on."""
@@ -326,6 +334,58 @@ def kernel_pdf_and_ratios(
         np.where(big, g * y * y, g),
         np.where(big, -r - 2.0, r),
         _kernel_drho_direct(y, rho) / g,
+    )
+
+
+def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
+    """log g(x; rho) at ``x = exp(u)`` with its first and second
+    derivatives in (u, rho): ``(log g, r, h, dr/du, dr/drho, dh/drho)``
+    with ``r = d log g / du = x g'(x)/g(x)`` and
+    ``h = d log g / drho``.
+
+    ``rho`` is a float or a column broadcasting against u. Everything
+    is formed at the folded point y = exp(-|u|) from
+    ``g = N / ((y+1)^2 B^2)``, with N and B the nonnegative-coefficient
+    polynomials of ``_kernel_pdf_direct`` in Horner form; x itself is
+    never formed, so log g stays exact for any finite u. For u > 0 the
+    reflection gives ``log g = log g(y) - 2u``, ``r = -r(y) - 2``
+    and ``dr/drho = -dr/drho(y)``; dr/du, h and dh/drho are the same at
+    x and y. The one exception is rho = 1, where N(y) ~ 4y: h ~ -1/(4y)
+    and dh/drho overflow to -inf as y shrinks, and once y underflows to
+    0 (|u| > 745) log g reads -inf and the derivatives -inf or NaN.
+    Those values are returned as they come, without a warning.
+    """
+    y, big = _fold_log(u)
+    c0 = 1.0 - rho
+    c2 = 6.0 + rho * (2.0 - rho)
+    w = y * y
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        n = (((c0 * y + 4.0) * y + c2) * y + 4.0) * y + c0
+        b = (y + (2.0 - rho)) * y + 1.0
+        logg = np.log(n) - 2.0 * np.log1p(y) - 2.0 * np.log(b)
+        # y N'/N, y B'/B and y/(y+1): r at y is their combination, and
+        # y d/dy of each ratio P = y f'/f is P + y^2 f''/f - P^2
+        pn = ((((4.0 * c0 * y + 12.0) * y + 2.0 * c2) * y + 4.0) * y) / n
+        pb = (2.0 * y + (2.0 - rho)) * y / b
+        p1 = y / (1.0 + y)
+        r = pn - 2.0 * p1 - 2.0 * pb
+        dr_du = (
+            pn + ((12.0 * c0 * y + 24.0) * y + 2.0 * c2) * w / n - pn * pn
+            - 2.0 * p1 * (1.0 - p1)
+            - 2.0 * (pb + 2.0 * w / b - pb * pb)
+        )
+        # rho derivatives: N_rho = -((1 - y^2)^2 + 2 rho y^2), B_rho = -y
+        e = -((1.0 - w) ** 2 + 2.0 * rho * w) / n
+        yb = y / b
+        dr_drho = 4.0 * w * (c0 - w) / n - pn * e + 2.0 * yb * (1.0 - pb)
+        dh_drho = -2.0 * w / n - e * e + 2.0 * yb * yb
+    return (
+        np.where(big, logg - 2.0 * u, logg),
+        np.where(big, -r - 2.0, r),
+        e + 2.0 * yb,
+        dr_du,
+        np.where(big, -dr_drho, dr_drho),
+        dh_drho,
     )
 
 

@@ -1,21 +1,22 @@
 """Maximum-likelihood fitting and goodness of fit.
 
 Fits the UF distribution by direct likelihood maximization with an
-analytic score, plus the two standard unit-interval comparison models
-(Beta, Kumaraswamy), and provides the shared diagnostics: information
-criteria, the Kolmogorov-Smirnov statistic with its asymptotic p-value,
-rank-based residuals, and AIC/BIC model ranking.
+analytic score and Hessian, plus the two standard unit-interval
+comparison models (Beta, Kumaraswamy), and provides the shared
+diagnostics: information criteria, the Kolmogorov-Smirnov statistic
+with its asymptotic p-value, rank-based residuals, and AIC/BIC model
+ranking.
 
-The UF optimizer works in (log sigma, log alpha, rho) with rho boxed
-to [0, 1]: a deterministic multistart grid is ranked by likelihood, and
-bounded L-BFGS-B runs from the best few starts and from the best start
-at each rho level of the grid, and restarts from the winner while it
-fails the convergence test. Every run evaluates the log-likelihood and
-its analytic score together, from one pass over the kernel. A rho
+The UF fit works in (log sigma, log alpha, rho) with rho boxed to
+[0, 1]: a deterministic multistart grid is ranked by likelihood in one
+batched pass, then projected Newton on the analytic Hessian runs from
+the best few starts and from the best start at each rho level of the
+grid, all in lockstep, one batched kernel pass per iteration. A rho
 estimate on 0 or 1 sets ``boundary_hit``. The fit's settings are the
-module constants UF_TOP_STARTS, UF_FTOL, UF_GTOL, UF_GRAD_TOL and
-UF_RESTARTS; fit_uf takes no tuning options. There is no hidden
-randomness anywhere in the fit, so results are reproducible bit for bit.
+module constants UF_TOP_STARTS and UF_GRAD_TOL and those of the Newton
+runs (UF_PROFILE_RISE through UF_PASS_ELEMENTS); fit_uf takes no tuning
+options. There is no hidden randomness anywhere in the fit, so results
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from scipy import optimize, special, stats
 from .core import (
     UfParams,
     kernel_arg,
+    kernel_log_derivs,
     kernel_pdf_and_ratios,
     kernel_pdf_unchecked,
     log_odds,
@@ -66,15 +68,28 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
     "kumaraswamy": ("a", "b"),
 }
 
-# fit_uf's fixed settings: L-BFGS-B runs from the UF_TOP_STARTS best
-# starts (besides the best start at each rho level) with ftol UF_FTOL
-# and gtol UF_GTOL; _uf_verdict's relative score tolerance UF_GRAD_TOL;
-# and up to UF_RESTARTS fresh runs from a best point that fails it.
+# fit_uf's fixed settings. Newton runs from the UF_TOP_STARTS best
+# starts (besides the best start at each rho level); _uf_verdict's
+# relative score tolerance is UF_GRAD_TOL. The rest belong to _newton:
+# a run holds rho at its start until the predicted rise of a step falls
+# below UF_PROFILE_RISE (log-likelihood units), settles at a projected
+# gradient below UF_NEWTON_TOL times max(1, |loglik|), takes its last
+# step once the predicted rise falls below UF_RISE_TOL times
+# max(n, |loglik|), and stops after UF_MAX_STEPS steps or once its step
+# halves below UF_MIN_STEP. UF_ARMIJO is the sufficient-increase
+# fraction and UF_EIG_FLOOR the relative floor on Hessian eigenvalue
+# magnitudes. A pass over more than UF_PASS_ELEMENTS (rows x n)
+# elements sums over column chunks, which bounds its temporaries.
 UF_TOP_STARTS = 3
-UF_FTOL = 1e-14
-UF_GTOL = 1e-8
 UF_GRAD_TOL = 1e-6
-UF_RESTARTS = 2
+UF_PROFILE_RISE = 1.0
+UF_NEWTON_TOL = 1e-10
+UF_RISE_TOL = 1e-14
+UF_MAX_STEPS = 100
+UF_MIN_STEP = 2.0 ** -30
+UF_ARMIJO = 1e-4
+UF_EIG_FLOOR = 1e-8
+UF_PASS_ELEMENTS = 2 ** 14
 
 # Deterministic multistart grid for fit_uf, ranked by likelihood before
 # any optimizer runs. A moment-matched start derived from the sample
@@ -252,23 +267,28 @@ def score_uf(theta: UfParams | Sequence[float], data: DataSeries) -> np.ndarray:
 
 def describe(data: DataSeries) -> dict:
     """Descriptive statistics: n, mean, median, sd (ddof=1), quartiles,
-    range, skewness and excess kurtosis. Skewness and kurtosis are NaN
-    when all observations are equal."""
+    range, skewness and excess kurtosis (the biased moment estimators
+    scipy.stats.skew and kurtosis compute). Skewness and kurtosis are NaN
+    when the observations are equal to within rounding: when the second
+    central moment is at most (eps * mean)^2, the test scipy applies
+    too, since the deviations from the mean are then rounding error."""
     w = data.array
     q1, med, q3 = (float(q) for q in np.quantile(w, [0.25, 0.5, 0.75]))
-    # scipy would warn of catastrophic cancellation and return NaN
-    flat = float(np.ptp(w)) == 0.0
+    mean = float(np.mean(w))
+    dev = w - mean
+    m2, m3, m4 = (float(np.mean(dev**k)) for k in (2, 3, 4))
+    flat = m2 <= (np.finfo(float).eps * mean) ** 2
     return {
         "n": data.n,
-        "mean": float(np.mean(w)),
+        "mean": mean,
         "median": med,
         "sd": float(np.std(w, ddof=1)) if data.n > 1 else 0.0,
         "min": float(np.min(w)),
         "q1": q1,
         "q3": q3,
         "max": float(np.max(w)),
-        "skewness": math.nan if flat else float(stats.skew(w)),
-        "kurtosis_excess": math.nan if flat else float(stats.kurtosis(w)),
+        "skewness": math.nan if flat else m3 / m2**1.5,
+        "kurtosis_excess": math.nan if flat else m4 / m2**2 - 3.0,
     }
 
 
@@ -440,21 +460,181 @@ def _uf_verdict(th: UfParams, data: DataSeries) -> tuple[float, bool]:
     return ll, bool(np.max(np.abs(tgrad)) < tol and math.isfinite(ll))
 
 
+def _uf_pass(phi: np.ndarray, data: DataSeries):
+    """Log-likelihood, gradient and Hessian in (log sigma, log alpha,
+    rho) at each row of ``phi``, shape (rows, 3), from one kernel pass
+    over (rows x n).
+
+    Writing u_i = alpha (log s_i - log sigma), the log-likelihood is
+    n log alpha - sum log s_i + 2 sum log(1 + s_i)
+    + sum [u_i + log g(e^u_i; rho)], so every derivative is a sum over
+    the data of the kernel_log_derivs terms times powers of u_i. Above
+    UF_PASS_ELEMENTS elements the sums run over column chunks. The value
+    is formed in log space, so it stays finite where loglik_uf's density
+    underflows (u above about 372) or its kernel argument is clipped
+    (|u| > 700); a row whose point overflows gets a non-finite value,
+    not a warning.
+    """
+    rows = len(phi)
+    log_sigma, rho = phi[:, :1], phi[:, 2:]
+    width = max(1, UF_PASS_ELEMENTS // rows)
+    sums = np.zeros((10, rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = np.exp(phi[:, 1:2])
+        for lo in range(0, data.n, width):
+            u = alpha * (data.log_odds[lo:lo + width] - log_sigma)
+            logg, r, h, dr_du, dr_drho, dh_drho = kernel_log_derivs(u, rho)
+            p = 1.0 + r
+            ru = dr_du * u
+            sums += np.stack([
+                u + logg, p, p * u, h, dr_du, ru, ru * u, dr_drho, dr_drho * u, dh_drho,
+            ]).sum(axis=-1)
+        s_val, s_p, s_pu, s_h, s_ru, s_ruu, s_ruuu, s_rr, s_rru, s_hr = sums
+        a = alpha[:, 0]
+        n = data.n
+        ll = n * phi[:, 1] - data.log_odds.sum() + 2.0 * data._sum_log1p_odds + s_val
+        grad = np.column_stack([-a * s_p, n + s_pu, s_h])
+        hess = np.empty((rows, 3, 3))
+        hess[:, 0, 0] = a * a * s_ru
+        hess[:, 0, 1] = hess[:, 1, 0] = -a * (s_p + s_ruu)
+        hess[:, 0, 2] = hess[:, 2, 0] = -a * s_rr
+        hess[:, 1, 1] = s_ruuu + s_pu
+        hess[:, 1, 2] = hess[:, 2, 1] = s_rru
+        hess[:, 2, 2] = s_hr
+    return ll, grad, hess
+
+
+def _held(phi: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Rows whose rho sits on 0 or 1 with the gradient pointing out."""
+    rho, d_rho = phi[:, 2], grad[:, 2]
+    return ((rho <= 0.0) & (d_rho < 0.0)) | ((rho >= 1.0) & (d_rho > 0.0))
+
+
+def _settled(phi, ll, grad, hess) -> np.ndarray:
+    """Rows that leave the Newton batch as they stand: the projected
+    gradient is below UF_NEWTON_TOL * max(1, |loglik|), or the gradient
+    or Hessian is not finite."""
+    free = np.where(_held(phi, grad)[:, None], [1.0, 1.0, 0.0], 1.0) * grad
+    finite = np.isfinite(grad).all(axis=1) & np.isfinite(hess).all(axis=(1, 2))
+    small = np.abs(free).max(axis=1) <= UF_NEWTON_TOL * np.maximum(1.0, np.abs(ll))
+    return ~finite | small
+
+
+def _ascent(phi, grad, hess, fixed) -> np.ndarray:
+    """Newton ascent directions: -hess with each eigenvalue replaced by
+    its magnitude, floored at UF_EIG_FLOOR times the largest (and 1),
+    solved against the gradient. rho gets a zero component, decoupled
+    from the other two, in the rows ``fixed`` and wherever it sits on a
+    bound with the gradient or the Newton step pointing out."""
+    rho = phi[:, 2]
+    fixed = fixed | _held(phi, grad)
+    while True:
+        m = -hess
+        g = grad.copy()
+        m[fixed, 2, :] = m[fixed, :, 2] = 0.0
+        m[fixed, 2, 2] = 1.0
+        g[fixed, 2] = 0.0
+        lam, vec = np.linalg.eigh(m)
+        lam = np.abs(lam)
+        floor = UF_EIG_FLOOR * np.maximum(lam.max(axis=1, keepdims=True), 1.0)
+        lam = np.maximum(lam, floor)
+        d = np.einsum("rij,rj->ri", vec, np.einsum("rji,rj->ri", vec, g) / lam)
+        d[fixed, 2] = 0.0
+        out = ((rho <= 0.0) & (d[:, 2] < 0.0)) | ((rho >= 1.0) & (d[:, 2] > 0.0))
+        if not out.any():
+            return d
+        fixed = fixed | out
+
+
+def _newton(phi: np.ndarray, data: DataSeries) -> tuple[np.ndarray, int]:
+    """Projected Newton ascent from every row of ``phi`` in lockstep:
+    one _uf_pass over the rows still running per iteration. Returns the
+    final rows and the number of Newton steps taken over all of them.
+
+    Each run first holds rho at its start and steps in (log sigma,
+    log alpha) alone, until the predicted rise of that step falls below
+    UF_PROFILE_RISE; then rho is freed. A run thus sets out along rho
+    from the profile likelihood at its own rho level and tends to stay
+    with the mode nearest that level: freed at once, runs from every
+    level could leap into one mode together and miss the other.
+
+    A trial point is the current point plus the step times the
+    direction, with rho clipped to [0, 1]. It is accepted when it raises
+    the log-likelihood by at least UF_ARMIJO times the first-order gain,
+    and its pass then serves the next step; otherwise the step halves.
+    A step whose predicted rise is under the rounding of the
+    log-likelihood (UF_RISE_TOL times max(n, |loglik|)) is a run's
+    last, kept unless it lowers the log-likelihood by more than that. A
+    run also leaves when it settles (_settled), stalls (the step falls
+    below UF_MIN_STEP) or has taken UF_MAX_STEPS steps.
+    """
+    def aim(rows):
+        direction[rows] = _ascent(phi[rows], grad[rows], hess[rows], profiling[rows])
+        rise[rows] = np.einsum("ij,ij->i", grad[rows], direction[rows])
+        freed = rows[profiling[rows] & (rise[rows] <= UF_PROFILE_RISE)]
+        if len(freed):
+            profiling[freed] = False
+            aim(freed)
+
+    phi = phi.copy()
+    ll, grad, hess = _uf_pass(phi, data)
+    live = ~_settled(phi, ll, grad, hess)
+    profiling = np.ones(len(phi), dtype=bool)
+    direction = np.zeros_like(phi)
+    rise = np.zeros(len(phi))
+    aim(np.flatnonzero(live))
+    step = np.ones(len(phi))
+    taken = np.zeros(len(phi), dtype=int)
+    while live.any():
+        idx = np.flatnonzero(live)
+        trial = phi[idx] + step[idx, None] * direction[idx]
+        trial[:, 2] = np.clip(trial[:, 2], 0.0, 1.0)
+        t_ll, t_grad, t_hess = _uf_pass(trial, data)
+        gain = np.einsum("ij,ij->i", grad[idx], trial - phi[idx])
+        # ll sums n terms, so its rounding error grows like n at least
+        noise = UF_RISE_TOL * np.maximum(data.n, np.abs(ll[idx]))
+        last = rise[idx] <= noise
+        ok = np.where(
+            last,
+            t_ll >= ll[idx] - noise,
+            (t_ll > ll[idx]) & (t_ll - ll[idx] >= UF_ARMIJO * gain),
+        )
+        up, back = idx[ok], idx[~ok]
+        phi[up], ll[up], grad[up], hess[up] = trial[ok], t_ll[ok], t_grad[ok], t_hess[ok]
+        taken[up] += 1
+        step[up] = 1.0
+        step[back] *= 0.5
+        live[back] = (step[back] >= UF_MIN_STEP) & ~last[~ok]
+        live[up] = (
+            ~_settled(phi[up], ll[up], grad[up], hess[up])
+            & ~last[ok]
+            & (taken[up] < UF_MAX_STEPS)
+        )
+        aim(up[live[up]])
+    return phi, int(taken.sum())
+
+
+def _theta(phi: np.ndarray) -> UfParams:
+    """The parameters at a point (log sigma, log alpha, rho)."""
+    sg, al = np.exp(np.clip(phi[:2], -600.0, 600.0))
+    return UfParams(float(sg), float(al), min(max(float(phi[2]), 0.0), 1.0))
+
+
 def fit_uf(data: DataSeries) -> FitReport:
     """Maximum-likelihood fit of the UF distribution.
 
     The multistart grid (START_GRID plus a moment-matched start whose
     sigma solves the median equation sigma/(1+sigma) = sample median) is
-    ranked by log-likelihood. L-BFGS-B, driven by the log-likelihood and
-    its analytic score from one kernel pass, then runs from the
-    UF_TOP_STARTS best starts and from the best start at each distinct
-    rho level of the grid, in (log sigma, log alpha, rho) with rho boxed
-    to [0, 1] and L-BFGS-B's ``ftol`` and ``gtol`` set to UF_FTOL and
-    UF_GTOL; the best run wins. The per-level starts matter because the
+    ranked by log-likelihood in one batched pass. Projected Newton on
+    the analytic Hessian (see _newton) then runs in (log sigma,
+    log alpha, rho), with rho boxed to [0, 1], from the UF_TOP_STARTS
+    best starts and from the best start at each distinct rho level of
+    the grid, all in lockstep. The per-level starts matter because the
     rho profile can have one mode on the boundary and another inside.
-    While the winner fails the convergence test, L-BFGS-B restarts from
-    it, up to UF_RESTARTS times. These settings are fixed; the function
-    takes no tuning options.
+    The run whose end point has the highest loglik_uf wins, the first of
+    equals. ``iterations`` counts the Newton steps of all runs. The
+    settings are the module constants; the function takes no tuning
+    options.
 
     ``converged`` means the reparameterized score has infinity norm
     below UF_GRAD_TOL * max(1, |loglik|). ``boundary_hit`` is set when
@@ -468,18 +648,10 @@ def fit_uf(data: DataSeries) -> FitReport:
     if ill_posed is not None:
         return ill_posed
 
-    def unpack(t: np.ndarray) -> UfParams:
-        sg, al = np.exp(np.clip(t[:2], -600.0, 600.0))
-        return UfParams(float(sg), float(al), min(max(float(t[2]), 0.0), 1.0))
-
-    def objective(t: np.ndarray) -> tuple[float, np.ndarray]:
-        th = unpack(t)
-        ll, d = _loglik_and_score(th, data)
-        return -ll, -np.array([d[0] * th.sigma, d[1] * th.alpha, d[2]])
-
     med = float(np.median(data.array))
     starts = [(med / (1.0 - med), 1.0, 0.5), *START_GRID]
-    values = np.array([loglik_uf(s, data) for s in starts])
+    phi = np.array([(math.log(sg), math.log(al), rh) for sg, al, rh in starts])
+    values = _uf_pass(phi, data)[0]
     # START_GRID starts are finite on every valid sample (worst -8948, at
     # w = 5e-324, 1e-300, 1 - 2**-53); only the median start can be -inf
     order = [i for i in np.argsort(values)[::-1] if math.isfinite(values[i])]
@@ -489,36 +661,11 @@ def fit_uf(data: DataSeries) -> FitReport:
         if best_at_level not in picked:
             picked.append(best_at_level)
 
-    def run(t0: np.ndarray):
-        return optimize.minimize(
-            objective,
-            t0,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=((None, None), (None, None), (0.0, 1.0)),
-            options={"ftol": UF_FTOL, "gtol": UF_GTOL, "maxiter": 200},
-        )
-
-    runs = [
-        run(np.array([math.log(sg), math.log(al), rh]))
-        for sg, al, rh in (starts[i] for i in picked)
-    ]
-    iterations = sum(int(res.nit) for res in runs)
-    best = min(runs, key=lambda res: res.fun)  # the first of equals
-    ll, converged = _uf_verdict(unpack(best.x), data)
-    # L-BFGS-B can stall on a stale curvature model (seen close to
-    # rho = 1); a restart from where it stopped builds a fresh one
-    for _ in range(UF_RESTARTS):
-        if converged:
-            break
-        res = run(best.x)
-        iterations += int(res.nit)
-        if not res.fun < best.fun:
-            break
-        best = res
-        ll, converged = _uf_verdict(unpack(best.x), data)
-
-    theta_hat = unpack(best.x).astuple()
+    ends, iterations = _newton(phi[picked], data)
+    fits = [_theta(end) for end in ends]
+    best = fits[int(np.argmax([loglik_uf(th, data) for th in fits]))]
+    ll, converged = _uf_verdict(best, data)
+    theta_hat = best.astuple()
     return _build_report(
         "uf", data, theta_hat, ll, converged,
         boundary_hit=theta_hat[2] in (0.0, 1.0),
@@ -601,7 +748,10 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
         a = math.exp(la)
         # log(1 - w^a) without losing precision for w^a near 0 or 1
         log1m_wa = np.log(-np.expm1(a * logw))
-        s = float(log1m_wa.sum())  # equals -n/b(a), strictly negative
+        s = float(log1m_wa.sum())  # equals -n/b(a)
+        if s == 0.0:
+            # every 1 - w^a rounds to 1, so b(a) is infinite: no fit there
+            return math.inf
         b = -n / s
         ll = (
             n * la
@@ -620,11 +770,15 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
         profile_nll, bounds=(lo, hi), method="bounded",
         options={"xatol": 1e-12, "maxiter": 500},
     )
-    la = float(res.x)
+    la, nll = float(res.x), float(res.fun)
+    if not nll <= grid_vals[k]:
+        # the search found no point better than the scan's, possibly
+        # none with a finite b: keep the scan's best, which is finite
+        # because the scan's first point always is
+        la, nll = float(grid[k]), float(grid_vals[k])
     a = math.exp(la)
-    s = float(np.log(-np.expm1(a * logw)).sum())
-    b = -n / s
-    ll = -float(res.fun)
+    b = -n / float(np.log(-np.expm1(a * logw)).sum())
+    ll = -nll
     at_edge = la <= grid[0] + 1e-9 or la >= grid[-1] - 1e-9
     converged = bool(res.success and not at_edge)
     return _build_report(

@@ -75,11 +75,9 @@ class SimConfig:
     contiguous ranges and fits those (cell, range) shards on worker
     processes, at most ``min(parallelism, os.cpu_count())`` of them and
     never more than there are shards; one worker means the serial path.
-    Each worker caps the OpenBLAS builds bundled with scipy and numpy at
-    one thread, so workers do not oversubscribe the cores; the calling
-    process is left alone. Results are identical either way because
-    every replication seeds itself from (master_seed, theta_index, n, j)
-    and each cell is summarised from its outcomes in replication order.
+    Results are identical either way because every replication seeds
+    itself from (master_seed, theta_index, n, j) and each cell is
+    summarised from its outcomes in replication order.
 
     This is the one validator of a study config. Construction checks
     every field and raises a single DomainError that lists each defect
@@ -265,53 +263,6 @@ def _run_cell(args) -> CellResult:
     return _summarise(*args[:3], _run_replications(args))
 
 
-# Thread-count setters of the OpenBLAS builds numpy and scipy bundle
-# (64-bit and 32-bit integer interfaces), then of a plain OpenBLAS.
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: cap the OpenBLAS libraries bundled with scipy
-    and numpy at one thread in this worker process, best effort.
-
-    scipy's compiled L-BFGS-B calls into its OpenBLAS, whose thread
-    pool would otherwise contend with the other workers for the same
-    cores. A library that is not found or has no setter is skipped.
-    """
-    import ctypes
-
-    for path in _openblas_libraries():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
-
-
-def _openblas_libraries() -> list[str]:
-    """Paths of the OpenBLAS builds vendored next to scipy and numpy
-    (the ``<package>.libs`` directories of their wheels)."""
-    from pathlib import Path
-
-    import scipy
-
-    found = []
-    for package in (scipy, np):
-        libs = Path(package.__file__).parent.with_name(package.__name__ + ".libs")
-        found.extend(str(p) for p in sorted(libs.glob("*openblas*")))
-    return found
-
-
 def run_study(config: SimConfig) -> SimReport:
     """Run the full study described by ``config``.
 
@@ -326,6 +277,9 @@ def run_study(config: SimConfig) -> SimReport:
     ranges, fits the (cell, range) shards on worker processes, and
     merges each cell's outcomes back in replication order before
     summarising it, so its cells equal the serial path's bit for bit.
+    Workers start with numpy's default thread settings: a fit is numpy
+    array passes plus 3 x 3 eigendecompositions, too small for a BLAS
+    thread pool to contend over.
     """
     cells = [
         (i, th, n) for i, th in enumerate(config.thetas) for n in config.sample_sizes
@@ -344,7 +298,7 @@ def run_study(config: SimConfig) -> SimReport:
             _run_cell((*cell, range(reps), seed)) for cell in cells
         ))
     outcomes: list[list] = [[] for _ in cells]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(
             _run_replications, [(*cells[k], js, seed) for k, js in shards]
         )

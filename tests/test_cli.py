@@ -400,6 +400,18 @@ class TestFit:
         assert "0.454351" in out  # mean to 6 significant digits
         assert "model ranking" in out
 
+    def test_kumaraswamy_with_underflowing_scan(self, tmp_path, capsys):
+        # every w^a of this sample underflows at the profile scan's large
+        # shapes; the fit still finishes with exit 0
+        from unitfrechet.simulation import replication_seed
+
+        w = uf_sample((0.5, 4.0, 0.2), 50, replication_seed(7, 1, 50, 1))
+        src = write(tmp_path / "w.csv", "".join(f"{float(v)!r}\n" for v in w))
+        assert run("fit", src, "--models", "kumaraswamy",
+                   "--outdir", str(tmp_path / "out")) == 0
+        report = (tmp_path / "out" / "report_kumaraswamy.txt").read_text()
+        assert '"converged": true' in report
+
     def test_outdir_from_environment(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "envout"
         monkeypatch.setenv("UNITFRECHET_OUTDIR", str(target))

@@ -2,6 +2,7 @@
 oracles, finite differences and quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,11 @@ from unitfrechet import (
     uf_quantile,
     uf_sample,
 )
-from unitfrechet.core import kernel_pdf_and_ratios, kernel_pdf_unchecked
+from unitfrechet.core import (
+    kernel_log_derivs,
+    kernel_pdf_and_ratios,
+    kernel_pdf_unchecked,
+)
 
 # mpmath references, 30 significant digits at authoring time
 UF_PDF_03_1_2_08 = 0.9481737759003594
@@ -204,6 +209,46 @@ class TestKernelDerivatives:
                 r[mid], x[mid] * kernel_pdf_dx(x[mid], rho) / g[mid], rtol=1e-12
             )
             assert_allclose(h[mid], kernel_pdf_drho(x[mid], rho) / g[mid], rtol=1e-12)
+
+    def test_log_derivatives(self):
+        # log g and its first derivatives in u = log x agree with the
+        # fused ratios; the second derivatives with differences of them
+        u = np.concatenate([np.linspace(-30.0, 30.0, 61), [-0.37, 0.37]])
+        for rho in (0.0, 0.3, 0.9, 1.0):
+            logg, r, h, dr_du, dr_drho, dh_drho = kernel_log_derivs(u, rho)
+            g, r0, h0 = kernel_pdf_and_ratios(np.exp(u), rho)
+            assert_allclose(logg, np.log(g), rtol=1e-13, atol=1e-13)
+            assert_allclose(r, r0, rtol=1e-12, atol=1e-13)
+            assert_allclose(h, h0, rtol=1e-12, atol=1e-13)
+            eps = 1e-5
+            up, down = kernel_log_derivs(u + eps, rho), kernel_log_derivs(u - eps, rho)
+            assert_allclose(dr_du, (up[1] - down[1]) / (2 * eps), atol=1e-8)
+            assert_allclose(dr_drho, (up[2] - down[2]) / (2 * eps), atol=1e-8)
+            if 0.0 < rho < 1.0:
+                up = kernel_log_derivs(u, rho + eps)
+                down = kernel_log_derivs(u, rho - eps)
+                assert_allclose(dr_drho, (up[1] - down[1]) / (2 * eps), atol=1e-8)
+                assert_allclose(dh_drho, (up[2] - down[2]) / (2 * eps), atol=1e-8)
+
+    def test_log_derivatives_past_the_double_range(self):
+        # x = e^u is never formed: at |u| = 800 log g is still exact
+        # (g(x) ~ (1 - rho) for x -> 0, ~ (1 - rho) / x^2 for x -> inf),
+        # and a column of rho values broadcasts against rows of u
+        u = np.array([[-800.0, 800.0], [-800.0, 800.0]])
+        rho = np.array([[0.0], [0.5]])
+        logg, r, h, dr_du, dr_drho, dh_drho = kernel_log_derivs(u, rho)
+        want = np.log(1.0 - rho) - 2.0 * np.maximum(u, 0.0)
+        assert_allclose(logg, want, rtol=1e-15)
+        assert np.array_equal(r, [[0.0, -2.0], [0.0, -2.0]])
+        assert_allclose(h, -1.0 / (1.0 - rho) + 0.0 * u, rtol=1e-15)
+        assert_allclose(dh_drho, -h * h, rtol=1e-15)
+        assert np.all(dr_du == 0.0) and np.all(dr_drho == 0.0)
+        # at rho = 1, g ~ 4y as y -> 0, so log g <= log 4 - |u| - 2 max(u, 0);
+        # with y underflowed to 0 the value may read -inf, but quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logg, *_ = kernel_log_derivs(u[0], 1.0)
+        assert np.all(logg <= math.log(4.0) - 800.0)
 
 
 class TestKernelQuantile:

@@ -6,6 +6,7 @@ log-likelihood and the converged flag of an earlier fit engine
 """
 
 import json
+import warnings
 from pathlib import Path
 
 from unitfrechet import DataSeries, fit_uf, uf_sample
@@ -15,12 +16,15 @@ CORPUS = json.loads((Path(__file__).parent / "data" / "fit_corpus.json").read_te
 LOGLIK_SLACK = 1e-9
 
 
+def corpus_sample(e) -> DataSeries:
+    seed = replication_seed(CORPUS["master_seed"], e["theta_index"], e["n"], e["j"])
+    return DataSeries(tuple(float(v) for v in uf_sample(e["theta"], e["n"], seed)))
+
+
 def test_fits_reach_frozen_loglik_and_keep_converging():
     low, lost = [], []
     for e in CORPUS["fits"]:
-        seed = replication_seed(CORPUS["master_seed"], e["theta_index"], e["n"], e["j"])
-        data = DataSeries(tuple(float(v) for v in uf_sample(e["theta"], e["n"], seed)))
-        report = fit_uf(data)
+        report = fit_uf(corpus_sample(e))
         key = (tuple(e["theta"]), e["n"], e["j"])
         if not report.loglik >= e["loglik"] - LOGLIK_SLACK:
             low.append((key, report.loglik, e["loglik"]))
@@ -29,3 +33,19 @@ def test_fits_reach_frozen_loglik_and_keep_converging():
     assert len(CORPUS["fits"]) == 256
     assert not low, f"fits below the frozen log-likelihood: {low}"
     assert not lost, f"fits that stopped converging: {lost}"
+
+
+def test_fits_raise_no_warnings():
+    # trial points of the Newton runs overflow on the way (alpha = e^b,
+    # rho = 1 with underflowing kernel arguments); none of that may leak
+    samples = [corpus_sample(e) for e in CORPUS["fits"]]
+    # the samples of test_extreme_data_converges and test_reaches_rho_one_mode
+    rho_one = uf_sample((0.5, 4.0, 0.2), 100, replication_seed(1, 6, 100, 3))
+    samples += [
+        DataSeries((1e-300, 2e-300, 3e-300, 1.0 - 1e-16, 0.5)),
+        DataSeries(tuple(float(v) for v in rho_one)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for data in samples:
+            fit_uf(data)

@@ -190,6 +190,63 @@ class TestScore:
         assert abs(s[0]) < 1e-12
 
 
+def phi_of(theta):
+    sg, al, rh = theta
+    return [math.log(sg), math.log(al), rh]
+
+
+class TestNewtonPass:
+    """The fit's batched pass: log-likelihood, gradient and Hessian in
+    (log sigma, log alpha, rho)."""
+
+    # criterion 6's sample and grid, plus rho near 0 and near 1
+    data = sample_series((1.0, 2.0, 0.5), 20, 314)
+    thetas = [
+        (s, a, r)
+        for s in (0.5, 1.0, 2.0)
+        for a in (0.5, 2.0, 4.0)
+        for r in (0.1, 0.5, 0.9)
+    ] + [(1.0, 2.0, 1e-4), (1.0, 2.0, 1.0 - 1e-4), (0.5, 4.0, 1e-3), (2.0, 0.5, 0.999)]
+
+    def phi_score(self, phi):
+        # score_uf in (sigma, alpha, rho), carried to (log sigma, log alpha, rho)
+        theta = (math.exp(phi[0]), math.exp(phi[1]), phi[2])
+        return score_uf(theta, self.data) * np.array([theta[0], theta[1], 1.0])
+
+    def test_matches_public_functions_and_score_differences(self):
+        from unitfrechet.inference import _uf_pass
+
+        for th in self.thetas:
+            phi = np.array(phi_of(th))
+            ll, grad, hess = _uf_pass(phi[None, :], self.data)
+            assert_allclose(ll[0], loglik_uf(th, self.data), rtol=1e-12)
+            assert_allclose(grad[0], self.phi_score(phi), rtol=1e-10, atol=1e-10)
+            assert np.array_equal(hess[0], hess[0].T)
+            fd = np.empty((3, 3))
+            for k in range(3):
+                h = 1e-4 * min(1.0, th[2], 1.0 - th[2]) if k == 2 else 1e-4
+                e = np.zeros(3)
+                e[k] = h
+                fd[:, k] = (self.phi_score(phi + e) - self.phi_score(phi - e)) / (2 * h)
+            scale = max(1.0, float(np.max(np.abs(fd))))
+            assert np.max(np.abs(hess[0] - fd)) <= 1e-6 * scale, (th, hess[0], fd)
+
+    def test_batched_and_chunked_passes_agree(self, monkeypatch):
+        from unitfrechet import inference
+
+        phi = np.array([phi_of(th) for th in self.thetas])
+        whole = inference._uf_pass(phi, self.data)
+        for i in range(len(phi)):
+            row = inference._uf_pass(phi[i:i + 1], self.data)
+            for got, want in zip(row, whole):
+                assert np.array_equal(got[0], want[i])
+        # at most 3 columns per chunk with 3 rows: the sums run over 7 chunks
+        monkeypatch.setattr(inference, "UF_PASS_ELEMENTS", 9)
+        chunked = inference._uf_pass(phi[:3], self.data)
+        for got, want in zip(chunked, whole):
+            assert_allclose(got, want[:3], rtol=1e-12, atol=1e-12)
+
+
 class TestFitUf:
     def test_bundled_data_values(self, uefa):
         r = fit_uf(uefa)
@@ -267,13 +324,29 @@ class TestFitUf:
         assert all(math.isfinite(loglik_uf(s, d)) for s in START_GRID)
         assert fit_uf(d).converged
 
-    def test_restart_from_stalled_run(self):
-        # the run from the best rho = 0.9 start stalls near rho = 0.99
-        # with a stale curvature model; the restart reaches rho = 1
+    def test_reaches_rho_one_mode(self):
+        # the log-likelihood of this sample rises towards rho = 1, where
+        # a quasi-Newton run with a stale curvature model once stalled
+        # at rho = 0.9915, 0.064 below the maximum
         d = sample_series((0.5, 4.0, 0.2), 100, replication_seed(1, 6, 100, 3))
         r = fit_uf(d)
         assert r.converged and r.boundary_hit and r.theta_hat[2] == 1.0
         assert r.loglik >= 96.0148078238083 - 1e-9
+
+    @pytest.mark.parametrize(
+        "seed, n, j, loglik, rho",
+        [(1, 30, 1, 24.055627354950566, 0.0934), (3, 100, 8, 84.84155810629639, 0.0),
+         (2, 100, 5, 87.34060572839866, 1.0)],
+    )
+    def test_finds_the_higher_of_two_rho_modes(self, seed, n, j, loglik, rho):
+        # theta = (0.3, 3, 0) samples whose rho profile has a second mode
+        # 0.02-0.22 lower at the other end of [0, 1]; Newton runs that
+        # freed rho at once all fell into the lower one (the reference
+        # values are an earlier engine's fits)
+        d = sample_series((0.3, 3.0, 0.0), n, replication_seed(seed, 29, n, j))
+        r = fit_uf(d)
+        assert r.converged and r.loglik >= loglik - 1e-9
+        assert abs(r.theta_hat[2] - rho) < 1e-3
 
     def test_too_few_observations(self):
         with pytest.raises(DataError):
@@ -333,6 +406,17 @@ class TestFitKumaraswamy:
         ll_ref = float(np.sum(np.log(h.pdf(uefa.array))))
         assert_allclose(ll_ref, KUM_REF_LOGLIK, rtol=1e-12)
         assert r.loglik > ll_ref
+
+    def test_scan_points_where_every_power_underflows(self):
+        # at the scan's large shapes (log a near 4.1-4.6) every 1 - w^a
+        # of this sample rounds to 1, so b(a) = -n / sum log(1 - w^a) is
+        # infinite there; those points must not end the fit
+        d = sample_series((0.5, 4.0, 0.2), 50, replication_seed(7, 1, 50, 1))
+        r = fit_kumaraswamy(d)
+        assert r.converged and all(math.isfinite(v) for v in r.theta_hat)
+        assert 1.0 < math.log(r.theta_hat[0]) < 2.0
+        h = model_handle("kumaraswamy", r.theta_hat)
+        assert_allclose(r.loglik, np.sum(np.log(h.pdf(d.array))), rtol=1e-12)
 
 
 class TestKsTest:
@@ -456,8 +540,12 @@ class TestDescribe:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = describe(series([0.4] * 4))
+            # one ulp of spread: the deviations are rounding error
+            near = describe(series([0.4, 0.4, 0.4, math.nextafter(0.4, 1.0)]))
         assert math.isnan(got["skewness"]) and math.isnan(got["kurtosis_excess"])
         assert got["sd"] == 0.0 and got["min"] == got["max"] == 0.4
+        assert math.isnan(near["skewness"]) and math.isnan(near["kurtosis_excess"])
+        assert near["min"] == 0.4 < near["max"]
 
 
 class TestModelHandle:

@@ -1,6 +1,5 @@
 """Tests for the Monte Carlo estimator-validation harness."""
 
-import ctypes
 import math
 
 import numpy as np
@@ -188,31 +187,3 @@ class TestRunStudy:
             assert set(row) == {
                 "theta_index", "n", "param", "rb", "mse", "rmse", "failures",
             }
-
-
-class TestWorkerInitializer:
-    def test_no_openblas_found_is_a_no_op(self, monkeypatch):
-        loaded = []
-        monkeypatch.setattr(simulation, "_openblas_libraries", lambda: [])
-        monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: loaded.append(a))
-        simulation._one_blas_thread()
-        assert loaded == []
-
-    def test_sets_one_thread_through_the_first_setter(self, monkeypatch):
-        calls = []
-
-        class Setter:
-            def __init__(self, name):
-                self.name = name
-
-            def __call__(self, n):
-                calls.append((self.name, n, self.argtypes, self.restype))
-
-        class FakeLib:
-            scipy_openblas_set_num_threads = Setter("scipy")
-            openblas_set_num_threads = Setter("generic")
-
-        monkeypatch.setattr(simulation, "_openblas_libraries", lambda: ["a", "b"])
-        monkeypatch.setattr(ctypes, "CDLL", lambda path: FakeLib())
-        simulation._one_blas_thread()
-        assert calls == [("scipy", 1, [ctypes.c_int], None)] * 2
