@@ -24,18 +24,20 @@ The kernel density and CDF satisfy the exact reflection identities
 which this module applies in one place, ``_fold`` (with its log-scale
 twin ``_fold_log`` beside it): arguments larger than 1 are folded back
 to (0, 1], so tail evaluation never overflows and the sigma = 1
-symmetry of the density holds to machine precision. Arguments of the
-form ``(s / sigma) ** alpha`` are always formed in log space with a
-+-700 guard (``kernel_arg``); beyond the guard the enclosing expression
-takes its analytic limit (CDF tends to 0 or 1, density to 0).
-``kernel_log_derivs`` takes the log of the argument instead and never
-forms it, so it needs no guard.
+symmetry of the density holds to machine precision. The distribution
+functions form arguments ``(s / sigma) ** alpha`` in log space with a
++-700 guard (``kernel_arg``) that keeps them inside the double range;
+beyond the guard the enclosing expression takes its analytic limit
+(CDF tends to 0 or 1, density to 0). ``kernel_log_derivs``, which
+serves the likelihood, takes the log of the argument instead and never
+forms it, so it needs no guard and its log density is exact for any
+finite log argument.
 
 Public functions validate their arguments once (NaN raises
-``DomainError``); the unvalidated array layer beneath them
+``DomainError``). Beneath them is an unvalidated array layer
 (``log_odds``, ``kernel_arg``, ``kernel_*_unchecked``,
-``kernel_pdf_and_ratios``, ``kernel_log_derivs``) serves sibling
-modules whose data is already validated.
+``kernel_log_derivs``); ``inference`` builds its likelihood from
+``log_odds`` and ``kernel_log_derivs`` on data it has validated.
 
 All public functions are pure and accept scalars or numpy arrays;
 scalar input yields a Python float.
@@ -311,32 +313,6 @@ def kernel_cdf_unchecked(x: np.ndarray, rho: float, upper: bool = False) -> np.n
     return np.where(big == upper, c, 1.0 - c)
 
 
-def kernel_pdf_and_ratios(
-    x: np.ndarray, rho: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g(x; rho) with the score ratios x g'(x)/g(x) and (dg/drho)/g,
-    from one fold and one density evaluation.
-
-    The density is ``kernel_pdf_unchecked(x, rho)`` bit for bit. The
-    ratios are formed at the folded point, so they stay finite where the
-    density underflows; only the rho ratio at rho = 1, which grows like
-    -1/(4y), overflows for subnormal y. With y = min(x, 1/x),
-
-        x g'(x)/g(x) = -[y g'(y)/g(y)] - 2      for x > 1
-        (dg/drho)(x)/g(x) = (dg/drho)(y)/g(y)   for all x
-
-    both consequences of the density reflection identity.
-    """
-    y, big = _fold(x)
-    g = _kernel_pdf_direct(y, rho)
-    r = y * _kernel_dx_direct(y, rho) / g
-    return (
-        np.where(big, g * y * y, g),
-        np.where(big, -r - 2.0, r),
-        _kernel_drho_direct(y, rho) / g,
-    )
-
-
 def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
     """log g(x; rho) at ``x = exp(u)`` with its first and second
     derivatives in (u, rho): ``(log g, r, h, dr/du, dr/drho, dh/drho)``
@@ -350,22 +326,34 @@ def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
     never formed, so log g stays exact for any finite u. For u > 0 the
     reflection gives ``log g = log g(y) - 2u``, ``r = -r(y) - 2``
     and ``dr/drho = -dr/drho(y)``; dr/du, h and dh/drho are the same at
-    x and y. The one exception is rho = 1, where N(y) ~ 4y: h ~ -1/(4y)
-    and dh/drho overflow to -inf as y shrinks, and once y underflows to
-    0 (|u| > 745) log g reads -inf and the derivatives -inf or NaN.
-    Those values are returned as they come, without a warning.
+    x and y. The one exception is rho = 1, where N = y P(y) ~ 4y and
+    y N' = y Q(y): log g and r stay exact, taking log N = log P - |u|
+    and y N'/N = Q/P where y is subnormal or 0, but h ~ -1/(4y) and
+    dh/drho overflow to -inf as y shrinks, and once y underflows to 0
+    (|u| > 745) the second derivatives read -inf or NaN. Those values
+    are returned as they come, without a warning.
     """
     y, big = _fold_log(u)
     c0 = 1.0 - rho
     c2 = 6.0 + rho * (2.0 - rho)
     w = y * y
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        n = (((c0 * y + 4.0) * y + c2) * y + 4.0) * y + c0
+        p = ((c0 * y + 4.0) * y + c2) * y + 4.0
+        q = ((4.0 * c0 * y + 12.0) * y + 2.0 * c2) * y + 4.0
+        n = p * y + c0
         b = (y + (2.0 - rho)) * y + 1.0
-        logg = np.log(n) - 2.0 * np.log1p(y) - 2.0 * np.log(b)
-        # y N'/N, y B'/B and y/(y+1): r at y is their combination, and
-        # y d/dy of each ratio P = y f'/f is P + y^2 f''/f - P^2
-        pn = ((((4.0 * c0 * y + 12.0) * y + 2.0 * c2) * y + 4.0) * y) / n
+        logn = np.log(n)
+        pn = q * y / n
+        # at rho = 1, N = y P and y N' = y Q; a subnormal y has lost bits
+        # (and 0 has lost all), so there log N is formed as log P - |u|
+        # and y N'/N as Q/P
+        deep = (c0 == 0.0) & (y < np.finfo(float).tiny)
+        if deep.any():
+            logn = np.where(deep, np.log(p) - np.abs(u), logn)
+            pn = np.where(deep, q / p, pn)
+        logg = logn - 2.0 * np.log1p(y) - 2.0 * np.log(b)
+        # y N'/N (pn), y B'/B and y/(y+1): r at y is their combination,
+        # and y d/dy of each ratio t = y f'/f is t + y^2 f''/f - t^2
         pb = (2.0 * y + (2.0 - rho)) * y / b
         p1 = y / (1.0 + y)
         r = pn - 2.0 * p1 - 2.0 * pb

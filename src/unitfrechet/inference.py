@@ -7,7 +7,11 @@ diagnostics: information criteria, the Kolmogorov-Smirnov statistic
 with its asymptotic p-value, rank-based residuals, and AIC/BIC model
 ranking.
 
-The UF fit works in (log sigma, log alpha, rho) with rho boxed to
+The UF log-likelihood, its gradient and its Hessian have one source,
+the batched log-space pass ``_uf_pass`` over ``core.kernel_log_derivs``:
+loglik_uf and score_uf are single-row passes, and the fit ranks its
+starts, steps, picks its winner and judges convergence with it. The
+UF fit works in (log sigma, log alpha, rho) with rho boxed to
 [0, 1]: a deterministic multistart grid is ranked by likelihood in one
 batched pass, then projected Newton on the analytic Hessian runs from
 the best few starts and from the best start at each rho level of the
@@ -31,10 +35,7 @@ from scipy import optimize, special, stats
 
 from .core import (
     UfParams,
-    kernel_arg,
     kernel_log_derivs,
-    kernel_pdf_and_ratios,
-    kernel_pdf_unchecked,
     log_odds,
     uf_cdf,
     uf_pdf,
@@ -198,18 +199,9 @@ class FitReport:
 # UF likelihood and score
 # ---------------------------------------------------------------------------
 
-def _assemble_loglik(th: UfParams, data: DataSeries, gx: np.ndarray) -> float:
-    # -inf when a kernel density underflows to zero (or is not finite)
-    if np.any(gx <= 0.0) or not np.all(np.isfinite(gx)):
-        return float("-inf")
-    n = data.n
-    return float(
-        n * math.log(th.alpha)
-        - n * th.alpha * math.log(th.sigma)
-        + (th.alpha - 1.0) * data.log_odds.sum()
-        + 2.0 * data._sum_log1p_odds
-        + np.log(gx).sum()
-    )
+def _phi(th: UfParams) -> np.ndarray:
+    """th as the one row (log sigma, log alpha, rho) of a _uf_pass."""
+    return np.array([[math.log(th.sigma), math.log(th.alpha), th.rho]])
 
 
 def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
@@ -217,37 +209,15 @@ def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
 
     n log alpha - n alpha log sigma + (alpha-1) sum log s_i
     + 2 sum log(s_i + 1) + sum log g(x_i; rho), with
-    x_i = (s_i/sigma)^alpha. Returns -inf when any kernel density
-    evaluation underflows to zero, which tells the optimizer the point
-    is hopeless without poisoning it with NaNs. Agrees with summing
-    uf_logpdf to 1e-10 (asserted in tests; the two share the kernel
-    but assemble the Jacobian terms independently).
+    x_i = (s_i/sigma)^alpha. Formed in log space by _uf_pass, the fit's
+    own evaluation, so it is exact for any finite
+    u_i = alpha (log s_i - log sigma), including where x_i or g(x_i)
+    lie outside the double range; it is non-finite only where u_i
+    itself overflows. Agrees with summing uf_logpdf to 1e-10 wherever
+    that linear-scale density neither underflows nor clips (asserted in
+    tests).
     """
-    th = UfParams.of(theta)
-    gx = kernel_pdf_unchecked(kernel_arg(data.log_odds, th.sigma, th.alpha), th.rho)
-    return _assemble_loglik(th, data, gx)
-
-
-def _loglik_and_score(th: UfParams, data: DataSeries) -> tuple[float, np.ndarray]:
-    """(loglik_uf, score_uf) at th from one kernel evaluation.
-
-    Both values equal the public functions' bit for bit, including the
-    -inf log-likelihood sentinel, where the score is still returned.
-    """
-    x = kernel_arg(data.log_odds, th.sigma, th.alpha)
-    gx, r, h = kernel_pdf_and_ratios(x, th.rho)
-    n = data.n
-    logs = data.log_odds
-    log_sigma = math.log(th.sigma)
-    d_sigma = -n * th.alpha / th.sigma - (th.alpha / th.sigma) * r.sum()
-    d_alpha = (
-        n / th.alpha
-        - n * log_sigma
-        + logs.sum()
-        + float(np.dot(r, logs - log_sigma))
-    )
-    d_rho = h.sum()
-    return _assemble_loglik(th, data, gx), np.array([d_sigma, d_alpha, d_rho])
+    return float(_uf_pass(_phi(UfParams.of(theta)), data)[0][0])
 
 
 def score_uf(theta: UfParams | Sequence[float], data: DataSeries) -> np.ndarray:
@@ -258,11 +228,13 @@ def score_uf(theta: UfParams | Sequence[float], data: DataSeries) -> np.ndarray:
                + sum r_i (log s_i - log sigma)
     d/drho   = sum (dg/drho)(x_i)/g(x_i)
 
-    with r_i = x_i g'(x_i)/g(x_i). Matches central finite differences
-    of loglik_uf to about 1e-9 relative; the finite-difference
-    comparison is a standing test.
+    with r_i = x_i g'(x_i)/g(x_i): _uf_pass's gradient in (log sigma,
+    log alpha, rho) divided by (sigma, alpha, 1). Matches central
+    finite differences of loglik_uf to about 1e-9 relative; the
+    finite-difference comparison is a standing test.
     """
-    return _loglik_and_score(UfParams.of(theta), data)[1]
+    th = UfParams.of(theta)
+    return _uf_pass(_phi(th), data)[1][0] / np.array([th.sigma, th.alpha, 1.0])
 
 
 def describe(data: DataSeries) -> dict:
@@ -440,23 +412,25 @@ def _ill_posed_report(model: str, data: DataSeries, min_n: int) -> Optional[FitR
 
 
 def _uf_verdict(th: UfParams, data: DataSeries) -> tuple[float, bool]:
-    """(loglik, converged) of a UF estimate.
+    """(loglik_uf, converged) of a UF estimate, from one _uf_pass.
 
     Converged means the score in (log sigma, log alpha, logit rho) has
     infinity norm below UF_GRAD_TOL * max(1, |loglik|); on the rho
     boundary the rho component need only point out of [0, 1] (a KKT
     condition).
     """
-    sg, al, rh = th.astuple()
-    ll, d = _loglik_and_score(th, data)
+    rh = th.rho
+    ll, grad, _ = _uf_pass(_phi(th), data)
+    # the pass's gradient is already (sigma d/dsigma, alpha d/dalpha, d/drho)
+    ll, d = float(ll[0]), grad[0]
     # the attainable gradient floor scales with the likelihood magnitude
     # (each component sums n rounded terms), so the test is relative
     tol = UF_GRAD_TOL * max(1.0, abs(ll))
     if rh in (0.0, 1.0):
-        free_grad = max(abs(d[0] * sg), abs(d[1] * al))
+        free_grad = max(abs(d[0]), abs(d[1]))
         kkt = d[2] <= tol if rh == 0.0 else d[2] >= -tol
         return ll, bool(free_grad < tol and kkt and math.isfinite(ll))
-    tgrad = np.array([d[0] * sg, d[1] * al, d[2] * rh * (1.0 - rh)])
+    tgrad = d * [1.0, 1.0, rh * (1.0 - rh)]
     return ll, bool(np.max(np.abs(tgrad)) < tol and math.isfinite(ll))
 
 
@@ -470,10 +444,10 @@ def _uf_pass(phi: np.ndarray, data: DataSeries):
     + sum [u_i + log g(e^u_i; rho)], so every derivative is a sum over
     the data of the kernel_log_derivs terms times powers of u_i. Above
     UF_PASS_ELEMENTS elements the sums run over column chunks. The value
-    is formed in log space, so it stays finite where loglik_uf's density
-    underflows (u above about 372) or its kernel argument is clipped
-    (|u| > 700); a row whose point overflows gets a non-finite value,
-    not a warning.
+    is formed in log space, so it is exact for any finite u_i; a row
+    whose point overflows gets a non-finite value, not a warning. This
+    is the package's one UF log-likelihood: loglik_uf, score_uf and the
+    fit all read it.
     """
     rows = len(phi)
     log_sigma, rho = phi[:, :1], phi[:, 2:]
@@ -546,10 +520,11 @@ def _ascent(phi, grad, hess, fixed) -> np.ndarray:
         fixed = fixed | out
 
 
-def _newton(phi: np.ndarray, data: DataSeries) -> tuple[np.ndarray, int]:
+def _newton(phi: np.ndarray, data: DataSeries) -> tuple[np.ndarray, np.ndarray, int]:
     """Projected Newton ascent from every row of ``phi`` in lockstep:
     one _uf_pass over the rows still running per iteration. Returns the
-    final rows and the number of Newton steps taken over all of them.
+    final rows, their log-likelihoods and the number of Newton steps
+    taken over all of them.
 
     Each run first holds rho at its start and steps in (log sigma,
     log alpha) alone, until the predicted rise of that step falls below
@@ -611,7 +586,7 @@ def _newton(phi: np.ndarray, data: DataSeries) -> tuple[np.ndarray, int]:
             & (taken[up] < UF_MAX_STEPS)
         )
         aim(up[live[up]])
-    return phi, int(taken.sum())
+    return phi, ll, int(taken.sum())
 
 
 def _theta(phi: np.ndarray) -> UfParams:
@@ -631,9 +606,9 @@ def fit_uf(data: DataSeries) -> FitReport:
     best starts and from the best start at each distinct rho level of
     the grid, all in lockstep. The per-level starts matter because the
     rho profile can have one mode on the boundary and another inside.
-    The run whose end point has the highest loglik_uf wins, the first of
-    equals. ``iterations`` counts the Newton steps of all runs. The
-    settings are the module constants; the function takes no tuning
+    The run whose end point has the highest log-likelihood wins, the
+    first of equals. ``iterations`` counts the Newton steps of all runs.
+    The settings are the module constants; the function takes no tuning
     options.
 
     ``converged`` means the reparameterized score has infinity norm
@@ -652,8 +627,8 @@ def fit_uf(data: DataSeries) -> FitReport:
     starts = [(med / (1.0 - med), 1.0, 0.5), *START_GRID]
     phi = np.array([(math.log(sg), math.log(al), rh) for sg, al, rh in starts])
     values = _uf_pass(phi, data)[0]
-    # START_GRID starts are finite on every valid sample (worst -8948, at
-    # w = 5e-324, 1e-300, 1 - 2**-53); only the median start can be -inf
+    # every start is finite on valid data (all |u_i| < 3000), but a
+    # non-finite value is kept out of the ranking all the same
     order = [i for i in np.argsort(values)[::-1] if math.isfinite(values[i])]
     picked = order[:UF_TOP_STARTS]
     for level in sorted({starts[i][2] for i in order}):
@@ -661,9 +636,8 @@ def fit_uf(data: DataSeries) -> FitReport:
         if best_at_level not in picked:
             picked.append(best_at_level)
 
-    ends, iterations = _newton(phi[picked], data)
-    fits = [_theta(end) for end in ends]
-    best = fits[int(np.argmax([loglik_uf(th, data) for th in fits]))]
+    ends, values, iterations = _newton(phi[picked], data)
+    best = _theta(ends[int(np.argmax(values))])
     ll, converged = _uf_verdict(best, data)
     theta_hat = best.astuple()
     return _build_report(

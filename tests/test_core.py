@@ -33,11 +33,7 @@ from unitfrechet import (
     uf_quantile,
     uf_sample,
 )
-from unitfrechet.core import (
-    kernel_log_derivs,
-    kernel_pdf_and_ratios,
-    kernel_pdf_unchecked,
-)
+from unitfrechet.core import kernel_log_derivs
 
 # mpmath references, 30 significant digits at authoring time
 UF_PDF_03_1_2_08 = 0.9481737759003594
@@ -191,35 +187,35 @@ class TestKernelDerivatives:
         assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-300)
 
     def test_fused_density_and_ratios(self):
-        # one fold yields the density bit for bit and both score ratios,
-        # finite even where g itself underflows
-        x = np.concatenate([
-            10.0 ** np.linspace(-300.0, 300.0, 61), [5e-324, 0.37, 1.0, 2.72],
+        # one fold yields log g and the ratios r = x g'(x)/g(x) and
+        # h = (dg/drho)/g; they agree with the public density and
+        # derivatives wherever those are normal doubles, and stay finite
+        # far beyond: only h at rho = 1, which grows like -1/(4y) with
+        # y = min(x, 1/x), overflows once y is subnormal
+        u = np.concatenate([
+            np.linspace(-30.0, 30.0, 61), [-0.37, 0.37, 1.0],
+            np.log(10.0 ** np.linspace(-300.0, 300.0, 61)), [np.log(5e-324)],
         ])
-        for rho in (0.0, 0.5, 0.9, 1.0):
-            with np.errstate(over="ignore"):
-                g, r, h = kernel_pdf_and_ratios(x, rho)
-            assert np.array_equal(g, kernel_pdf_unchecked(x, rho))
-            # at rho = 1 the rho ratio grows like -1/(4x) as x -> 0, past
-            # the double range for subnormal x
-            normal = x > 1e-300
-            assert np.all(np.isfinite(r)) and np.all(np.isfinite(h[normal]))
-            mid = (x > 0.05) & (x < 20.0)
+        x = np.exp(u)
+        tiny = np.finfo(float).tiny
+        for rho in (0.0, 0.3, 0.5, 0.9, 1.0):
+            logg, r, h, *_ = kernel_log_derivs(u, rho)
+            assert np.all(np.isfinite(logg)) and np.all(np.isfinite(r))
+            assert np.all(np.isfinite(h[np.abs(u) < 700.0]))
+            g, dx, drho = (f(x, rho) for f in (kernel_pdf, kernel_pdf_dx, kernel_pdf_drho))
+            normal = (x > tiny) & (g > tiny) & (np.abs(dx) > tiny) & (np.abs(drho) > tiny)
+            assert_allclose(logg[normal], np.log(g[normal]), rtol=1e-13, atol=1e-13)
             assert_allclose(
-                r[mid], x[mid] * kernel_pdf_dx(x[mid], rho) / g[mid], rtol=1e-12
+                r[normal], x[normal] * dx[normal] / g[normal], rtol=1e-12, atol=1e-13
             )
-            assert_allclose(h[mid], kernel_pdf_drho(x[mid], rho) / g[mid], rtol=1e-12)
+            assert_allclose(h[normal], drho[normal] / g[normal], rtol=1e-12, atol=1e-13)
 
     def test_log_derivatives(self):
-        # log g and its first derivatives in u = log x agree with the
-        # fused ratios; the second derivatives with differences of them
-        u = np.concatenate([np.linspace(-30.0, 30.0, 61), [-0.37, 0.37]])
-        for rho in (0.0, 0.3, 0.9, 1.0):
-            logg, r, h, dr_du, dr_drho, dh_drho = kernel_log_derivs(u, rho)
-            g, r0, h0 = kernel_pdf_and_ratios(np.exp(u), rho)
-            assert_allclose(logg, np.log(g), rtol=1e-13, atol=1e-13)
-            assert_allclose(r, r0, rtol=1e-12, atol=1e-13)
-            assert_allclose(h, h0, rtol=1e-12, atol=1e-13)
+        # the second derivatives of log g in (u, rho) agree with central
+        # differences of the first
+        u = np.concatenate([np.linspace(-30.0, 30.0, 61), [-0.37, 0.37, 1.0]])
+        for rho in (0.0, 0.3, 0.5, 0.9, 1.0):
+            _, _, _, dr_du, dr_drho, dh_drho = kernel_log_derivs(u, rho)
             eps = 1e-5
             up, down = kernel_log_derivs(u + eps, rho), kernel_log_derivs(u - eps, rho)
             assert_allclose(dr_du, (up[1] - down[1]) / (2 * eps), atol=1e-8)
@@ -243,12 +239,17 @@ class TestKernelDerivatives:
         assert_allclose(h, -1.0 / (1.0 - rho) + 0.0 * u, rtol=1e-15)
         assert_allclose(dh_drho, -h * h, rtol=1e-15)
         assert np.all(dr_du == 0.0) and np.all(dr_drho == 0.0)
-        # at rho = 1, g ~ 4y as y -> 0, so log g <= log 4 - |u| - 2 max(u, 0);
-        # with y underflowed to 0 the value may read -inf, but quietly
+        # at rho = 1, g ~ 4y as y -> 0, so log g = log 4 - |u| - 2 max(u, 0)
+        # and r = 1 (u < 0) or -3 (u > 0) to rounding, also where y is
+        # subnormal (|u| > 708) or 0 (> 745), and quietly
+        u = np.array([720.0, 735.1, 744.0, 746.0, 800.0])
+        u = np.concatenate([-u, u])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            logg, *_ = kernel_log_derivs(u[0], 1.0)
-        assert np.all(logg <= math.log(4.0) - 800.0)
+            logg, r, *_ = kernel_log_derivs(u, 1.0)
+        want = math.log(4.0) - np.abs(u) - 2.0 * np.maximum(u, 0.0)
+        assert_allclose(logg, want, rtol=1e-15)
+        assert np.array_equal(r, np.where(u > 0.0, -3.0, 1.0))
 
 
 class TestKernelQuantile:

@@ -9,7 +9,7 @@ import json
 import warnings
 from pathlib import Path
 
-from unitfrechet import DataSeries, fit_uf, uf_sample
+from unitfrechet import DataSeries, fit_uf, loglik_uf, uf_sample
 from unitfrechet.simulation import replication_seed
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "fit_corpus.json").read_text())
@@ -22,10 +22,14 @@ def corpus_sample(e) -> DataSeries:
 
 
 def test_fits_reach_frozen_loglik_and_keep_converging():
-    low, lost = [], []
+    low, lost, apart = [], [], []
     for e in CORPUS["fits"]:
-        report = fit_uf(corpus_sample(e))
+        data = corpus_sample(e)
+        report = fit_uf(data)
         key = (tuple(e["theta"]), e["n"], e["j"])
+        # the report's log-likelihood is loglik_uf's, bit for bit
+        if report.loglik != loglik_uf(report.theta_hat, data):
+            apart.append(key)
         if not report.loglik >= e["loglik"] - LOGLIK_SLACK:
             low.append((key, report.loglik, e["loglik"]))
         if e["converged"] and not report.converged:
@@ -33,6 +37,7 @@ def test_fits_reach_frozen_loglik_and_keep_converging():
     assert len(CORPUS["fits"]) == 256
     assert not low, f"fits below the frozen log-likelihood: {low}"
     assert not lost, f"fits that stopped converging: {lost}"
+    assert not apart, f"fits whose loglik is not loglik_uf at theta_hat: {apart}"
 
 
 def test_fits_raise_no_warnings():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from unitfrechet.core import UfParams, uf_logpdf, uf_quantile, uf_sample
+from unitfrechet.core import uf_logpdf, uf_quantile, uf_sample
 from unitfrechet.errors import DataError, DomainError
 from unitfrechet.inference import (
     START_GRID,
@@ -123,13 +123,19 @@ class TestLoglik:
             loglik_uf(th, d), float(np.sum(uf_logpdf(d.array, th))), rtol=1e-10
         )
 
-    def test_minus_inf_sentinel(self):
-        # at rho=1 the kernel density vanishes at both ends of the
-        # support; a datum close enough to 1 under a large alpha
-        # underflows the reflected kernel to exactly 0
-        d = series([1.0 - 1e-16])
-        ll = loglik_uf((1.0, 20.0, 1.0), d)
-        assert ll == -math.inf
+    def test_exact_past_the_double_range(self):
+        # where the kernel density underflows (a datum near 1 under a
+        # large alpha, rho = 1 or not) or its argument (s/sigma)^alpha
+        # passes +-700 (the datum 1e-300), the log-space likelihood is
+        # still exact; the values are mpmath's at 1200 digits
+        cases = [
+            ((1.0, 20.0, 1.0), [1.0 - 1e-16], -1428.3531955827331),
+            ((1.0, 30.0, 1.0), [1.0 - 1e-16, 0.5], -2158.7717188627388),
+            ((1.0, 3.0, 1.0), [1e-300, 0.5], -3449.7832949288464),
+            ((1.0, 11.0, 0.5), [0.3, 0.5, 0.7, 1.0 - 1e-16], -375.12327189293557),
+        ]
+        for th, values, want in cases:
+            assert_allclose(loglik_uf(th, series(values)), want, rtol=1e-12)
 
 
 class TestScore:
@@ -166,21 +172,14 @@ class TestScore:
         assert abs(s[1]) < 1e-6
         assert s[2] <= 0.0
 
-    def test_fused_matches_public_functions(self):
-        # the fit's fused evaluation is loglik_uf and score_uf bit for
-        # bit, including the -inf sentinel
-        from unitfrechet.inference import _loglik_and_score
-
-        cases = [
-            ((1.0, 2.0, 0.5), sample_series((1.0, 2.0, 0.5), 50, 3)),
-            ((0.3, 7.0, 0.0), sample_series((1.0, 2.0, 0.9), 20, 4)),
-            ((1.0, 20.0, 1.0), series([1.0 - 1e-16, 0.5])),
-        ]
-        for th, d in cases:
-            ll, score = _loglik_and_score(UfParams.of(th), d)
-            assert ll == loglik_uf(th, d)
-            assert np.array_equal(score, score_uf(th, d))
-        assert ll == -math.inf
+    def test_finite_where_the_kernel_underflows(self):
+        # at rho = 1 the datum 1e-300 under alpha = 3 has y = e^-2072,
+        # which underflows to 0, and r -> 1 there (r = -1 at the datum
+        # 0.5): the sigma and alpha components are exact, while the rho
+        # component, about -e^2072 / 4, overflows to -inf
+        s = score_uf((1.0, 3.0, 1.0), series([1e-300, 0.5]))
+        assert_allclose(s[:2], [-6.0, 2.0 / 3.0 + 2.0 * math.log(1e-300)], rtol=1e-13)
+        assert s[2] == -math.inf
 
     def test_symmetric_data_scale_stationary(self):
         # mirror pairs w, 1-w make sigma=1 a stationary point of the
@@ -219,7 +218,7 @@ class TestNewtonPass:
         for th in self.thetas:
             phi = np.array(phi_of(th))
             ll, grad, hess = _uf_pass(phi[None, :], self.data)
-            assert_allclose(ll[0], loglik_uf(th, self.data), rtol=1e-12)
+            assert_allclose(ll[0], np.sum(uf_logpdf(self.data.array, th)), rtol=1e-12)
             assert_allclose(grad[0], self.phi_score(phi), rtol=1e-10, atol=1e-10)
             assert np.array_equal(hess[0], hess[0].T)
             fd = np.empty((3, 3))
@@ -316,11 +315,11 @@ class TestFitUf:
         assert "ill-posed" in r.message
 
     def test_extreme_data_converges(self):
-        # the median start (sigma = median/(1 - median) = 3e-300)
-        # underflows the kernel at the datum next to 1; every grid start
-        # stays finite
+        # at the median start (sigma = median/(1 - median) = 3e-300) the
+        # datum next to 1 has kernel argument e^727, past the double
+        # range, yet the likelihood is exact (mpmath at 1200 digits)
         d = series([1e-300, 2e-300, 3e-300, 1.0 - 1e-16, 0.5])
-        assert loglik_uf((3e-300, 1.0, 0.5), d) == -math.inf
+        assert_allclose(loglik_uf((3e-300, 1.0, 0.5), d), 687.21883474042865, rtol=1e-12)
         assert all(math.isfinite(loglik_uf(s, d)) for s in START_GRID)
         assert fit_uf(d).converged
 
