@@ -7,8 +7,9 @@ Joint CDF
 
 together with its density (the mixed second partial, derived
 symbolically and checked against finite differences in the tests), a
-conditional-inversion sampler, the ratio transform that connects this
-law to the unit-Frechet distribution, and a Monte Carlo covariance
+sampler that inverts the conditional CDF of X2 given X1 by safeguarded
+Newton in log scale, block by block, the ratio transform that connects
+this law to the unit-Frechet distribution, and a Monte Carlo covariance
 estimator for the margins.
 
 The sampler and the UF CDF are fully independent code paths; their
@@ -37,6 +38,14 @@ __all__ = [
     "ratio_transform",
     "estimate_cov",
 ]
+
+# Conditional inversion in biv_sample: pairs per block (each block is
+# solved on its own, so the solver's temporaries stay small; no result
+# depends on the value), the per-element stopping step in log v, and
+# the iteration cap past which NumericalError is raised.
+INVERT_BLOCK = 2 ** 14
+INVERT_TOL = 1e-12
+INVERT_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -85,10 +94,13 @@ class CovEstimate(NamedTuple):
 
 
 class SampleStats(NamedTuple):
-    """Bookkeeping from biv_sample: how many draws were replaced."""
+    """Bookkeeping from biv_sample: how many pairs were redrawn, in how
+    many rounds, and the largest iteration count the conditional
+    inversion needed over all blocks and rounds."""
 
     resampled: int
     rounds: int
+    iterations: int
 
 
 def _powers(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> tuple[np.ndarray, np.ndarray]:
@@ -167,49 +179,98 @@ def biv_pdf(x1, x2, p: BivParams | Sequence[float]):
     return float(out[0]) if scalar else out
 
 
-def _cond_cdf(v: np.ndarray, u: np.ndarray, rho: float) -> np.ndarray:
-    """Conditional CDF of V = (X2/sigma2)^alpha given U = (X1/sigma1)^alpha = u.
+def _cond_exponent(s: np.ndarray, u: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """G(s) = log(-log C(e^s | u)) and dG/ds, where C is the conditional
+    CDF of V = (X2/sigma2)^alpha given U = (X1/sigma1)^alpha = u.
 
-    Obtained from dF/dx1 divided by the marginal density of X1; in the
-    (u, v) scale it reads exp(-1/v + rho/(u+v)) (1 - rho (u/(u+v))^2),
-    which is increasing in v from 0 to 1.
+    C is dF/dx1 divided by the marginal density of X1; in the (u, v)
+    scale it reads exp(-1/v + rho/t) (1 - rho (u/t)^2) with t = u + v,
+    increasing in v from 0 to 1. With m = (1 - rho) u^2 + v (2u + v),
+    which is t^2 - rho u^2,
+
+        -log C = (u + (1 - rho) v) / (v t) + log1p(rho u^2 / m)
+        d(-log C)/dv = -(u (u + 2v) + (1 - rho) v^2) / (v^2 t^2)
+                       - 2 rho u^2 / (t m)
+
+    Every term keeps one sign, so nothing cancels (the textbook forms
+    1/v - rho/t and 2/t - 2t/m do). At rho = 0, G(s) = -s.
     """
+    c = 1.0 - rho
+    v = np.exp(s)
     t = u + v
-    return np.exp(-1.0 / v + rho / t) * (1.0 - rho * (u / t) ** 2)
+    uu = u * u
+    m = c * uu + v * (2.0 * u + v)
+    minus_log_c = (u + c * v) / (v * t) + np.log1p(rho * uu / m)
+    # v d(-log C)/dv, the derivative in s
+    ds = -(u * (u + 2.0 * v) + c * v * v) / (v * t * t) - 2.0 * rho * uu * v / (t * m)
+    return np.log(minus_log_c), ds / minus_log_c
 
 
-def _cond_invert(u: np.ndarray, q: np.ndarray, rho: float, tol: float = 1e-12) -> np.ndarray:
-    """Solve _cond_cdf(v, u, rho) = q for v, elementwise.
+def _cond_invert(u: np.ndarray, q: np.ndarray, rho: float) -> tuple[np.ndarray, int]:
+    """Solve C(v | u) = q for v, elementwise; returns v and the largest
+    iteration count any element needed.
 
-    The rho = 0 solution v0 = -1/log q seeds a geometric bracket that is
-    widened by halving/doubling and then shrunk by bisection in log
-    space (midpoint sqrt(lo*hi)), 60 iterations, to ~1e-12 relative.
+    Safeguarded Newton (after Numerical Recipes' ``rtsafe``) on
+    G(s) = log(-log C(e^s | u)) = log(-log q) in s = log v, from the
+    rho = 0 root s = -log(-log q), which is exact at rho = 0. Each
+    element keeps its own bracket from the sign of G - log(-log q) (G
+    decreases in s). It takes the Newton point unless that point leaves
+    the bracket, lies past |s| = LOG_GUARD / 4 (where v^4 would leave
+    the double range) or, once the bracket is closed, moves more than
+    half the previous step (which breaks Newton 2-cycles). In its place
+    it steps 1 in s towards the root while the bracket is open on that
+    side, and bisects once it is closed. An element stops once its
+    step is at most INVERT_TOL, so it ends within about 1e-12 relative
+    of its root. Only unconverged elements are iterated, over blocks
+    of INVERT_BLOCK pairs that keep the temporaries small. No element's
+    path depends on another's, so the result does not depend on the
+    blocking or on the order of the pairs. ``q`` must lie in
+    [1e-300, 1 - 1e-16], as biv_sample clips it.
     """
-    v = -1.0 / np.log(q)
-    lo = v.copy()
-    hi = v.copy()
-    for _ in range(200):
-        bad = _cond_cdf(lo, u, rho) > q
-        if not np.any(bad):
-            break
-        lo = np.where(bad, lo * 0.5, lo)
-    else:
-        raise NumericalError("conditional-inversion lower bracket did not close")
-    for _ in range(200):
-        bad = _cond_cdf(hi, u, rho) < q
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi * 2.0, hi)
-    else:
-        raise NumericalError("conditional-inversion upper bracket did not close")
-    for _ in range(60):
-        mid = np.sqrt(lo * hi)
-        below = _cond_cdf(mid, u, rho) < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi / lo) - 1.0 < tol:
-            break
-    return np.sqrt(lo * hi)
+    target = np.log(-np.log(q))
+    s = np.empty_like(target)
+    iterations = 0
+    for start in range(0, target.size, INVERT_BLOCK):
+        block = slice(start, start + INVERT_BLOCK)
+        s[block], k = _invert_block(u[block], target[block], rho)
+        iterations = max(iterations, k)
+    return np.exp(s), iterations
+
+
+def _invert_block(u: np.ndarray, target: np.ndarray, rho: float) -> tuple[np.ndarray, int]:
+    """_cond_invert's iteration on one block, in s = log v."""
+    s = -target
+    out = np.empty_like(s)
+    pending = np.arange(s.size)
+    lo = np.full(s.size, -np.inf)
+    hi = np.full(s.size, np.inf)
+    last = np.full(s.size, np.inf)
+    for it in range(1, INVERT_MAX_ITER + 1):
+        g, slope = _cond_exponent(s, u, rho)
+        f = g - target
+        lo = np.where(f >= 0.0, s, lo)
+        hi = np.where(f < 0.0, s, hi)
+        closed = np.isfinite(lo) & np.isfinite(hi)
+        dx = f / slope
+        nxt = s - dx
+        newton = (
+            (nxt > lo) & (nxt < hi) & (np.abs(nxt) <= LOG_GUARD / 4.0)
+            & (~closed | (np.abs(dx) <= 0.5 * last))
+        ) | (np.abs(dx) <= INVERT_TOL)
+        safe = np.where(closed, 0.5 * (lo + hi), np.where(f >= 0.0, s + 1.0, s - 1.0))
+        nxt = np.where(newton, nxt, safe)
+        last = np.abs(nxt - s)
+        done = last <= INVERT_TOL
+        out[pending[done]] = nxt[done]
+        if done.all():
+            return out, it
+        keep = ~done
+        pending, s, u, target, lo, hi, last = (
+            a[keep] for a in (pending, nxt, u, target, lo, hi, last)
+        )
+    raise NumericalError(
+        f"conditional inversion did not converge in {INVERT_MAX_ITER} iterations"
+    )
 
 
 def biv_sample(
@@ -221,14 +282,17 @@ def biv_sample(
     """Draw n pairs from the bivariate extreme distribution.
 
     X1 comes from inverting its Frechet marginal; X2 given X1 comes from
-    numerically inverting the analytic conditional CDF. Deterministic
-    for fixed (p, n, seed) via the Philox counter-based generator.
+    inverting the analytic conditional CDF by safeguarded Newton in
+    log scale (``_cond_invert``), to about 1e-12 relative. That solve
+    uses nothing from the UF code, so the ratio law it implies is an
+    independent check of ``uf_cdf``. Deterministic for fixed
+    (p, n, seed) via the Philox counter-based generator.
 
     Pairs whose coordinates overflow or underflow to nonfinite or
     nonpositive floats (possible for very small alpha, where the tails
     are extremely heavy) are redrawn from the same stream rather than
-    clamped, and the replacement count is reported through
-    ``return_stats``.
+    clamped. ``return_stats`` also returns a ``SampleStats`` with the
+    redraw counts and the largest inversion iteration count.
     """
     p = BivParams.of(p)
     n = int(n)
@@ -236,16 +300,16 @@ def biv_sample(
         raise DomainError(f"n must be >= 1, got {n}")
     gen = np.random.Generator(np.random.Philox(int(seed)))
 
-    def draw(k: int) -> tuple[np.ndarray, np.ndarray]:
+    def draw(k: int) -> tuple[np.ndarray, np.ndarray, int]:
         un = np.clip(gen.random(k), 1e-300, 1.0 - 1e-16)
         qn = np.clip(gen.random(k), 1e-300, 1.0 - 1e-16)
         u = -1.0 / np.log(un)
-        v = _cond_invert(u, qn, p.rho)
+        v, iterations = _cond_invert(u, qn, p.rho)
         x1 = p.sigma1 * u ** (1.0 / p.alpha)
         x2 = p.sigma2 * v ** (1.0 / p.alpha)
-        return x1, x2
+        return x1, x2, iterations
 
-    x1, x2 = draw(n)
+    x1, x2, iterations = draw(n)
     resampled = 0
     rounds = 0
     while True:
@@ -257,12 +321,13 @@ def biv_sample(
         resampled += k
         if rounds > 100:
             raise NumericalError("bivariate sampler failed to produce finite pairs")
-        r1, r2 = draw(k)
+        r1, r2, more = draw(k)
         x1[bad] = r1
         x2[bad] = r2
+        iterations = max(iterations, more)
     out = np.column_stack([x1, x2])
     if return_stats:
-        return out, SampleStats(resampled=resampled, rounds=rounds)
+        return out, SampleStats(resampled=resampled, rounds=rounds, iterations=iterations)
     return out
 
 

@@ -27,11 +27,11 @@ to (0, 1], so tail evaluation never overflows and the sigma = 1
 symmetry of the density holds to machine precision. The distribution
 functions form arguments ``(s / sigma) ** alpha`` in log space with a
 +-700 guard (``kernel_arg``) that keeps them inside the double range;
-beyond the guard the enclosing expression takes its analytic limit
-(CDF tends to 0 or 1, density to 0). ``kernel_log_derivs``, which
-serves the likelihood, takes the log of the argument instead and never
-forms it, so it needs no guard and its log density is exact for any
-finite log argument.
+beyond the guard the CDF takes its analytic limit (0 or 1).
+``kernel_log_derivs``, which serves the likelihood, takes the log of
+the argument instead and never forms it, so it needs no guard and its
+log density is exact for any finite log argument; ``uf_logpdf`` takes
+its value past the guard and where the linear density underflows.
 
 Public functions validate their arguments once (NaN raises
 ``DomainError``). Beneath them is an unvalidated array layer
@@ -573,11 +573,29 @@ def _uf_logpdf(w: np.ndarray, th: UfParams) -> np.ndarray:
         + 2.0 * np.log1p(np.exp(np.clip(logs, None, LOG_GUARD)))
     )
     with np.errstate(divide="ignore"):
-        return logpref + np.log(gx)
+        logg = np.log(gx)
+    # Past kernel_arg's +-LOG_GUARD clip the clipped argument stands in
+    # for the true one, and g(x) = g(1/x)/x^2 underflows to 0 from
+    # log x ~ 372; at those points log g comes from kernel_log_derivs,
+    # which takes log x itself. log x rises with log s, so the ends of
+    # log s tell whether any point lies past the clip.
+    ends = th.alpha * (np.array([logs.min(), logs.max()]) - math.log(th.sigma))
+    if np.abs(ends).max() > LOG_GUARD or gx.min() == 0.0:
+        logx = th.alpha * (logs - math.log(th.sigma))
+        redo = (np.abs(logx) > LOG_GUARD) | (gx == 0.0)
+        logg[redo] = kernel_log_derivs(logx[redo], th.rho)[0]
+    logg += logpref
+    return logg
 
 
 def uf_logpdf(w: ArrayLike, theta: UfParams | Sequence[float]):
-    """Natural log of the UF density; -inf where the density underflows."""
+    """Natural log of the UF density, finite for every w in (0, 1).
+
+    The kernel density is evaluated in linear scale at ``kernel_arg``'s
+    argument, and in log space (``kernel_log_derivs``) where
+    ``|alpha log(s / sigma)| > LOG_GUARD`` or the linear value
+    underflows to 0.
+    """
     th = UfParams.of(theta)
     w, scalar = _prepare(w, "w", _UNIT_OPEN)
     return _finish(_uf_logpdf(w, th), scalar)

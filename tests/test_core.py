@@ -40,6 +40,16 @@ UF_PDF_03_1_2_08 = 0.9481737759003594
 UF_PDF_062_FOOTBALL = 1.2484708170030201
 UF_CDF_03_1_2_05 = 0.1067967288822584
 UF_CDF_062_FOOTBALL = 0.7586533964049936
+# log densities past kernel_arg's +-700 clip, and where the linear
+# kernel density underflows (log x = 500), mpmath at 1200 digits:
+# (w, theta, log f)
+UF_LOGPDF_PAST_GUARD = (
+    (1e-300, (1.0, 3.0, 1.0), -3451.3927328412805),
+    (1.0 - 1e-16, (1.0, 30.0, 0.5), -1062.6591663195337),
+    (1.0 - 1e-16, (1.0, 30.0, 1.0), -2162.6837418681669),
+    (0.9999546021312976, (1.0, 50.0, 0.5), -486.78103337738088),
+    (0.9999546021312976, (1.0, 50.0, 1.0), -984.70159183574953),
+)
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 rhos = st.floats(min_value=0.0, max_value=1.0)
@@ -315,6 +325,14 @@ class TestUfPdf:
         th = UfParams(2.0, 3.0, 0.6)
         w = np.linspace(0.05, 0.95, 19)
         assert_allclose(uf_pdf(w, th), np.exp(uf_logpdf(w, th)), rtol=1e-13)
+
+    def test_past_the_kernel_guard(self):
+        # the linear kernel read -2079.07 for the first and -inf for the
+        # others
+        for w, th, want in UF_LOGPDF_PAST_GUARD:
+            assert_allclose(uf_logpdf(w, th), want, rtol=1e-12)
+            # a point inside the guard keeps its value in a mixed array
+            assert uf_logpdf(np.array([w, 0.3]), th)[1] == uf_logpdf(0.3, th)
 
     def test_bracketed_form_oracle(self):
         # independent route: the density written as a single bracket,
