@@ -33,7 +33,9 @@ from unitfrechet import (
     uf_quantile,
     uf_sample,
 )
+from unitfrechet import core
 from unitfrechet.core import kernel_log_derivs
+from unitfrechet.errors import NumericalError
 
 # mpmath references, 30 significant digits at authoring time
 UF_PDF_03_1_2_08 = 0.9481737759003594
@@ -50,6 +52,49 @@ UF_LOGPDF_PAST_GUARD = (
     (0.9999546021312976, (1.0, 50.0, 0.5), -486.78103337738088),
     (0.9999546021312976, (1.0, 50.0, 1.0), -984.70159183574953),
 )
+# kernel quantiles, mpmath at 80 digits: rho -> Q(p) at each p of
+# KERNEL_QUANTILE_P
+KERNEL_QUANTILE_P = (1e-300, 1e-100, 1e-20, 1e-13, 1e-12, 1e-11, 1e-6, 0.3, 0.5)
+KERNEL_QUANTILE_MP = {
+    0.0: (
+        1e-300, 1e-100, 1e-20, 1.0000000000001e-13, 1.000000000001e-12,
+        1.00000000001e-11, 1.000001000001e-06, 0.42857142857142855, 1.0,
+    ),
+    0.5: (
+        2e-300, 2e-100, 2e-20, 1.9999999999994e-13, 1.999999999994e-12,
+        1.99999999994e-11, 1.999994000069999e-06, 0.5160052107690031, 1.0,
+    ),
+    0.9: (
+        1.0000000000000003e-299, 1.0000000000000002e-99, 1.0000000000000002e-19,
+        9.999999999821003e-13, 9.999999998210002e-12, 9.999999982100002e-11,
+        9.998210670196589e-06, 0.5855914933571033, 1.0,
+    ),
+    0.999: (
+        9.999999999999992e-298, 9.999999999999991e-98, 9.999999999999791e-18,
+        9.99999800200179e-11, 9.99998002008986e-10, 9.999800208086591e-09,
+        0.0005002920652004123, 0.6024353958424438, 1.0,
+    ),
+    1.0 - 1e-6: (
+        9.999999999712444e-295, 9.999999999712444e-95, 9.999999799712651e-15,
+        8.541020889094632e-08, 5.000002916622722e-07, 2.0000035555606276e-06,
+        0.0007072321019696537, 0.6026043750460688, 1.0,
+    ),
+    1.0 - 1e-10: (
+        9.99999917259636e-291, 9.99999917259636e-91, 4.999999862391051e-11,
+        2.2358183664406515e-07, 7.070821566223212e-07, 2.2360467276336315e-06,
+        0.0007074820768714004, 0.6026045441672337, 1.0,
+    ),
+    1.0 - 1e-14: (
+        1.0007999171934436e-286, 1.0007999171934436e-86, 7.070818016472285e-11,
+        2.2360683275198717e-07, 7.071071536888657e-07, 2.2360717250119185e-06,
+        0.0007074821018733074, 0.6026045441841458, 1.0,
+    ),
+    1.0: (
+        7.071067811865476e-151, 7.071067811865475e-51, 7.071067812240475e-11,
+        2.236068352499891e-07, 7.07107156186868e-07, 2.236071727509922e-06,
+        0.0007074821018758058, 0.6026045441841476, 1.0,
+    ),
+}
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 rhos = st.floats(min_value=0.0, max_value=1.0)
@@ -292,6 +337,49 @@ class TestKernelQuantile:
                 assert 0.0 < x < 1.0
                 assert_allclose(kernel_cdf(x, rho), p, rtol=1e-9)
 
+    def test_against_high_precision(self):
+        # small p near rho = 1 need the quadratic term of G's expansion:
+        # G ~ (1 - rho) x alone holds only for p << (1 - rho)^2
+        p = np.array(KERNEL_QUANTILE_P)
+        for rho, want in KERNEL_QUANTILE_MP.items():
+            x = kernel_quantile(p, rho)
+            assert_allclose(x, want, rtol=1e-13)
+            assert_allclose(kernel_cdf(x, rho), p, rtol=1e-13)
+
+    def test_independent_of_order_and_splitting(self):
+        # every element stops on its own step test, across both starts
+        # and both cubic branches (mixed at rho = 0) and the elements
+        # near p = 1e-12 that take a second step
+        rng = np.random.default_rng(12)
+        p = np.concatenate([
+            rng.uniform(0.0, 1.0, 3000),
+            np.exp(rng.uniform(-700.0, -20.0, 300)),
+            np.geomspace(1e-14, 1e-10, 300),
+        ])
+        perm = rng.permutation(p.size)
+        for rho in (0.0, 0.5, 1.0 - 1e-10, 1.0):
+            x = kernel_quantile(p, rho)
+            assert np.array_equal(kernel_quantile(p[perm], rho), x[perm])
+            parts = [kernel_quantile(p[i:i + 7], rho) for i in range(0, p.size, 7)]
+            assert np.array_equal(np.concatenate(parts), x)
+
+    def test_subnormal_p(self):
+        # the Newton loop still stops, quietly, where G - p is subnormal
+        for rho in (0.0, 0.7, 1.0 - 1e-14, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = kernel_quantile(np.array([5e-324, 1e-310, 2.2e-308]), rho)
+            assert np.all(x > 0.0)
+        # at rho = 1, Q(p) = sqrt(p / 2) to rounding for such p
+        want = math.sqrt(1e-310) / math.sqrt(2.0)
+        assert_allclose(kernel_quantile(1e-310, 1.0), want, rtol=1e-15)
+
+    def test_iteration_cap(self, monkeypatch):
+        # (1e-13, 1 - 1e-10) takes two steps from its start
+        monkeypatch.setattr(core, "QUANTILE_MAX_ITER", 1)
+        with pytest.raises(NumericalError):
+            kernel_quantile(1e-13, 1.0 - 1e-10)
+
 
 class TestUfPdf:
     def test_hand_value(self):
@@ -463,6 +551,13 @@ class TestUfSample:
         # F(0.5) = 1/(1+2^3) = 1/9 at sigma=2, alpha=3, rho=0
         w = uf_sample(UfParams(2.0, 3.0, 0.0), 10**5, 17)
         assert abs(np.mean(w <= 0.5) - 1.0 / 9.0) < 0.005
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, 0.9, 0.999, 1.0])
+    def test_no_runtime_warnings(self, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = uf_sample(UfParams(1.0, 2.0, rho), 10**5, 44)
+        assert np.all((w > 0.0) & (w < 1.0))
 
     def test_ks_against_own_cdf(self):
         th = UfParams(0.7, 1.3, 0.8)
