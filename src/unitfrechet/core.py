@@ -24,20 +24,20 @@ The kernel density and CDF satisfy the exact reflection identities
 which this module applies in one place, ``_fold`` (with its log-scale
 twin ``_fold_log`` beside it): arguments larger than 1 are folded back
 to (0, 1], so tail evaluation never overflows and the sigma = 1
-symmetry of the density holds to machine precision. The distribution
-functions form arguments ``(s / sigma) ** alpha`` in log space with a
-+-700 guard (``kernel_arg``) that keeps them inside the double range;
-beyond the guard the CDF takes its analytic limit (0 or 1).
-``kernel_log_derivs``, which serves the likelihood, takes the log of
-the argument instead and never forms it, so it needs no guard and its
-log density is exact for any finite log argument; ``uf_logpdf`` takes
-its value past the guard and where the linear density underflows.
+symmetry of the density holds to machine precision. The kernel's
+polynomials are written once, in ``_kernel_polys``; its density, CDF,
+quantile and log-derivatives all evaluate them at the folded point.
+The UF functions (``uf_cdf``, ``uf_logpdf``, ``uf_pdf``,
+``stress_strength``) and ``kernel_log_derivs``, which serves the
+likelihood, take the log argument ``u = alpha (log s - log sigma)``
+and fold it to ``y = exp(-|u|)``, never forming ``x = e^u``. They need
+no guard, and the CDF, its complement and the log density keep their
+relative accuracy for any finite u, into the subnormal range.
 
 Public functions validate their arguments once (NaN raises
 ``DomainError``). Beneath them is an unvalidated array layer
-(``log_odds``, ``kernel_arg``, ``kernel_*_unchecked``,
-``kernel_log_derivs``); ``inference`` builds its likelihood from
-``log_odds`` and ``kernel_log_derivs`` on data it has validated.
+(``log_odds`` and ``kernel_log_derivs``); ``inference`` builds its
+likelihood from the two on data it has validated.
 
 All public functions are pure and accept scalars or numpy arrays;
 scalar input yields a Python float.
@@ -72,8 +72,10 @@ __all__ = [
     "stress_strength",
 ]
 
-# Log-space guard for (s / sigma) ** alpha. exp(+-700) stays inside the
-# double range; beyond it the enclosing expressions take analytic limits.
+# Log-space guard of the Frechet helpers, of uf_quantile's
+# sigma * y**(1/alpha) and of bivariate's margin powers: exp(+-700) stays
+# inside the double range; beyond it the enclosing expressions take
+# analytic limits.
 LOG_GUARD = 700.0
 
 # kernel_quantile's Newton solve: an element stops once its step is at
@@ -228,29 +230,37 @@ def frechet_cdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
 # Auxiliary kernel: the law of (S / sigma) ** alpha
 # ---------------------------------------------------------------------------
 
-def _kernel_pdf_direct(x: np.ndarray, rho: float) -> np.ndarray:
-    # Expanded so every numerator and denominator coefficient is
-    # nonnegative for rho in [0,1]: the textbook two-fraction form
-    # cancels catastrophically near rho=1 for small x (g(x;1) ~ 4x with
-    # the leading 1/(x+1)^2 terms wiping each other out). Intended for
-    # moderate x; callers fold x > 1 into (0, 1) first (see _fold).
-    num = (
-        (1.0 - rho) * x**4
-        + 4.0 * x**3
-        + (6.0 + rho * (2.0 - rho)) * x * x
-        + 4.0 * x
-        + (1.0 - rho)
-    )
-    b = x * x + (2.0 - rho) * x + 1.0
-    return num / ((x + 1.0) ** 2 * b * b)
+def _kernel_coeffs(rho):
+    """``(1 - rho, 2 - rho, 6 + rho (2 - rho))``: the rho-dependent
+    coefficients of the kernel polynomials, as ``_kernel_polys`` takes
+    them."""
+    return 1.0 - rho, 2.0 - rho, 6.0 + rho * (2.0 - rho)
 
 
-def _kernel_cdf_direct(x: np.ndarray, rho: float) -> np.ndarray:
-    # same rewriting: x^2 + 2x + (1-rho) has no cancellation, while
-    # (x+1)^2 - rho loses all precision at rho=1 for x below sqrt(eps)
-    num = x * (x * x + 2.0 * x + (1.0 - rho))
-    b = x * x + (2.0 - rho) * x + 1.0
-    return num / ((x + 1.0) * b)
+def _kernel_polys(y, c0, c1, c2):
+    """``(P, N, B)`` at y in Horner form, from ``_kernel_coeffs(rho)``:
+    the one place the kernel's polynomials are written,
+
+        N = P y + (1 - rho)
+          = (1 - rho) y^4 + 4 y^3 + (6 + rho (2 - rho)) y^2 + 4 y + (1 - rho)
+        B = y^2 + (2 - rho) y + 1
+
+    so that ``g(y) = N / ((y + 1) B)^2`` and
+    ``G(y) = y (y^2 + 2 y + 1 - rho) / ((y + 1) B)``. Every coefficient
+    is nonnegative for rho in [0, 1]: the textbook two-fraction density
+    cancels catastrophically near rho = 1 for small y (g(y; 1) ~ 4y),
+    and ``(y + 1)^2 - rho`` in the CDF loses all precision there.
+    Intended for y in (0, 1]; callers fold larger arguments first.
+    """
+    p = ((c0 * y + 4.0) * y + c2) * y + 4.0
+    return p, p * y + c0, (y + c1) * y + 1.0
+
+
+def _kernel_pdf_direct(y: np.ndarray, rho: float) -> np.ndarray:
+    """g(y; rho) for y in (0, 1]."""
+    _, n, b = _kernel_polys(y, *_kernel_coeffs(rho))
+    ab = (y + 1.0) * b
+    return n / (ab * ab)
 
 
 def _kernel_dx_direct(x: np.ndarray, rho: float) -> np.ndarray:
@@ -295,29 +305,34 @@ def log_odds(w: np.ndarray) -> np.ndarray:
     return np.log(w) - np.log1p(-w)
 
 
-def kernel_arg(logs: np.ndarray, sigma: float, alpha: float) -> np.ndarray:
-    """Kernel argument ``(s / sigma) ** alpha`` from ``log s``, formed in
-    log space and clipped at +-LOG_GUARD."""
-    logx = alpha * (logs - math.log(sigma))
-    return np.exp(np.clip(logx, -LOG_GUARD, LOG_GUARD))
-
-
-def kernel_pdf_unchecked(x: np.ndarray, rho: float) -> np.ndarray:
-    """g(x; rho) for x > 0, through ``g(x) = g(1/x) / x**2`` above 1."""
-    y, big = _fold(x)
-    g = _kernel_pdf_direct(y, rho)
-    return np.where(big, g * y * y, g)
-
-
-def kernel_cdf_unchecked(x: np.ndarray, rho: float, upper: bool = False) -> np.ndarray:
-    """G(x; rho), or 1 - G(x; rho) when ``upper``, for x > 0.
+def _kernel_cdf_folded(y, big, rho: float, upper: bool = False) -> np.ndarray:
+    """G(x; rho), or 1 - G(x; rho) when ``upper``, from the fold
+    ``(y, big)`` of x that ``_fold`` or ``_fold_log`` returns.
 
     Uses ``1 - G(x) = G(1/x)``: whichever tail the folded point lands in
     is evaluated directly, the other as its complement.
     """
-    y, big = _fold(x)
-    c = _kernel_cdf_direct(y, rho)
+    b = _kernel_polys(y, *_kernel_coeffs(rho))[2]
+    c = y * ((y + 2.0) * y + (1.0 - rho)) / ((y + 1.0) * b)
     return np.where(big == upper, c, 1.0 - c)
+
+
+def _kernel_logpdf(u, y, big, c0, c1, c2):
+    """log g(x; rho) at ``x = exp(u)`` from the fold
+    ``(y, big) = _fold_log(u)`` and ``_kernel_coeffs(rho)``, with the
+    polynomials ``(P, N, B)`` at y and the mask ``deep`` where rho = 1
+    and y is subnormal or 0: the evaluation ``uf_logpdf`` and
+    ``kernel_log_derivs`` share. At rho = 1, N = y P ~ 4y has lost bits
+    at a subnormal y (and all of them at 0), so there log N is formed as
+    log P - |u|; the caller silences the divide warning of log 0.
+    """
+    p, n, b = _kernel_polys(y, c0, c1, c2)
+    deep = (c0 == 0.0) & (y < np.finfo(float).tiny)
+    logn = np.log(n)
+    if deep.any():
+        logn = np.where(deep, np.log(p) - np.abs(u), logn)
+    logg = logn - 2.0 * np.log1p(y) - 2.0 * np.log(b)
+    return np.where(big, logg - 2.0 * u, logg), p, n, b, deep
 
 
 def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
@@ -328,9 +343,9 @@ def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
 
     ``rho`` is a float or a column broadcasting against u. Everything
     is formed at the folded point y = exp(-|u|) from
-    ``g = N / ((y+1)^2 B^2)``, with N and B the nonnegative-coefficient
-    polynomials of ``_kernel_pdf_direct`` in Horner form; x itself is
-    never formed, so log g stays exact for any finite u. For u > 0 the
+    ``g = N / ((y+1)^2 B^2)`` and the polynomials of ``_kernel_polys``;
+    log g is ``uf_logpdf``'s, from ``_kernel_logpdf``, and x itself is
+    never formed, so it stays exact for any finite u. For u > 0 the
     reflection gives ``log g = log g(y) - 2u``, ``r = -r(y) - 2``
     and ``dr/drho = -dr/drho(y)``; dr/du, h and dh/drho are the same at
     x and y. The one exception is rho = 1, where N = y P(y) ~ 4y and
@@ -341,27 +356,17 @@ def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
     are returned as they come, without a warning.
     """
     y, big = _fold_log(u)
-    c0 = 1.0 - rho
-    c2 = 6.0 + rho * (2.0 - rho)
+    c0, c1, c2 = _kernel_coeffs(rho)
     w = y * y
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p = ((c0 * y + 4.0) * y + c2) * y + 4.0
+        logg, p, n, b, deep = _kernel_logpdf(u, y, big, c0, c1, c2)
         q = ((4.0 * c0 * y + 12.0) * y + 2.0 * c2) * y + 4.0
-        n = p * y + c0
-        b = (y + (2.0 - rho)) * y + 1.0
-        logn = np.log(n)
         pn = q * y / n
-        # at rho = 1, N = y P and y N' = y Q; a subnormal y has lost bits
-        # (and 0 has lost all), so there log N is formed as log P - |u|
-        # and y N'/N as Q/P
-        deep = (c0 == 0.0) & (y < np.finfo(float).tiny)
         if deep.any():
-            logn = np.where(deep, np.log(p) - np.abs(u), logn)
             pn = np.where(deep, q / p, pn)
-        logg = logn - 2.0 * np.log1p(y) - 2.0 * np.log(b)
         # y N'/N (pn), y B'/B and y/(y+1): r at y is their combination,
         # and y d/dy of each ratio t = y f'/f is t + y^2 f''/f - t^2
-        pb = (2.0 * y + (2.0 - rho)) * y / b
+        pb = (2.0 * y + c1) * y / b
         p1 = y / (1.0 + y)
         r = pn - 2.0 * p1 - 2.0 * pb
         dr_du = (
@@ -375,7 +380,7 @@ def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
         dr_drho = 4.0 * w * (c0 - w) / n - pn * e + 2.0 * yb * (1.0 - pb)
         dh_drho = -2.0 * w / n - e * e + 2.0 * yb * yb
     return (
-        np.where(big, logg - 2.0 * u, logg),
+        logg,
         np.where(big, -r - 2.0, r),
         e + 2.0 * yb,
         dr_du,
@@ -405,7 +410,9 @@ def kernel_pdf(x: ArrayLike, rho: float):
     """
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
-    return _finish(kernel_pdf_unchecked(x, rho), scalar)
+    y, big = _fold(x)
+    g = _kernel_pdf_direct(y, rho)
+    return _finish(np.where(big, g * y * y, g), scalar)
 
 
 def kernel_cdf(x: ArrayLike, rho: float):
@@ -417,7 +424,7 @@ def kernel_cdf(x: ArrayLike, rho: float):
     """
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
-    return _finish(kernel_cdf_unchecked(x, rho), scalar)
+    return _finish(_kernel_cdf_folded(*_fold(x), rho), scalar)
 
 
 def kernel_sf(x: ArrayLike, rho: float):
@@ -429,7 +436,7 @@ def kernel_sf(x: ArrayLike, rho: float):
     """
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
-    return _finish(kernel_cdf_unchecked(x, rho, upper=True), scalar)
+    return _finish(_kernel_cdf_folded(*_fold(x), rho, upper=True), scalar)
 
 
 def kernel_pdf_dx(x: ArrayLike, rho: float):
@@ -565,16 +572,14 @@ def _kernel_quantile(p: np.ndarray, rho: float) -> np.ndarray:
 def _kernel_newton(x: np.ndarray, q: np.ndarray, rho: float) -> np.ndarray:
     """_kernel_quantile's Newton solve of G(x) = q from the start x,
     which it overwrites and returns. G and g come from one evaluation:
-    ``G = x P / (A B)`` and ``g = N / (A B)^2`` with A = x + 1,
-    P = x^2 + 2x + (1 - rho), and B and N the Horner polynomials of
-    ``kernel_log_derivs``."""
-    c0 = 1.0 - rho
-    c1 = 2.0 - rho
-    c2 = 6.0 + rho * c1
+    ``G = x C / (A B)`` and ``g = N / (A B)^2`` with A = x + 1,
+    C = x^2 + 2x + (1 - rho), and N and B from ``_kernel_polys``."""
+    coeffs = _kernel_coeffs(rho)
+    c0 = coeffs[0]
     out, idx = x, None
     for _ in range(QUANTILE_MAX_ITER):
-        ab = (x + 1.0) * ((x + c1) * x + 1.0)
-        n = (((c0 * x + 4.0) * x + c2) * x + 4.0) * x + c0
+        _, n, b = _kernel_polys(x, *coeffs)
+        ab = (x + 1.0) * b
         # (G - q) / g
         step = (x * ((x + 2.0) * x + c0) - q * ab) * ab / n
         done = np.abs(step) <= QUANTILE_TOL * x
@@ -600,9 +605,11 @@ def uf_cdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     """CDF of the UF distribution.
 
     Clamp semantics at the edges: 0 for w <= 0 and 1 for w >= 1.
-    Inside the unit interval the value is
-    ``kernel_cdf((s / sigma)**alpha, rho)`` with s the odds of w.
-    For rho = 0 this reduces to the closed form
+    Inside the unit interval the value is ``G(e^u; rho)`` at the log
+    argument ``u = alpha (log s - log sigma)``, s the odds of w,
+    evaluated at the folded point ``exp(-|u|)`` without forming e^u, so
+    both tails keep their relative accuracy down to the subnormal
+    range. For rho = 0 this reduces to the closed form
     ``w**alpha / (w**alpha + sigma**alpha (1-w)**alpha)``.
     """
     th = UfParams.of(theta)
@@ -610,43 +617,33 @@ def uf_cdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     out = np.where(w >= 1.0, 1.0, 0.0)
     inside = (w > 0.0) & (w < 1.0)
     if np.any(inside):
-        x = kernel_arg(log_odds(w[inside]), th.sigma, th.alpha)
-        out[inside] = kernel_cdf_unchecked(x, th.rho)
+        u = th.alpha * (log_odds(w[inside]) - math.log(th.sigma))
+        out[inside] = _kernel_cdf_folded(*_fold_log(u), th.rho)
     return _finish(out, scalar)
 
 
 def _uf_logpdf(w: np.ndarray, th: UfParams) -> np.ndarray:
     logs = log_odds(w)
-    gx = kernel_pdf_unchecked(kernel_arg(logs, th.sigma, th.alpha), th.rho)
-    logpref = (
+    u = th.alpha * (logs - math.log(th.sigma))
+    with np.errstate(divide="ignore"):
+        logg = _kernel_logpdf(u, *_fold_log(u), *_kernel_coeffs(th.rho))[0]
+    logg += (
         math.log(th.alpha)
         - th.alpha * math.log(th.sigma)
         + (th.alpha - 1.0) * logs
-        + 2.0 * np.log1p(np.exp(np.clip(logs, None, LOG_GUARD)))
+        + 2.0 * np.log1p(np.exp(logs))
     )
-    with np.errstate(divide="ignore"):
-        logg = np.log(gx)
-    # Past kernel_arg's +-LOG_GUARD clip the clipped argument stands in
-    # for the true one, and g(x) = g(1/x)/x^2 underflows to 0 from
-    # log x ~ 372; at those points log g comes from kernel_log_derivs,
-    # which takes log x itself. log x rises with log s, so the ends of
-    # log s tell whether any point lies past the clip.
-    ends = th.alpha * (np.array([logs.min(), logs.max()]) - math.log(th.sigma))
-    if np.abs(ends).max() > LOG_GUARD or gx.min() == 0.0:
-        logx = th.alpha * (logs - math.log(th.sigma))
-        redo = (np.abs(logx) > LOG_GUARD) | (gx == 0.0)
-        logg[redo] = kernel_log_derivs(logx[redo], th.rho)[0]
-    logg += logpref
     return logg
 
 
 def uf_logpdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     """Natural log of the UF density, finite for every w in (0, 1).
 
-    The kernel density is evaluated in linear scale at ``kernel_arg``'s
-    argument, and in log space (``kernel_log_derivs``) where
-    ``|alpha log(s / sigma)| > LOG_GUARD`` or the linear value
-    underflows to 0.
+    The log of the Jacobian prefactor
+    ``(alpha / sigma**alpha) s**(alpha-1) (s+1)**2`` plus log g at the
+    log argument ``u = alpha (log s - log sigma)``, formed in log space
+    at the folded point ``exp(-|u|)`` by the code that gives
+    ``kernel_log_derivs`` its value, so it is exact for any finite u.
     """
     th = UfParams.of(theta)
     w, scalar = _prepare(w, "w", _UNIT_OPEN)
@@ -656,10 +653,10 @@ def uf_logpdf(w: ArrayLike, theta: UfParams | Sequence[float]):
 def uf_pdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     """Density of the UF distribution at w in (0, 1).
 
-    Computed in factored form: the Jacobian prefactor
-    ``(alpha / sigma**alpha) s**(alpha-1) (s+1)**2`` is assembled in log
-    space and multiplies the kernel density at ``(s / sigma)**alpha``.
-    Tests verify agreement with the fully expanded closed form.
+    ``exp(uf_logpdf(w, theta))``: the Jacobian prefactor and the kernel
+    density are combined in log space, so the value is 0 only where the
+    true density underflows. Tests verify agreement with the fully
+    expanded closed form.
     """
     th = UfParams.of(theta)
     w, scalar = _prepare(w, "w", _UNIT_OPEN)
@@ -718,23 +715,14 @@ def stress_strength(theta: UfParams | Sequence[float]) -> float:
     """Probability that the first component exceeds the second.
 
     For ``W = X1 / (X1 + X2)`` this is ``P(X1 > X2) = P(W > 1/2)``,
-    with closed form (writing ``y = sigma**(-alpha)``)
-
-        [ (y+1)^3 - y (y+1)^2 - rho y^2 ] / [ (y+1) ((y+1)^2 - rho y) ]
-
-    which reduces to ``sigma**alpha / (sigma**alpha + 1)`` at rho = 0
-    and to 1/2 at sigma = 1. Equals ``1 - uf_cdf(0.5, theta)`` to
-    machine precision; the identity is enforced in tests.
+    which is ``1 - G(sigma**(-alpha); rho) = G(sigma**alpha; rho)``: the
+    kernel CDF at the log argument ``u = alpha log sigma``, evaluated at
+    the folded point like ``uf_cdf``, so it keeps its relative accuracy
+    in both tails. It reduces to ``sigma**alpha / (sigma**alpha + 1)``
+    at rho = 0 and to 1/2 at sigma = 1, and equals
+    ``1 - uf_cdf(0.5, theta)`` to machine precision; the identity is
+    enforced in tests.
     """
     th = UfParams.of(theta)
-    logy = -th.alpha * math.log(th.sigma)
-    if logy > LOG_GUARD * 0.33:
-        # y enormous: first component's scale is negligible, limit (1-rho)/y
-        return (1.0 - th.rho) * math.exp(-logy) if logy < LOG_GUARD else 0.0
-    if logy < -LOG_GUARD * 0.33:
-        # y tiny: limit 1 - (1-rho) y
-        return 1.0 - (1.0 - th.rho) * math.exp(logy) if logy > -LOG_GUARD else 1.0
-    y = math.exp(logy)
-    num = (y + 1.0) ** 3 - y * (y + 1.0) ** 2 - th.rho * y * y
-    den = (y + 1.0) * ((y + 1.0) ** 2 - th.rho * y)
-    return num / den
+    u = np.float64(th.alpha * math.log(th.sigma))
+    return float(_kernel_cdf_folded(*_fold_log(u), th.rho))

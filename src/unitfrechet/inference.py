@@ -213,9 +213,8 @@ def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
     own evaluation, so it is exact for any finite
     u_i = alpha (log s_i - log sigma), including where x_i or g(x_i)
     lie outside the double range; it is non-finite only where u_i
-    itself overflows. Agrees with summing uf_logpdf to 1e-10 wherever
-    that linear-scale density neither underflows nor clips (asserted in
-    tests).
+    itself overflows. Agrees with summing uf_logpdf, whose log kernel
+    density comes from the same code, to 1e-10 (asserted in tests).
     """
     return float(_uf_pass(_phi(UfParams.of(theta)), data)[0][0])
 

@@ -42,15 +42,24 @@ UF_PDF_03_1_2_08 = 0.9481737759003594
 UF_PDF_062_FOOTBALL = 1.2484708170030201
 UF_CDF_03_1_2_05 = 0.1067967288822584
 UF_CDF_062_FOOTBALL = 0.7586533964049936
-# log densities past kernel_arg's +-700 clip, and where the linear
-# kernel density underflows (log x = 500), mpmath at 1200 digits:
-# (w, theta, log f)
+# log densities at log kernel arguments |u| = |log x| past 700, and
+# where the kernel density in linear scale would be 0 (u = 500) or
+# subnormal (u = 371.2), mpmath at 1200 digits: (w, theta, log f)
 UF_LOGPDF_PAST_GUARD = (
     (1e-300, (1.0, 3.0, 1.0), -3451.3927328412805),
     (1.0 - 1e-16, (1.0, 30.0, 0.5), -1062.6591663195337),
     (1.0 - 1e-16, (1.0, 30.0, 1.0), -2162.6837418681669),
     (0.9999546021312976, (1.0, 50.0, 0.5), -486.78103337738088),
     (0.9999546021312976, (1.0, 50.0, 1.0), -984.70159183574953),
+    (1.0 - 2.0**-52, (1.0, 10.3, 0.5), -333.56697980411393),
+)
+# P(X1 > X2) in the tails, mpmath at 600 digits: (theta, value)
+STRESS_STRENGTH_TAILS = (
+    ((1e-50, 1.0, 1.0), 2.0000000000000000305e-100),
+    ((1e-50, 1.0, 0.999), 1.0000000000000008958e-53),
+    ((1e-20, 2.0, 1.0), 1.9999999999999995612e-80),
+    ((1e-8, 1.0, 1.0), 1.9999999700000002837e-16),
+    ((1e-101, 1.0, 1.0), 2.0000000000000002069e-202),
 )
 # kernel quantiles, mpmath at 80 digits: rho -> Q(p) at each p of
 # KERNEL_QUANTILE_P
@@ -415,11 +424,12 @@ class TestUfPdf:
         assert_allclose(uf_pdf(w, th), np.exp(uf_logpdf(w, th)), rtol=1e-13)
 
     def test_past_the_kernel_guard(self):
-        # the linear kernel read -2079.07 for the first and -inf for the
-        # others
+        # a kernel argument clipped at exp(+-700) read -2079.07 for the
+        # first, a linear kernel density -inf for the next four and
+        # -333.716 for the last
         for w, th, want in UF_LOGPDF_PAST_GUARD:
             assert_allclose(uf_logpdf(w, th), want, rtol=1e-12)
-            # a point inside the guard keeps its value in a mixed array
+            # an ordinary point keeps its value in a mixed array
             assert uf_logpdf(np.array([w, 0.3]), th)[1] == uf_logpdf(0.3, th)
 
     def test_bracketed_form_oracle(self):
@@ -479,6 +489,14 @@ class TestUfCdf:
         for w in np.linspace(0.1, 0.9, 9):
             fd = fd5(lambda t: uf_cdf(float(t), th), w, 1e-4)
             assert_allclose(uf_pdf(float(w), th), fd, rtol=1e-6)
+
+    def test_deep_lower_tail(self):
+        # against the rho = 0 closed form w^a / (w^a + sigma^a (1-w)^a);
+        # a log kernel argument clipped at -700 floors all three near
+        # exp(-700) = 9.9e-305
+        assert_allclose(uf_cdf(1e-160, (1.0, 2.0, 0.0)), 1e-320, rtol=1e-2)  # subnormal
+        assert_allclose(uf_cdf(1e-305, (1.0, 1.0, 0.0)), 1e-305, rtol=1e-12)
+        assert uf_cdf(1e-200, (1.0, 4.0, 0.5)) == 0.0
 
     @given(w=unit_open, sigma=positive, alpha=st.floats(0.2, 8.0), rho=rhos)
     @settings(max_examples=200)
@@ -595,6 +613,32 @@ class TestStressStrength:
     def test_extreme_sigma(self):
         assert stress_strength(UfParams(1e280, 2.0, 0.3)) > 1.0 - 1e-12
         assert stress_strength(UfParams(1e-280, 2.0, 0.3)) < 1e-12
+
+    def test_tails_against_high_precision(self):
+        # a closed form in sigma**-alpha cancels to ~1e-16 here
+        for th, want in STRESS_STRENGTH_TAILS:
+            assert_allclose(stress_strength(th), want, rtol=1e-12)
+
+
+EDGE_W = np.array([5e-324, 1e-300, 1e-100, 0.3, 0.5, 0.9, 1.0 - 2.0**-53])
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("sigma", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+def test_edge_sweep(alpha, sigma, rho):
+    # the UF functions on the unclipped log kernel argument, at every
+    # corner of the parameter box and both ends of (0, 1): quiet, finite
+    # and in range
+    th = UfParams(sigma, alpha, rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logf = uf_logpdf(EDGE_W, th)
+        cdf = uf_cdf(EDGE_W, th)
+        ss = stress_strength(th)
+    assert np.all(np.isfinite(logf))
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= 0.0)
+    assert 0.0 <= ss <= 1.0
 
 
 WITH_NAN = np.array([0.3, math.nan])
