@@ -28,16 +28,18 @@ symmetry of the density holds to machine precision. The kernel's
 polynomials are written once, in ``_kernel_polys``; its density, CDF,
 quantile and log-derivatives all evaluate them at the folded point.
 The UF functions (``uf_cdf``, ``uf_logpdf``, ``uf_pdf``,
-``stress_strength``) and ``kernel_log_derivs``, which serves the
-likelihood, take the log argument ``u = alpha (log s - log sigma)``
-and fold it to ``y = exp(-|u|)``, never forming ``x = e^u``. They need
+``stress_strength``) and ``kernel_log_g`` and ``kernel_log_derivs``,
+which serve the likelihood, take the log argument
+``u = alpha (log s - log sigma)`` and fold it to ``y = exp(-|u|)``,
+never forming ``x = e^u``. They need
 no guard, and the CDF, its complement and the log density keep their
 relative accuracy for any finite u, into the subnormal range.
 
 Public functions validate their arguments once (NaN raises
 ``DomainError``). Beneath them is an unvalidated array layer
-(``log_odds`` and ``kernel_log_derivs``); ``inference`` builds its
-likelihood from the two on data it has validated.
+(``log_odds``, ``kernel_log_g`` and ``kernel_log_derivs``);
+``inference`` builds its likelihood from the three on data it has
+validated.
 
 All public functions are pure and accept scalars or numpy arrays;
 scalar input yields a Python float.
@@ -237,9 +239,16 @@ def _kernel_coeffs(rho):
     return 1.0 - rho, 2.0 - rho, 6.0 + rho * (2.0 - rho)
 
 
+def _kernel_b(y, c1):
+    """B at y, with ``c1 = 2 - rho`` from ``_kernel_coeffs(rho)``: the
+    one polynomial the CDF needs, and ``_kernel_polys``'s third."""
+    return (y + c1) * y + 1.0
+
+
 def _kernel_polys(y, c0, c1, c2):
     """``(P, N, B)`` at y in Horner form, from ``_kernel_coeffs(rho)``:
-    the one place the kernel's polynomials are written,
+    the one place the kernel's polynomials are written (B in
+    ``_kernel_b``),
 
         N = P y + (1 - rho)
           = (1 - rho) y^4 + 4 y^3 + (6 + rho (2 - rho)) y^2 + 4 y + (1 - rho)
@@ -253,7 +262,7 @@ def _kernel_polys(y, c0, c1, c2):
     Intended for y in (0, 1]; callers fold larger arguments first.
     """
     p = ((c0 * y + 4.0) * y + c2) * y + 4.0
-    return p, p * y + c0, (y + c1) * y + 1.0
+    return p, p * y + c0, _kernel_b(y, c1)
 
 
 def _kernel_pdf_direct(y: np.ndarray, rho: float) -> np.ndarray:
@@ -312,7 +321,7 @@ def _kernel_cdf_folded(y, big, rho: float, upper: bool = False) -> np.ndarray:
     Uses ``1 - G(x) = G(1/x)``: whichever tail the folded point lands in
     is evaluated directly, the other as its complement.
     """
-    b = _kernel_polys(y, *_kernel_coeffs(rho))[2]
+    b = _kernel_b(y, _kernel_coeffs(rho)[1])
     c = y * ((y + 2.0) * y + (1.0 - rho)) / ((y + 1.0) * b)
     return np.where(big == upper, c, 1.0 - c)
 
@@ -333,6 +342,18 @@ def _kernel_logpdf(u, y, big, c0, c1, c2):
         logn = np.where(deep, np.log(p) - np.abs(u), logn)
     logg = logn - 2.0 * np.log1p(y) - 2.0 * np.log(b)
     return np.where(big, logg - 2.0 * u, logg), p, n, b, deep
+
+
+def kernel_log_g(u: np.ndarray, rho) -> np.ndarray:
+    """log g(x; rho) at ``x = exp(u)``: the value ``kernel_log_derivs``
+    returns first, without its derivatives.
+
+    ``rho`` is a float or a column broadcasting against u. Formed at the
+    folded point ``exp(-|u|)`` by ``_kernel_logpdf``, so it is exact for
+    any finite u and equals ``kernel_log_derivs(u, rho)[0]`` bit for bit.
+    """
+    with np.errstate(divide="ignore"):
+        return _kernel_logpdf(u, *_fold_log(u), *_kernel_coeffs(rho))[0]
 
 
 def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
@@ -625,8 +646,7 @@ def uf_cdf(w: ArrayLike, theta: UfParams | Sequence[float]):
 def _uf_logpdf(w: np.ndarray, th: UfParams) -> np.ndarray:
     logs = log_odds(w)
     u = th.alpha * (logs - math.log(th.sigma))
-    with np.errstate(divide="ignore"):
-        logg = _kernel_logpdf(u, *_fold_log(u), *_kernel_coeffs(th.rho))[0]
+    logg = kernel_log_g(u, th.rho)
     logg += (
         math.log(th.alpha)
         - th.alpha * math.log(th.sigma)

@@ -8,14 +8,17 @@ with its asymptotic p-value, rank-based residuals, and AIC/BIC model
 ranking.
 
 The UF log-likelihood, its gradient and its Hessian have one source,
-the batched log-space pass ``_uf_pass`` over ``core.kernel_log_derivs``:
-loglik_uf and score_uf are single-row passes, and the fit ranks its
-starts, steps, picks its winner and judges convergence with it. The
-UF fit works in (log sigma, log alpha, rho) with rho boxed to
+the batched log-space pass ``_uf_pass`` over ``core.kernel_log_derivs``,
+with a value-only twin ``_uf_loglik`` over ``core.kernel_log_g`` that
+shares its column chunks and its assembly, so the two values agree bit
+for bit. loglik_uf is a single-row value-only pass and score_uf a
+single-row full pass; the fit ranks its starts with the value-only
+pass, and steps, picks its winner and judges convergence with the full
+one. The UF fit works in (log sigma, log alpha, rho) with rho boxed to
 [0, 1]: a deterministic multistart grid is ranked by likelihood in one
-batched pass, then projected Newton on the analytic Hessian runs from
-the best few starts and from the best start at each rho level of the
-grid, all in lockstep, one batched kernel pass per iteration. A rho
+batched value-only pass, then projected Newton on the analytic Hessian
+runs from the best few starts and from the best start at each rho level
+of the grid, all in lockstep, one batched kernel pass per iteration. A rho
 estimate on 0 or 1 sets ``boundary_hit``. The fit's settings are the
 module constants UF_TOP_STARTS and UF_GRAD_TOL and those of the Newton
 runs (UF_PROFILE_RISE through UF_PASS_ELEMENTS); fit_uf takes no tuning
@@ -36,6 +39,7 @@ from scipy import optimize, special, stats
 from .core import (
     UfParams,
     kernel_log_derivs,
+    kernel_log_g,
     log_odds,
     uf_cdf,
     uf_pdf,
@@ -200,7 +204,7 @@ class FitReport:
 # ---------------------------------------------------------------------------
 
 def _phi(th: UfParams) -> np.ndarray:
-    """th as the one row (log sigma, log alpha, rho) of a _uf_pass."""
+    """th as the one row (log sigma, log alpha, rho) of a pass."""
     return np.array([[math.log(th.sigma), math.log(th.alpha), th.rho]])
 
 
@@ -209,14 +213,16 @@ def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
 
     n log alpha - n alpha log sigma + (alpha-1) sum log s_i
     + 2 sum log(s_i + 1) + sum log g(x_i; rho), with
-    x_i = (s_i/sigma)^alpha. Formed in log space by _uf_pass, the fit's
-    own evaluation, so it is exact for any finite
-    u_i = alpha (log s_i - log sigma), including where x_i or g(x_i)
-    lie outside the double range; it is non-finite only where u_i
-    itself overflows. Agrees with summing uf_logpdf, whose log kernel
-    density comes from the same code, to 1e-10 (asserted in tests).
+    x_i = (s_i/sigma)^alpha. Formed in log space by the value-only pass
+    _uf_loglik, which equals the fit's own evaluation _uf_pass bit for
+    bit (so a report's loglik is loglik_uf at its theta_hat). It is
+    exact for any finite u_i = alpha (log s_i - log sigma), including
+    where x_i or g(x_i) lie outside the double range; it is non-finite
+    only where u_i itself overflows. Agrees with summing uf_logpdf,
+    whose log kernel density comes from the same code, to 1e-10
+    (asserted in tests).
     """
-    return float(_uf_pass(_phi(UfParams.of(theta)), data)[0][0])
+    return float(_uf_loglik(_phi(UfParams.of(theta)), data)[0])
 
 
 def score_uf(theta: UfParams | Sequence[float], data: DataSeries) -> np.ndarray:
@@ -433,6 +439,38 @@ def _uf_verdict(th: UfParams, data: DataSeries) -> tuple[float, bool]:
     return ll, bool(np.max(np.abs(tgrad)) < tol and math.isfinite(ll))
 
 
+def _log_args(phi: np.ndarray, data: DataSeries):
+    """u_i = alpha (log s_i - log sigma) at each row of ``phi`` over the
+    data, yielded as (rows, width) column chunks of at most
+    UF_PASS_ELEMENTS elements (at least one column), so a row is summed
+    in an order that depends only on the row count. The caller silences the overflow of
+    u, which the likelihood turns into a non-finite value."""
+    width = max(1, UF_PASS_ELEMENTS // len(phi))
+    alpha = np.exp(phi[:, 1:2])
+    for lo in range(0, data.n, width):
+        yield alpha * (data.log_odds[lo:lo + width] - phi[:, :1])
+
+
+def _assemble_loglik(phi: np.ndarray, data: DataSeries, s_val: np.ndarray) -> np.ndarray:
+    """The log-likelihood at each row of ``phi`` from s_val, the sum of
+    u_i + log g(e^u_i; rho) over the data:
+    n log alpha - sum log s_i + 2 sum log(1 + s_i) + s_val."""
+    return data.n * phi[:, 1] - data.log_odds.sum() + 2.0 * data._sum_log1p_odds + s_val
+
+
+def _uf_loglik(phi: np.ndarray, data: DataSeries) -> np.ndarray:
+    """The log-likelihood alone at each row of ``phi`` (shape (rows, 3)),
+    _uf_pass's value bit for bit, from the same chunks and the same
+    assembly, without the derivative terms. A row whose u_i overflows
+    gets a non-finite value, not a warning."""
+    rho = phi[:, 2:]
+    s_val = np.zeros(len(phi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in _log_args(phi, data):
+            s_val += (u + kernel_log_g(u, rho)).sum(axis=-1)
+        return _assemble_loglik(phi, data, s_val)
+
+
 def _uf_pass(phi: np.ndarray, data: DataSeries):
     """Log-likelihood, gradient and Hessian in (log sigma, log alpha,
     rho) at each row of ``phi``, shape (rows, 3), from one kernel pass
@@ -444,28 +482,27 @@ def _uf_pass(phi: np.ndarray, data: DataSeries):
     the data of the kernel_log_derivs terms times powers of u_i. Above
     UF_PASS_ELEMENTS elements the sums run over column chunks. The value
     is formed in log space, so it is exact for any finite u_i; a row
-    whose point overflows gets a non-finite value, not a warning. This
-    is the package's one UF log-likelihood: loglik_uf, score_uf and the
-    fit all read it.
+    whose point overflows gets a non-finite value, not a warning. It
+    shares its chunks (_log_args) and its assembly (_assemble_loglik)
+    with the value-only _uf_loglik, so the two give the same value bit
+    for bit: these are the package's one UF log-likelihood, which
+    loglik_uf, score_uf and the fit all read.
     """
     rows = len(phi)
-    log_sigma, rho = phi[:, :1], phi[:, 2:]
-    width = max(1, UF_PASS_ELEMENTS // rows)
+    rho = phi[:, 2:]
     sums = np.zeros((10, rows))
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha = np.exp(phi[:, 1:2])
-        for lo in range(0, data.n, width):
-            u = alpha * (data.log_odds[lo:lo + width] - log_sigma)
+        for u in _log_args(phi, data):
             logg, r, h, dr_du, dr_drho, dh_drho = kernel_log_derivs(u, rho)
             p = 1.0 + r
             ru = dr_du * u
-            sums += np.stack([
+            sums += [t.sum(axis=-1) for t in (
                 u + logg, p, p * u, h, dr_du, ru, ru * u, dr_drho, dr_drho * u, dh_drho,
-            ]).sum(axis=-1)
+            )]
         s_val, s_p, s_pu, s_h, s_ru, s_ruu, s_ruuu, s_rr, s_rru, s_hr = sums
-        a = alpha[:, 0]
+        a = np.exp(phi[:, 1])
         n = data.n
-        ll = n * phi[:, 1] - data.log_odds.sum() + 2.0 * data._sum_log1p_odds + s_val
+        ll = _assemble_loglik(phi, data, s_val)
         grad = np.column_stack([-a * s_p, n + s_pu, s_h])
         hess = np.empty((rows, 3, 3))
         hess[:, 0, 0] = a * a * s_ru
@@ -599,11 +636,12 @@ def fit_uf(data: DataSeries) -> FitReport:
 
     The multistart grid (START_GRID plus a moment-matched start whose
     sigma solves the median equation sigma/(1+sigma) = sample median) is
-    ranked by log-likelihood in one batched pass. Projected Newton on
-    the analytic Hessian (see _newton) then runs in (log sigma,
-    log alpha, rho), with rho boxed to [0, 1], from the UF_TOP_STARTS
-    best starts and from the best start at each distinct rho level of
-    the grid, all in lockstep. The per-level starts matter because the
+    ranked by log-likelihood in one batched value-only pass
+    (_uf_loglik), which forms no gradient or Hessian for the starts it
+    throws away. Projected Newton on the analytic Hessian (see _newton)
+    then runs in (log sigma, log alpha, rho), with rho boxed to [0, 1],
+    from the UF_TOP_STARTS best starts and from the best start at each
+    distinct rho level of the grid, all in lockstep. The per-level starts matter because the
     rho profile can have one mode on the boundary and another inside.
     The run whose end point has the highest log-likelihood wins, the
     first of equals. ``iterations`` counts the Newton steps of all runs.
@@ -625,7 +663,7 @@ def fit_uf(data: DataSeries) -> FitReport:
     med = float(np.median(data.array))
     starts = [(med / (1.0 - med), 1.0, 0.5), *START_GRID]
     phi = np.array([(math.log(sg), math.log(al), rh) for sg, al, rh in starts])
-    values = _uf_pass(phi, data)[0]
+    values = _uf_loglik(phi, data)
     # every start is finite on valid data (all |u_i| < 3000), but a
     # non-finite value is kept out of the ranking all the same
     order = [i for i in np.argsort(values)[::-1] if math.isfinite(values[i])]

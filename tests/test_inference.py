@@ -245,6 +245,44 @@ class TestNewtonPass:
         for got, want in zip(chunked, whole):
             assert_allclose(got, want[:3], rtol=1e-12, atol=1e-12)
 
+    def test_value_only_pass_is_the_full_pass_value(self, monkeypatch):
+        from unitfrechet import inference
+
+        def assert_same_values(phi, data):
+            whole = inference._uf_loglik(phi, data)
+            assert np.array_equal(whole, inference._uf_pass(phi, data)[0])
+            for i in range(len(phi)):
+                row = inference._uf_loglik(phi[i:i + 1], data)
+                assert np.array_equal(row, inference._uf_pass(phi[i:i + 1], data)[0])
+
+        # fit_uf's ranking batch: the median start plus START_GRID; at
+        # n = 2000 its 37 rows span several chunks, where one row does not
+        large = sample_series((1.0, 2.0, 0.5), 2000, 271)
+        for data in (self.data, large):
+            med = float(np.median(data.array))
+            phi = np.array([phi_of(th) for th in [(med / (1.0 - med), 1.0, 0.5), *START_GRID]])
+            assert_same_values(phi, data)
+        assert large.n > inference.UF_PASS_ELEMENTS // len(phi)
+        assert_same_values(np.array([phi_of(th) for th in self.thetas]), self.data)
+        # at most 3 columns per chunk with 3 rows
+        monkeypatch.setattr(inference, "UF_PASS_ELEMENTS", 9)
+        assert_same_values(phi[:3], self.data)
+        assert_same_values(phi[:3], large)
+
+    def test_value_only_pass_overflow_is_quiet(self):
+        from unitfrechet import inference
+
+        # alpha = e^705 carries the log odds -690.8 of 1e-300 past the
+        # double range, u = -1.1e309
+        data = series([1e-300, 0.3, 0.5, 0.9])
+        phi = np.array([[0.0, 705.0, 0.5], phi_of((1.0, 2.0, 0.5))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = inference._uf_loglik(phi, data)
+            full = inference._uf_pass(phi, data)[0]
+        assert not math.isfinite(values[0]) and math.isfinite(values[1])
+        assert np.array_equal(values, full, equal_nan=True)
+
 
 class TestFitUf:
     def test_bundled_data_values(self, uefa):
@@ -350,6 +388,20 @@ class TestFitUf:
     def test_too_few_observations(self):
         with pytest.raises(DataError):
             fit_uf(series([0.2, 0.5, 0.8]))
+
+    def test_large_sample_report_loglik(self):
+        # past UF_PASS_ELEMENTS observations even a one-row pass sums
+        # over two chunks, and the ranking's 37 rows over dozens; on
+        # this sample a one-chunk sum at theta_hat differs in its last bit
+        from unitfrechet import inference
+
+        d = sample_series((1.0, 2.0, 0.5), 20_000, 4241)
+        assert d.n > inference.UF_PASS_ELEMENTS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = fit_uf(d)
+            assert r.converged
+            assert r.loglik == loglik_uf(r.theta_hat, d)
 
     def test_runtime(self, uefa):
         import time
