@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import LOG_GUARD, UfParams
+from .core import LOG_GUARD, UfParams, sample_stream
 from .errors import DomainError, NumericalError, ParameterError
 
 __all__ = [
@@ -295,10 +295,7 @@ def biv_sample(
     redraw counts and the largest inversion iteration count.
     """
     p = BivParams.of(p)
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    gen = np.random.Generator(np.random.Philox(int(seed)))
+    n, gen = sample_stream(n, seed)
 
     def draw(k: int) -> tuple[np.ndarray, np.ndarray, int]:
         un = np.clip(gen.random(k), 1e-300, 1.0 - 1e-16)

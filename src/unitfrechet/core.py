@@ -22,24 +22,25 @@ The kernel density and CDF satisfy the exact reflection identities
     kernel_pdf(1/x, rho) / x**2 = kernel_pdf(x, rho)
 
 which this module applies in one place, ``_fold`` (with its log-scale
-twin ``_fold_log`` beside it): arguments larger than 1 are folded back
-to (0, 1], so tail evaluation never overflows and the sigma = 1
-symmetry of the density holds to machine precision. The kernel's
-polynomials are written once, in ``_kernel_polys``; its density, CDF,
-quantile and log-derivatives all evaluate them at the folded point.
-The UF functions (``uf_cdf``, ``uf_logpdf``, ``uf_pdf``,
-``stress_strength``) and ``kernel_log_g`` and ``kernel_log_derivs``,
-which serve the likelihood, take the log argument
-``u = alpha (log s - log sigma)`` and fold it to ``y = exp(-|u|)``,
-never forming ``x = e^u``. They need
-no guard, and the CDF, its complement and the log density keep their
-relative accuracy for any finite u, into the subnormal range.
+twin ``_fold_log``): arguments above 1 are folded back to (0, 1], so
+nothing overflows and the sigma = 1 symmetry holds to machine
+precision. At the folded point y, ``g = N / ((y + 1) B)^2`` with N and
+B written once in ``_kernel_polys`` and N', B' and N_rho beside them;
+the CDF and the quantile evaluate the same polynomials, and
+``kernel_pdf_dx``, ``kernel_pdf_drho`` and ``kernel_log_derivs`` are
+their quotient rule. The UF functions (``uf_cdf``, ``uf_logpdf``,
+``uf_pdf``, ``stress_strength``), ``kernel_log_g`` and
+``kernel_log_derivs`` take the log argument
+``u = alpha (log s - log sigma)`` and fold it to ``y = exp(-|u|)``
+without forming ``x = e^u``, so the CDF, its complement and the log
+density keep their relative accuracy for any finite u, into the
+subnormal range.
 
 Public functions validate their arguments once (NaN raises
-``DomainError``). Beneath them is an unvalidated array layer
-(``log_odds``, ``kernel_log_g`` and ``kernel_log_derivs``);
-``inference`` builds its likelihood from the three on data it has
-validated.
+``DomainError``); both samplers check n and the seed in
+``sample_stream``. Beneath them is an unvalidated array layer:
+``inference`` builds its likelihood from ``log_odds``, ``kernel_log_g``
+and ``kernel_log_derivs`` on data it has validated.
 
 All public functions are pure and accept scalars or numpy arrays;
 scalar input yields a Python float.
@@ -116,8 +117,7 @@ class UfParams:
             raise ParameterError(f"sigma must be finite and > 0, got {sigma!r}")
         if not (math.isfinite(alpha) and alpha > 0.0):
             raise ParameterError(f"alpha must be finite and > 0, got {alpha!r}")
-        if not (math.isfinite(rho) and 0.0 <= rho <= 1.0):
-            raise ParameterError(f"rho must lie in [0, 1], got {rho!r}")
+        _check_rho(rho)
 
     @classmethod
     def of(cls, theta: "UfParams | Sequence[float]") -> "UfParams":
@@ -265,28 +265,14 @@ def _kernel_polys(y, c0, c1, c2):
     return p, p * y + c0, _kernel_b(y, c1)
 
 
-def _kernel_pdf_direct(y: np.ndarray, rho: float) -> np.ndarray:
-    """g(y; rho) for y in (0, 1]."""
-    _, n, b = _kernel_polys(y, *_kernel_coeffs(rho))
-    ab = (y + 1.0) * b
-    return n / (ab * ab)
+def _kernel_polys_dy(y, c0, c1, c2):
+    """``(N', B')``, the y-derivatives of ``_kernel_polys``'s N and B."""
+    return ((4.0 * c0 * y + 12.0) * y + 2.0 * c2) * y + 4.0, 2.0 * y + c1
 
 
-def _kernel_dx_direct(x: np.ndarray, rho: float) -> np.ndarray:
-    d = (x + 1.0) ** 2 - rho * x
-    num = (
-        rho**3 * x**3
-        - rho * (x - 2.0) ** 2 * (x + 1.0) ** 4
-        + (x + 1.0) ** 6
-        + rho**2 * (1.0 + 3.0 * x - 5.0 * x**3 - 3.0 * x**4)
-    )
-    return -2.0 * num / ((x + 1.0) ** 3 * d**3)
-
-
-def _kernel_drho_direct(x: np.ndarray, rho: float) -> np.ndarray:
-    d = (x + 1.0) ** 2 - rho * x
-    num = x**4 + (rho - 2.0) * x**3 - 6.0 * x * x + (rho - 2.0) * x + 1.0
-    return -num / d**3
+def _kernel_n_drho(w, rho):
+    """N_rho = dN/drho at y, from ``w = y^2`` (B_rho is -y)."""
+    return -((1.0 - w) ** 2 + 2.0 * rho * w)
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +282,28 @@ def _kernel_drho_direct(x: np.ndarray, rho: float) -> np.ndarray:
 def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reflect x into (0, 1]: returns ``y = min(x, 1/x)`` and the mask
     ``x > 1``. The only place the x -> 1/x reflection is applied; the
-    reciprocal is never formed for x <= 1, so subnormal x cannot
-    overflow."""
-    big = x > 1.0
-    return np.divide(1.0, x, out=x.copy(), where=big), big
+    reciprocal of a subnormal x overflows to inf, which the minimum
+    discards."""
+    with np.errstate(over="ignore"):
+        return np.minimum(x, 1.0 / x), x > 1.0
 
 
 def _fold_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_fold`` for ``x = exp(u)`` given u: returns ``y = exp(-|u|)`` and
     the mask ``u > 0``, without forming x, so no |u| overflows."""
     return np.exp(-np.abs(u)), u > 0.0
+
+
+def sample_stream(n: int, seed: int) -> tuple[int, np.random.Generator]:
+    """``(n, generator)`` for a sampler's n draws: numpy's Philox
+    generator for ``seed``, the stream both samplers draw from. An n
+    below 1 or a negative seed raises ``DomainError``."""
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if int(seed) < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return n, np.random.Generator(np.random.Philox(int(seed)))
 
 
 def log_odds(w: np.ndarray) -> np.ndarray:
@@ -381,13 +379,13 @@ def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
     w = y * y
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         logg, p, n, b, deep = _kernel_logpdf(u, y, big, c0, c1, c2)
-        q = ((4.0 * c0 * y + 12.0) * y + 2.0 * c2) * y + 4.0
-        pn = q * y / n
+        dn, db = _kernel_polys_dy(y, c0, c1, c2)
+        pn = dn * y / n
         if deep.any():
-            pn = np.where(deep, q / p, pn)
+            pn = np.where(deep, dn / p, pn)
         # y N'/N (pn), y B'/B and y/(y+1): r at y is their combination,
         # and y d/dy of each ratio t = y f'/f is t + y^2 f''/f - t^2
-        pb = (2.0 * y + c1) * y / b
+        pb = db * y / b
         p1 = y / (1.0 + y)
         r = pn - 2.0 * p1 - 2.0 * pb
         dr_du = (
@@ -395,8 +393,8 @@ def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
             - 2.0 * p1 * (1.0 - p1)
             - 2.0 * (pb + 2.0 * w / b - pb * pb)
         )
-        # rho derivatives: N_rho = -((1 - y^2)^2 + 2 rho y^2), B_rho = -y
-        e = -((1.0 - w) ** 2 + 2.0 * rho * w) / n
+        # rho derivatives: N_rho / N and B_rho = -y
+        e = _kernel_n_drho(w, rho) / n
         yb = y / b
         dr_drho = 4.0 * w * (c0 - w) / n - pn * e + 2.0 * yb * (1.0 - pb)
         dh_drho = -2.0 * w / n - e * e + 2.0 * yb * yb
@@ -419,8 +417,8 @@ def kernel_pdf(x: ArrayLike, rho: float):
         g(x; rho) = [2(x+1)^2 - rho (x^2+1)] / [(x+1)^2 - rho x]^2
                     - 1 / (x+1)^2
 
-    Arguments above 1 are evaluated through the exact reflection
-    ``g(x) = g(1/x) / x**2`` so the value never overflows.
+    Evaluated as ``N / ((y + 1) B)^2`` at ``y = min(x, 1/x)``, through
+    the exact reflection ``g(x) = g(1/x) / x**2`` for x > 1.
 
     Parameters
     ----------
@@ -432,7 +430,9 @@ def kernel_pdf(x: ArrayLike, rho: float):
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
     y, big = _fold(x)
-    g = _kernel_pdf_direct(y, rho)
+    _, n, b = _kernel_polys(y, *_kernel_coeffs(rho))
+    ab = (y + 1.0) * b
+    g = n / (ab * ab)
     return _finish(np.where(big, g * y * y, g), scalar)
 
 
@@ -463,37 +463,41 @@ def kernel_sf(x: ArrayLike, rho: float):
 def kernel_pdf_dx(x: ArrayLike, rho: float):
     """Derivative in x of the kernel density g(x; rho).
 
-    The closed form for moderate x is
-
-        g'(x) = -2 [rho^3 x^3 - rho (x-2)^2 (x+1)^4 + (x+1)^6
-                    + rho^2 (1 + 3x - 5x^3 - 3x^4)]
-                / [(x+1)^3 ((x+1)^2 - rho x)^3]
-
-    and for x > 1 the reflected form
-    ``g'(x) = -g'(1/x)/x^4 - 2 g(x)/x`` is used, which follows from
-    differentiating the density reflection identity.
+    The quotient rule on ``g = N / (A B)^2`` at ``y = min(x, 1/x)``,
+    A = y + 1, over ``_kernel_polys``'s N, B and their derivatives:
+    ``g'(y) = [N' A B - 2 N (B + A B')] / (A B)^3``, and for x > 1 the
+    reflection ``g'(x) = -g'(1/x)/x^4 - 2 g(x)/x``. Nothing overflows;
+    away from its zeros the value keeps its relative accuracy from
+    subnormal x to the largest double.
     """
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
     y, big = _fold(x)
-    d = _kernel_dx_direct(y, rho)
-    g = _kernel_pdf_direct(y, rho) * y * y
-    return _finish(np.where(big, -d * y**4 - 2.0 * g * y, d), scalar)
+    coeffs = _kernel_coeffs(rho)
+    _, n, b = _kernel_polys(y, *coeffs)
+    dn, db = _kernel_polys_dy(y, *coeffs)
+    a = y + 1.0
+    ab = a * b
+    d = (dn * ab - 2.0 * n * (b + a * db)) / (ab * ab * ab)
+    return _finish(np.where(big, -(d * y + 2.0 * n / (ab * ab)) * (y * y * y), d), scalar)
 
 
 def kernel_pdf_drho(x: ArrayLike, rho: float):
     """Derivative in rho of the kernel density g(x; rho).
 
-    Closed form ``-[x^4 + (rho-2)x^3 - 6x^2 + (rho-2)x + 1] / D^3`` with
-    ``D = (x+1)^2 - rho x``; the numerator polynomial is palindromic, so
-    the reflection ``d/drho g(x) = x**(-2) d/drho g(1/x)`` holds and is
-    used for x > 1.
+    The quotient rule on ``g = N / (A B)^2`` at ``y = min(x, 1/x)``,
+    A = y + 1, with N_rho from ``_kernel_n_drho`` and B_rho = -y:
+    ``dg/drho(y) = [2 N y + N_rho B] / (A^2 B^3)``, and for x > 1 the
+    reflection ``dg/drho(x) = dg/drho(1/x) / x^2``.
     """
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
-    y, big = _fold(x)
-    h = _kernel_drho_direct(y, rho)
-    return _finish(np.where(big, h * y * y, h), scalar)
+    y, _ = _fold(x)
+    _, n, b = _kernel_polys(y, *_kernel_coeffs(rho))
+    ab = (y + 1.0) * b
+    h = (2.0 * n * y + _kernel_n_drho(y * y, rho) * b) / (ab * ab * b)
+    # y / x is 1 for x <= 1 and y^2 = 1/x^2 above: the reflection's factor
+    return _finish(h * (y / x), scalar)
 
 
 def _by_branch(mask: np.ndarray, yes, no, *args: np.ndarray) -> np.ndarray:
@@ -723,10 +727,7 @@ def uf_sample(theta: UfParams | Sequence[float], n: int, seed: int) -> np.ndarra
     QUANTILE_MAX_ITER steps.
     """
     th = UfParams.of(theta)
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    gen = np.random.Generator(np.random.Philox(int(seed)))
+    n, gen = sample_stream(n, seed)
     u = np.clip(gen.random(n), 1e-300, 1.0 - 1e-16)
     return _uf_quantile(u, th)
 

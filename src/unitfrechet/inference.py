@@ -120,29 +120,31 @@ class DataSeries:
     values: tuple[float, ...]
     label: str = ""
     source: str = ""
+    # the validated values, read-only
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
+        try:
+            vals = tuple(map(float, self.values))
+        except (TypeError, ValueError, OverflowError):
+            raise DataError("data series must be a flat sequence of numbers") from None
+        arr = np.array(vals)
+        if not arr.size:
             raise DataError("data series is empty")
-        for i, v in enumerate(vals):
+        bad = ~((arr > 0.0) & (arr < 1.0))
+        if bad.any():
+            i = int(bad.argmax())
+            v = float(arr[i])
             if not math.isfinite(v):
                 raise DataError(f"value {i + 1} is not finite: {v!r}")
-            if not (0.0 < v < 1.0):
-                raise DataError(
-                    f"value {i + 1} is outside the open interval (0, 1): {v!r}"
-                )
+            raise DataError(f"value {i + 1} is outside the open interval (0, 1): {v!r}")
+        arr.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "array", arr)
 
     @property
     def n(self) -> int:
         return len(self.values)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        arr = np.asarray(self.values, dtype=float)
-        arr.setflags(write=False)
-        return arr
 
     @cached_property
     def log_odds(self) -> np.ndarray:
@@ -351,6 +353,12 @@ def _build_report(
     )
 
 
+def _log1m_pow(logw, a):
+    """log(1 - w^a) from log w, without losing precision for w^a near 0
+    or 1: the Kumaraswamy density's, CDF's and profile's one form."""
+    return np.log(-np.expm1(a * logw))
+
+
 def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
     """Build the uniform (pdf, cdf) view for a named model.
 
@@ -384,16 +392,11 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
         a, b = (float(v) for v in theta)
 
         def pdf(w):
-            w = np.asarray(w, dtype=float)
-            wa = np.exp(a * np.log(w))
-            return a * b * np.exp(
-                (a - 1.0) * np.log(w) + (b - 1.0) * np.log1p(-wa)
-            )
+            logw = np.log(np.asarray(w, dtype=float))
+            return a * b * np.exp((a - 1.0) * logw + (b - 1.0) * _log1m_pow(logw, a))
 
         def cdf(w):
-            w = np.asarray(w, dtype=float)
-            wa = np.exp(a * np.log(w))
-            return -np.expm1(b * np.log1p(-wa))
+            return -np.expm1(b * _log1m_pow(np.log(np.asarray(w, dtype=float)), a))
 
     else:
         raise DomainError(f"unknown model {model!r}")
@@ -750,16 +753,13 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
     ill_posed = _ill_posed_report("kumaraswamy", data, 3)
     if ill_posed is not None:
         return ill_posed
-    w = data.array
     n = data.n
-    logw = np.log(w)
+    logw = np.log(data.array)
     sum_logw = float(logw.sum())
 
     def profile_nll(la: float) -> float:
         a = math.exp(la)
-        # log(1 - w^a) without losing precision for w^a near 0 or 1
-        log1m_wa = np.log(-np.expm1(a * logw))
-        s = float(log1m_wa.sum())  # equals -n/b(a)
+        s = float(_log1m_pow(logw, a).sum())  # equals -n/b(a)
         if s == 0.0:
             # every 1 - w^a rounds to 1, so b(a) is infinite: no fit there
             return math.inf
@@ -788,7 +788,7 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
         # because the scan's first point always is
         la, nll = float(grid[k]), float(grid_vals[k])
     a = math.exp(la)
-    b = -n / float(np.log(-np.expm1(a * logw)).sum())
+    b = -n / float(_log1m_pow(logw, a).sum())
     ll = -nll
     at_edge = la <= grid[0] + 1e-9 or la >= grid[-1] - 1e-9
     converged = bool(res.success and not at_edge)

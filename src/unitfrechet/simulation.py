@@ -201,9 +201,11 @@ class SimReport:
 
 
 def replication_seed(master_seed: int, theta_index: int, n: int, j: int) -> int:
-    """Seed for replication j of cell (theta_index, n)."""
-    ss = np.random.SeedSequence((master_seed, theta_index, n, j))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Seed for replication j of cell (theta_index, n); entries are >= 0."""
+    key = (master_seed, theta_index, n, j)
+    if min(key) < 0:
+        raise DomainError(f"replication_seed entries must be >= 0, got {key}")
+    return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 
 def _run_replications(args) -> list:
@@ -215,7 +217,7 @@ def _run_replications(args) -> list:
         seed = replication_seed(master_seed, theta_index, n, j)
         sample = uf_sample(theta, n, seed)
         try:
-            report = fit_uf(DataSeries(tuple(float(v) for v in sample)))
+            report = fit_uf(DataSeries(sample))
         except UnitFrechetError:
             outcomes.append(None)
             continue

@@ -214,6 +214,10 @@ class TestBivSample:
         with pytest.raises(DomainError):
             biv_sample((1.0, 1.0, 2.0, 0.5), 0, 1)
 
+    def test_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            biv_sample((1.0, 1.0, 2.0, 0.5), 5, -1)
+
     def test_return_stats(self):
         xy, info = biv_sample((1.0, 1.0, 2.0, 0.5), 200, 7, return_stats=True)
         assert xy.shape == (200, 2)
@@ -371,3 +375,7 @@ class TestEstimateCov:
     def test_minimum_n(self):
         with pytest.raises(DomainError):
             estimate_cov((1.0, 1.0, 3.0, 0.5), 9_999, 1)
+
+    def test_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            estimate_cov((1.0, 1.0, 3.0, 0.5), 10_000, -3)

@@ -83,6 +83,17 @@ class TestExitCodes:
         )
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model",
+        [("--sigma", "1", "--alpha", "2", "--rho", "0.5"),
+         ("--bivariate", "--sigma1", "1", "--sigma2", "2", "--alpha", "2", "--rho", "0.5")],
+        ids=["uf", "bivariate"],
+    )
+    def test_sample_negative_seed(self, tmp_path, capsys, model):
+        assert run("sample", *model, "-n", "5", "--seed", "-1",
+                   "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
     def test_sample_missing_theta(self, tmp_path, capsys):
         assert (
             run("sample", "--sigma", "1", "-n", "5", "--seed", "1",
@@ -115,6 +126,13 @@ class TestExitCodes:
                 "--rho", "0.5") == 2
         )
         assert "--seed" in capsys.readouterr().err
+
+    def test_moments_negative_seed(self, capsys):
+        assert (
+            run("moments", "--sigma1", "1", "--sigma2", "1", "--alpha", "4",
+                "--rho", "0.5", "--seed", "-3") == 2
+        )
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
 
     def test_numerical_failure_code(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):

@@ -61,6 +61,53 @@ STRESS_STRENGTH_TAILS = (
     ((1e-8, 1.0, 1.0), 1.9999999700000002837e-16),
     ((1e-101, 1.0, 1.0), 2.0000000000000002069e-202),
 )
+# kernel derivatives from subnormal x to the largest double, from the
+# two-fraction closed forms in mpmath at 2600 digits (the expanded
+# numerator of g' cancels about 1850 digits at 1.7e308): rho -> g'(x)
+# and rho -> dg/drho at each x of KERNEL_TAIL_X; literals past the
+# double range read as 0
+KERNEL_TAIL_X = (5e-324, 1e-310, 1e-300, 1e-150, 1.0, 1e110, 1e150, 1e300, 1.7e308)
+KERNEL_DX_TAILS = {
+    0.0: (
+        -2.0, -2.0, -2.0, -2.0, -2.5e-1, -1.9999999999999999e-330,
+        -2.0000000000000001e-450, -1.9999999999999997e-900,
+        -4.0708324852432327e-925,
+    ),
+    0.5: (
+        1.5, 1.5, 1.5, 1.5, -3.2142857142857143e-1, -9.9999999999999993e-331,
+        -1.0000000000000001e-450, -9.9999999999999984e-901,
+        -2.0354162426216163e-925,
+    ),
+    0.9: (
+        3.5800000000000001, 3.5800000000000001, 3.5800000000000001,
+        3.5800000000000001, -3.9516129032258065e-1, -1.9999999999999994e-331,
+        -1.9999999999999997e-451, -1.9999999999999992e-901,
+        -4.0708324852432318e-926,
+    ),
+    1.0: (
+        4.0, 4.0, 4.0, 4.0, -4.1666666666666667e-1, -1.1999999999999999e-439,
+        -1.2000000000000001e-599, -1.1999999999999997e-1199,
+        -1.4367644065564351e-1232,
+    ),
+}
+KERNEL_DRHO_TAILS = {
+    0.0: (
+        -1.0, -1.0, -1.0, -1.0, 1.25e-1, -9.9999999999999995e-221, -1.0e-300,
+        -9.9999999999999989e-601, -3.4602076124567477e-617,
+    ),
+    0.5: (
+        -1.0, -1.0, -1.0, -1.0, 1.6326530612244898e-1, -9.9999999999999995e-221,
+        -1.0e-300, -9.9999999999999989e-601, -3.4602076124567477e-617,
+    ),
+    0.9: (
+        -1.0, -1.0, -1.0, -1.0, 2.081165452653486e-1, -9.9999999999999995e-221,
+        -1.0e-300, -9.9999999999999989e-601, -3.4602076124567477e-617,
+    ),
+    1.0: (
+        -1.0, -1.0, -1.0, -1.0, 2.2222222222222222e-1, -9.9999999999999995e-221,
+        -1.0e-300, -9.9999999999999989e-601, -3.4602076124567477e-617,
+    ),
+}
 # kernel quantiles, mpmath at 80 digits: rho -> Q(p) at each p of
 # KERNEL_QUANTILE_P
 KERNEL_QUANTILE_P = (1e-300, 1e-100, 1e-20, 1e-13, 1e-12, 1e-11, 1e-6, 0.3, 0.5)
@@ -249,6 +296,21 @@ class TestKernelDerivatives:
         lhs = kernel_pdf_dx(x, rho)
         rhs = -kernel_pdf_dx(1.0 / x, rho) / x**4 - 2.0 * kernel_pdf(x, rho) / x
         assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-300)
+
+    @pytest.mark.parametrize("rho", sorted(KERNEL_DX_TAILS))
+    def test_tails_against_high_precision(self, rho):
+        # 1e-14 relative wherever the true value is a normal double, and
+        # below the normal range, quietly, where it is not
+        x = np.array(KERNEL_TAIL_X)
+        tiny = np.finfo(float).tiny
+        for f, table in ((kernel_pdf_dx, KERNEL_DX_TAILS), (kernel_pdf_drho, KERNEL_DRHO_TAILS)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = f(x, rho)
+            want = np.array(table[rho])
+            normal = np.abs(want) >= tiny
+            assert_allclose(got[normal], want[normal], rtol=1e-14, atol=0.0)
+            assert np.all(np.abs(got[~normal]) < 2.3e-308), (f.__name__, got)
 
     def test_fused_density_and_ratios(self):
         # one fold yields log g and the ratios r = x g'(x)/g(x) and
@@ -549,6 +611,10 @@ class TestUfSample:
         th = UfParams(1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             uf_sample(th, 0, 42)
+
+    def test_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            uf_sample(UfParams(1.0, 1.0, 0.0), 5, -1)
 
     def test_single_draw_support(self):
         v = uf_sample(UfParams(1.0, 1.0, 0.0), 1, 42)

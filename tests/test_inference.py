@@ -47,6 +47,12 @@ UEFA_BETA_THETA = (1.808225911452102, 2.18759337026144)
 UEFA_BETA_LOGLIK = 4.94035797480469
 UEFA_KUM_THETA = (1.6787187256638814, 2.3131813309213873)
 UEFA_KUM_LOGLIK = 4.985622379038308
+# Kumaraswamy densities at w = 0.5, 1 - 1e-10 and 1 - 2^-53, mpmath at
+# 60 digits: ((a, b), values)
+KUM_PDF_NEAR_ONE = (
+    ((0.4, 2.3), (0.22064613633500155, 2.7955409789632049e-14, 5.0757370449418253e-22)),
+    ((1.7, 2.3), (1.4919977505921452, 7.7940000070813177e-13, 1.4151212545407607e-20)),
+)
 # Kumaraswamy log-likelihood at the reference comparison point
 KUM_REF_POINT = (1.5721, 1.9757)
 KUM_REF_LOGLIK = 4.783488588266576
@@ -85,6 +91,36 @@ class TestDataSeries:
         d = series([0.2, 0.8])
         with pytest.raises(ValueError):
             d.array[0] = 0.5
+
+    def test_messages_name_the_first_bad_value(self):
+        # also from a numpy array, whose np.float64 values repr differently
+        for values, message in (
+            ([0.5, math.inf, 2.0], "value 2 is not finite: inf"),
+            ([0.5, -0.0, math.nan], "value 2 is outside the open interval (0, 1): -0.0"),
+            ([0.5, 0.25, 1.5], "value 3 is outside the open interval (0, 1): 1.5"),
+        ):
+            for data in (values, np.array(values)):
+                with pytest.raises(DataError) as info:
+                    DataSeries(data)
+                assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "values", [(0.5, "abc"), (0.5, None), ((0.1, 0.2),), [[0.1], [0.2]], (0.5, [0.2])],
+        ids=str,
+    )
+    def test_non_numbers_rejected(self, values):
+        with pytest.raises(DataError, match="flat sequence of numbers"):
+            DataSeries(values)
+
+    def test_from_array(self):
+        w = np.array([0.9, 0.1, 0.5])
+        d = DataSeries(w)
+        assert d.values == (0.9, 0.1, 0.5)
+        assert all(type(v) is float for v in d.values)
+        assert d == DataSeries((0.9, 0.1, 0.5))
+        # the series holds its own read-only copy
+        w[0] = 0.3
+        assert d.array[0] == 0.9 and not d.array.flags.writeable
 
     def test_log_odds(self):
         d = series([0.2, 0.8])
@@ -469,6 +505,17 @@ class TestFitKumaraswamy:
         h = model_handle("kumaraswamy", r.theta_hat)
         assert_allclose(r.loglik, np.sum(np.log(h.pdf(d.array))), rtol=1e-12)
 
+    def test_value_next_to_one_is_quiet(self):
+        # at the fitted a < 1/2, w^a rounds to 1 for w = 1 - 2^-53; the
+        # report's density and CDF must not take log 0 there
+        d = series([0.05, 0.2, 0.45, 0.7, 0.9, 0.99, 1.0 - 2.0**-53])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = fit_kumaraswamy(d)
+        assert r.converged and r.theta_hat[0] < 0.5
+        h = model_handle("kumaraswamy", r.theta_hat)
+        assert_allclose(r.loglik, np.sum(np.log(h.pdf(d.array))), rtol=1e-12)
+
 
 class TestKsTest:
     def test_quantile_matched_construction(self):
@@ -618,3 +665,15 @@ class TestModelHandle:
         assert_allclose(
             h.pdf(w), a * b * w ** (a - 1.0) * (1.0 - w**a) ** (b - 1.0), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("theta, want", KUM_PDF_NEAR_ONE, ids=["a=0.4", "a=1.7"])
+    def test_kumaraswamy_near_one(self, theta, want):
+        # 1 - w^a is formed from log w, so it keeps its precision where
+        # w^a rounds to 1 (w = 1 - 2^-53 at a = 0.4)
+        h = model_handle("kumaraswamy", theta)
+        w = np.array([0.5, 1.0 - 1e-10, 1.0 - 2.0**-53])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pdf, cdf = h.pdf(w), h.cdf(w)
+        assert_allclose(pdf, want, rtol=1e-12)
+        assert np.all(cdf[1:] == 1.0)

@@ -105,6 +105,13 @@ class TestReplicationSeed:
         s = replication_seed(2**32, 26, 100, 999)
         assert 0 <= s < 2**64
 
+    @pytest.mark.parametrize(
+        "key", [(-1, 0, 30, 4), (7, -1, 30, 4), (7, 0, -30, 4), (7, 0, 30, -4)]
+    )
+    def test_negative_entry(self, key):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            replication_seed(*key)
+
 
 class TestRunStudy:
     CONFIG = dict(
