@@ -325,21 +325,23 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.n <= 0:
         raise DomainError("n must be a positive integer")
-    outdir = _resolve_outdir(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "sample.csv"
+    # draw before touching the disk, so a rejected call leaves no --outdir
     if args.bivariate:
         if args.sigma1 is None or args.sigma2 is None:
             raise DomainError("--bivariate needs --sigma1 and --sigma2")
         if args.alpha is None or args.rho is None:
             raise DomainError("--bivariate needs --alpha and --rho")
         params = BivParams.of((args.sigma1, args.sigma2, args.alpha, args.rho))
-        _write_csv(path, "x1,x2", biv_sample(params, args.n, args.seed))
+        header, rows = "x1,x2", biv_sample(params, args.n, args.seed)
     else:
         if args.sigma is None or args.alpha is None or args.rho is None:
             raise DomainError("sample needs --sigma, --alpha and --rho")
         params = UfParams.of((args.sigma, args.alpha, args.rho))
-        _write_csv(path, "w", zip(uf_sample(params, args.n, args.seed)))
+        header, rows = "w", zip(uf_sample(params, args.n, args.seed))
+    outdir = _resolve_outdir(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / "sample.csv"
+    _write_csv(path, header, rows)
     options = {
         "bivariate": args.bivariate,
         **dataclasses.asdict(params),

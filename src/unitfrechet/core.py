@@ -26,11 +26,12 @@ twin ``_fold_log``): arguments above 1 are folded back to (0, 1], so
 nothing overflows and the sigma = 1 symmetry holds to machine
 precision. At the folded point y, ``g = N / ((y + 1) B)^2`` with N and
 B written once in ``_kernel_polys`` and N', B' and N_rho beside them;
-the CDF and the quantile evaluate the same polynomials, and
-``kernel_pdf_dx``, ``kernel_pdf_drho`` and ``kernel_log_derivs`` are
-their quotient rule. The UF functions (``uf_cdf``, ``uf_logpdf``,
-``uf_pdf``, ``stress_strength``), ``kernel_log_g`` and
-``kernel_log_derivs`` take the log argument
+the CDF evaluates the same B, and ``kernel_pdf_dx``, ``kernel_pdf_drho``
+and ``kernel_log_derivs`` are their quotient rule. The quantile solves
+G = q by Newton's method in ``t = x / (1 + x)``, where the equation
+becomes a quadratic plus a ``q / t`` term. The UF functions
+(``uf_cdf``, ``uf_logpdf``, ``uf_pdf``, ``stress_strength``),
+``kernel_log_g`` and ``kernel_log_derivs`` take the log argument
 ``u = alpha (log s - log sigma)`` and fold it to ``y = exp(-|u|)``
 without forming ``x = e^u``, so the CDF, its complement and the log
 density keep their relative accuracy for any finite u, into the
@@ -81,10 +82,11 @@ __all__ = [
 # analytic limits.
 LOG_GUARD = 700.0
 
-# kernel_quantile's Newton solve: an element stops once its step is at
-# most QUANTILE_TOL times the iterate, and NumericalError is raised past
-# QUANTILE_MAX_ITER steps. |x g'(x) / g(x)| <= 1 on (0, 1], so a step of
-# relative size d leaves an error of about d^2 / 2: below rounding.
+# kernel_quantile's Newton solve in t = x / (1 + x): an element stops
+# once its step is at most QUANTILE_TOL times t, and NumericalError is
+# raised past QUANTILE_MAX_ITER evaluations. |t h''(t) / h'(t)| <= 2 on
+# (0, 1/2], so a step of relative size d leaves an error of at most about
+# d^2: below rounding.
 QUANTILE_TOL = 1e-8
 QUANTILE_MAX_ITER = 32
 
@@ -259,7 +261,8 @@ def _kernel_polys(y, c0, c1, c2):
     is nonnegative for rho in [0, 1]: the textbook two-fraction density
     cancels catastrophically near rho = 1 for small y (g(y; 1) ~ 4y),
     and ``(y + 1)^2 - rho`` in the CDF loses all precision there.
-    Intended for y in (0, 1]; callers fold larger arguments first.
+    The density, the log density and the derivatives evaluate them,
+    for y in (0, 1]; callers fold larger arguments first.
     """
     p = ((c0 * y + 4.0) * y + c2) * y + 4.0
     return p, p * y + c0, _kernel_b(y, c1)
@@ -500,79 +503,26 @@ def kernel_pdf_drho(x: ArrayLike, rho: float):
     return _finish(h * (y / x), scalar)
 
 
-def _by_branch(mask: np.ndarray, yes, no, *args: np.ndarray) -> np.ndarray:
-    """``yes(*args)`` where ``mask`` holds and ``no(*args)`` elsewhere,
-    both elementwise formulas. When one of them covers every element it
-    runs on the whole arrays, without the gather and scatter, so each
-    element gets the same value whichever path runs."""
-    if mask.all():
-        return yes(*args)
-    if not mask.any():
-        return no(*args)
-    out = np.empty_like(args[0])
-    out[mask] = yes(*(a[mask] for a in args))
-    rest = ~mask
-    out[rest] = no(*(a[rest] for a in args))
-    return out
-
-
-def _cardano_root(h, k, disc, shift):
-    """The real root where disc >= 0 (k is unused; see ``_by_branch``)."""
-    sq = np.sqrt(disc)
-    return np.cbrt(sq - h) - np.cbrt(h + sq) - shift
-
-
-def _trig_root(h, k, disc, shift):
-    """The largest of three real roots, where disc < 0: the positive one."""
-    r = np.sqrt(-k)
-    arg = np.clip(h / (k * r), -1.0, 1.0)
-    return 2.0 * r * np.cos(np.arccos(arg) / 3.0) - shift
-
-
-def _positive_cubic_root(p: np.ndarray, rho: float) -> np.ndarray:
-    """Unique positive root of the quantile cubic, for p in (0, 1/2].
-
-    The kernel quantile solves
-    ``(p-1) x^3 + [(3-rho)p - 2] x^2 + [(3-rho)p + rho - 1] x + p = 0``,
-    which has exactly one root in (0, infinity) because G is strictly
-    increasing. With ``x = t - shift`` the cubic becomes
-    ``t^3 + 3k t + 2h``; its discriminant ``h^2 + k^3`` picks Cardano's
-    formula where it is nonnegative and the trigonometric method (the
-    largest of three real roots) where it is negative. For rho > 0 that
-    is every p; at rho = 0 about half of them. Relative accuracy is
-    about 1e-10 for p >= 1e-12, where ``kernel_quantile`` uses it as
-    the start of its Newton solve.
-    """
-    a = p - 1.0
-    t = (3.0 - rho) * p
-    shift = (t - 2.0) / (3.0 * a)
-    cc = (t + (rho - 1.0)) / a
-    s = shift * shift
-    k = cc / 3.0 - s
-    h = shift * (s - 0.5 * cc) + 0.5 * p / a
-    # cubes as products: k < 0 whenever rho > 0, and numpy's ** sends a
-    # negative base down libm pow's slow path (~70x the cost)
-    disc = h * h + k * k * k
-    return _by_branch(disc >= 0.0, _cardano_root, _trig_root, h, k, disc, shift)
-
-
 def kernel_quantile(p: ArrayLike, rho: float):
     """Quantile function of the kernel law, inverse of kernel_cdf.
 
     Probabilities above one half are reflected to the lower tail via
-    ``Q(p) = 1 / Q(1 - p)``, so the lower-tail quantile x lies in
-    [q, 1] for ``q = min(p, 1 - p)``. Its start is the closed-form root
-    of the quantile cubic for q >= 1e-12 and, below that, where the
-    cubic is ill conditioned, the positive root of the two-term
-    expansion ``G(x) ~ (1 - rho) x + 2 x^2 = q``, which also holds at
-    rho = 1. Newton's method on ``G(x) - q`` then runs on each element
-    until its step is at most QUANTILE_TOL times the iterate, never
-    stepping below a tenth of it; the error left after a step that
-    small is below rounding. Only unconverged elements are iterated, so
-    no element depends on its neighbours or on the order of the array.
-    One step suffices for nearly every p, two near p = 1e-12 when rho
-    is close to 1. ``NumericalError`` is raised past QUANTILE_MAX_ITER
-    steps.
+    ``Q(p) = 1 / Q(1 - p)``. For ``q = min(p, 1 - p)`` the lower-tail
+    quantile is solved in ``t = x / (1 + x)``, which lies in (0, 1/2]:
+    with ``b = rho (2 - q)`` and ``c = (1 - rho) + rho q``, G(x) = q is
+
+        h(t) = c + (b - rho t) t - q / t = 0,
+
+    and h is increasing and concave there. The start
+    ``t0 = 2q / (c + sqrt(c^2 + 8 rho (1 - q) q))``, the root of
+    ``2 rho (1 - q) t^2 + c t = q``, has ``h(t0) = rho t0 (q - t0) <= 0``,
+    so Newton's method climbs from it to the root without overshooting.
+    It is exact at rho = 0, where ``Q(p) = q / (1 - q)``, and at q = 1/2.
+    Each element steps until its own step is at most QUANTILE_TOL times
+    t, so no element depends on its neighbours or on the order of the
+    array. One evaluation suffices at rho = 0, three at rho <= 1/2 and
+    four near rho = 1, from p = 5e-324 to 1 - 1.1e-16.
+    ``NumericalError`` is raised past QUANTILE_MAX_ITER evaluations.
     """
     rho = _check_rho(rho)
     p, scalar = _prepare(p, "p", _UNIT_OPEN)
@@ -581,42 +531,36 @@ def kernel_quantile(p: ArrayLike, rho: float):
 
 def _kernel_quantile(p: np.ndarray, rho: float) -> np.ndarray:
     q = np.minimum(p, 1.0 - p)
-    c0 = 1.0 - rho
-    x = _by_branch(
-        q < 1e-12,
-        # (1 - rho) x + 2 x^2 = q, solved without cancellation
-        lambda t: 2.0 * t / (c0 + np.sqrt(c0 * c0 + 8.0 * t)),
-        lambda t: np.clip(_positive_cubic_root(t, rho), t, 1.0),
-        q,
-    )
-    x = _kernel_newton(x, q, rho)
-    np.divide(1.0, x, out=x, where=p > 0.5)
-    return x
-
-
-def _kernel_newton(x: np.ndarray, q: np.ndarray, rho: float) -> np.ndarray:
-    """_kernel_quantile's Newton solve of G(x) = q from the start x,
-    which it overwrites and returns. G and g come from one evaluation:
-    ``G = x C / (A B)`` and ``g = N / (A B)^2`` with A = x + 1,
-    C = x^2 + 2x + (1 - rho), and N and B from ``_kernel_polys``."""
-    coeffs = _kernel_coeffs(rho)
-    c0 = coeffs[0]
-    out, idx = x, None
+    # c = 1 - rho (1 - q) written so that it does not cancel near rho = 1
+    c = (1.0 - rho) + rho * q
+    b = rho * (2.0 - q)
+    t = 2.0 * q / (c + np.sqrt(c * c + 8.0 * rho * (1.0 - q) * q))
+    live = np.ones(t.shape, dtype=bool)
+    # one set of buffers for every pass: 10^6-element temporaries cost
+    # more than the arithmetic
+    rt, qt, step, dh = (np.empty_like(t) for _ in range(4))
     for _ in range(QUANTILE_MAX_ITER):
-        _, n, b = _kernel_polys(x, *coeffs)
-        ab = (x + 1.0) * b
-        # (G - q) / g
-        step = (x * ((x + 2.0) * x + c0) - q * ab) * ab / n
-        done = np.abs(step) <= QUANTILE_TOL * x
-        # never below a tenth of the iterate, which keeps it positive
-        np.maximum(x - step, 0.1 * x, out=x)
-        if idx is not None:
-            out[idx] = x
-        if done.all():
-            return out
-        keep = np.flatnonzero(~done)
-        idx = keep if idx is None else idx[keep]
-        x, q = x[keep], q[keep]
+        # h t = (c + (b - rho t) t - q/t) t and h' t = (b - 2 rho t) t + q/t,
+        # so the step h / h' never forms q / t^2, which overflows
+        np.multiply(rho, t, out=rt)
+        np.divide(q, t, out=qt)
+        np.subtract(b, rt, out=step)
+        np.subtract(step, rt, out=dh)
+        step *= t
+        step += c
+        step -= qt
+        step *= t
+        dh *= t
+        dh += qt
+        step /= dh
+        np.subtract(t, step, out=t, where=live)
+        np.abs(step, out=step)
+        np.multiply(QUANTILE_TOL, t, out=rt)
+        live &= step > rt
+        if not live.any():
+            x = t / (1.0 - t)
+            np.divide(1.0, x, out=x, where=p > 0.5)
+            return x
     raise NumericalError(
         f"kernel quantile did not converge in {QUANTILE_MAX_ITER} iterations"
     )
@@ -720,11 +664,11 @@ def uf_sample(theta: UfParams | Sequence[float], n: int, seed: int) -> np.ndarra
     with distinct seeds never share state. Uniform draws are clipped to
     [1e-300, 1 - 1e-16] before inversion; an exact 0 would otherwise
     map to the boundary of the support. Each draw is inverted as
-    ``uf_quantile`` does it: a closed-form start and ``kernel_quantile``'s
-    Newton steps, each element until its own step is at most
-    QUANTILE_TOL relative (one step for nearly every draw), so a draw
-    depends only on its own uniform. ``NumericalError`` is raised past
-    QUANTILE_MAX_ITER steps.
+    ``uf_quantile`` does it, by ``kernel_quantile``'s Newton solve from
+    its closed-form start: each element until its own step is at most
+    QUANTILE_TOL relative (one evaluation at rho = 0, at most four
+    near rho = 1), so a draw depends only on its own uniform.
+    ``NumericalError`` is raised past QUANTILE_MAX_ITER evaluations.
     """
     th = UfParams.of(theta)
     n, gen = sample_stream(n, seed)

@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from .core import (
     UfParams,
@@ -310,7 +310,9 @@ def residuals(data: DataSeries, cdf) -> np.ndarray:
     """
     f = _as_cdf(cdf)
     w = data.array
-    ranks = stats.rankdata(w, method="average")
+    # a run of k ties ending at rank r shares the average rank r - (k - 1)/2
+    _, inv, counts = np.unique(w, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
     return ranks / data.n - np.asarray(f(w), dtype=float)
 
 

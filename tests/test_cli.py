@@ -90,9 +90,11 @@ class TestExitCodes:
         ids=["uf", "bivariate"],
     )
     def test_sample_negative_seed(self, tmp_path, capsys, model):
+        out = tmp_path / "out"
         assert run("sample", *model, "-n", "5", "--seed", "-1",
-                   "--outdir", str(tmp_path)) == 2
+                   "--outdir", str(out)) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_sample_missing_theta(self, tmp_path, capsys):
         assert (
@@ -101,11 +103,13 @@ class TestExitCodes:
         )
 
     def test_bivariate_missing_scales(self, tmp_path, capsys):
+        out = tmp_path / "out"
         assert (
             run("sample", "--bivariate", "--alpha", "2", "--rho", "0.5",
-                "-n", "5", "--seed", "1", "--outdir", str(tmp_path)) == 2
+                "-n", "5", "--seed", "1", "--outdir", str(out)) == 2
         )
         assert "--sigma1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_moments_mixed_styles(self, capsys):
         assert (

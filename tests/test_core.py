@@ -418,9 +418,9 @@ class TestKernelQuantile:
             assert_allclose(kernel_cdf(x, rho), p, rtol=1e-13)
 
     def test_independent_of_order_and_splitting(self):
-        # every element stops on its own step test, across both starts
-        # and both cubic branches (mixed at rho = 0) and the elements
-        # near p = 1e-12 that take a second step
+        # every element stops on its own step test, whether it converges
+        # at its start (rho = 0) or takes up to four evaluations (near
+        # rho = 1), in both tails and deep into the lower one
         rng = np.random.default_rng(12)
         p = np.concatenate([
             rng.uniform(0.0, 1.0, 3000),
@@ -450,6 +450,34 @@ class TestKernelQuantile:
         monkeypatch.setattr(core, "QUANTILE_MAX_ITER", 1)
         with pytest.raises(NumericalError):
             kernel_quantile(1e-13, 1.0 - 1e-10)
+
+    def test_rho_zero_closed_form(self):
+        # the start is the root at rho = 0: Q(p) = p / (1 - p)
+        p = np.concatenate([np.geomspace(5e-324, 0.5, 2000),
+                            np.random.default_rng(3).uniform(0.0, 1.0, 2000)])
+        lo = p <= 0.5
+        x = kernel_quantile(p, 0.0)
+        assert np.array_equal(x[lo], p[lo] / (1.0 - p[lo]))
+        assert_allclose(x[~lo], p[~lo] / (1.0 - p[~lo]), rtol=1e-15)
+
+    def test_iteration_budget(self, monkeypatch):
+        # one evaluation at rho = 0, three up to rho = 1/2, four near 1
+        monkeypatch.setattr(core, "QUANTILE_MAX_ITER", 4)
+        p = np.concatenate([
+            np.geomspace(5e-324, 0.5, 3000),
+            np.random.default_rng(4).uniform(0.0, 1.0, 3000),
+            1.0 - np.geomspace(1.2e-16, 0.5, 3000),
+        ])
+        for rho in (0.0, 1e-8, 0.2, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-10,
+                    1.0 - 1e-14, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                kernel_quantile(p, rho)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 1.0 - 1e-10, 1.0])
+    def test_monotone(self, rho):
+        p = np.geomspace(5e-324, 1.0 - 1.2e-16, 5000)
+        assert np.all(np.diff(kernel_quantile(p, rho)) >= 0.0)
 
 
 class TestUfPdf:

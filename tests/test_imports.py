@@ -3,11 +3,16 @@
 Each module owns its underscore-prefixed helpers; a sibling that needs
 one should call the owner's public (or array-level) entry point instead.
 Every exported name resolves, and so does every module attribute the
-traced benchmark run (``perfbench/traced.py``) swaps from outside.
+traced benchmark run (``perfbench/traced.py``) swaps from outside. The
+package imports without ``scipy.stats``, which alone would double its
+import time.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +79,16 @@ def test_traced_attributes_exist():
     missing = sorted(f"{owner}.{attr}" for owner, attr in used
                      if not hasattr(aliases[owner], attr))
     assert not missing, f"perfbench/traced.py swaps missing attributes: {missing}"
+
+
+def test_import_leaves_out_scipy_stats():
+    # a fresh interpreter: this one has imported scipy.stats elsewhere
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    code = "import sys, unitfrechet; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
