@@ -7,10 +7,15 @@ Joint CDF
 
 together with its density (the mixed second partial, derived
 symbolically and checked against finite differences in the tests), a
-sampler that inverts the conditional CDF of X2 given X1 by safeguarded
-Newton in log scale, block by block, the ratio transform that connects
-this law to the unit-Frechet distribution, and a Monte Carlo covariance
-estimator for the margins.
+sampler, the ratio transform that connects this law to the
+unit-Frechet distribution, and a Monte Carlo covariance estimator for
+the margins.
+
+The sampler draws X1 from its Frechet margin and X2 given X1 in closed
+form: with u = (x1/sigma1)^alpha the conditional CDF of
+v = (x2/sigma2)^alpha is exp(-1/v + rho/(u+v)) (1 - rho (u/(u+v))^2),
+a product of two CDFs in v, so v is the larger of two independent
+draws, each the root of a quadratic. Nothing is solved iteratively.
 
 The sampler and the UF CDF are fully independent code paths; their
 agreement through ``ratio_transform`` is one of the package's main
@@ -38,15 +43,6 @@ __all__ = [
     "ratio_transform",
     "estimate_cov",
 ]
-
-# Conditional inversion in biv_sample: pairs per block (each block is
-# solved on its own, so the solver's temporaries stay small; no result
-# depends on the value), the per-element stopping step in log v, and
-# the iteration cap past which NumericalError is raised.
-INVERT_BLOCK = 2 ** 14
-INVERT_TOL = 1e-12
-INVERT_MAX_ITER = 64
-
 
 @dataclass(frozen=True)
 class BivParams:
@@ -94,13 +90,11 @@ class CovEstimate(NamedTuple):
 
 
 class SampleStats(NamedTuple):
-    """Bookkeeping from biv_sample: how many pairs were redrawn, in how
-    many rounds, and the largest iteration count the conditional
-    inversion needed over all blocks and rounds."""
+    """Bookkeeping from biv_sample: how many pairs were redrawn, and in
+    how many rounds."""
 
     resampled: int
     rounds: int
-    iterations: int
 
 
 def _powers(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> tuple[np.ndarray, np.ndarray]:
@@ -179,98 +173,54 @@ def biv_pdf(x1, x2, p: BivParams | Sequence[float]):
     return float(out[0]) if scalar else out
 
 
-def _cond_exponent(s: np.ndarray, u: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """G(s) = log(-log C(e^s | u)) and dG/ds, where C is the conditional
-    CDF of V = (X2/sigma2)^alpha given U = (X1/sigma1)^alpha = u.
+def _cond_draw(u: np.ndarray, e: np.ndarray, q2: np.ndarray, rho: float) -> np.ndarray:
+    """V = (X2/sigma2)^alpha given U = (X1/sigma1)^alpha = u, elementwise,
+    from e = -log q and a second uniform q2.
 
-    C is dF/dx1 divided by the marginal density of X1; in the (u, v)
-    scale it reads exp(-1/v + rho/t) (1 - rho (u/t)^2) with t = u + v,
-    increasing in v from 0 to 1. With m = (1 - rho) u^2 + v (2u + v),
-    which is t^2 - rho u^2,
+    The conditional CDF dF/dx1 over the marginal density of X1 reads,
+    in the (u, v) scale,
 
-        -log C = (u + (1 - rho) v) / (v t) + log1p(rho u^2 / m)
-        d(-log C)/dv = -(u (u + 2v) + (1 - rho) v^2) / (v^2 t^2)
-                       - 2 rho u^2 / (t m)
+        C(v | u) = exp(-1/v + rho/(u+v)) * (1 - rho (u/(u+v))^2)
+                 = F_R(v) * F_D(v),
 
-    Every term keeps one sign, so nothing cancels (the textbook forms
-    1/v - rho/t and 2/t - 2t/m do). At rho = 0, G(s) = -s.
+    a product of two CDFs in v: the exponent of F_R has derivative
+    1/v^2 - rho/(u+v)^2 > 0, and F_D rises from 1 - rho at v = 0 to 1.
+    So V = max(R, D) for independent R ~ F_R and D ~ F_D, and each has
+    a closed-form inverse.
+
+    F_R(r) = q is the quadratic e r^2 + (e u - c) r - u = 0 with
+    c = 1 - rho. With h = (e u - c)/2 and t = |h| + sqrt(h^2 + e u),
+    which is positive and formed without cancellation, its positive
+    root is u/t where h >= 0 and t/e where h < 0. F_D(d) = q2 gives
+    d = u (sqrt(rho/(1 - q2)) - 1), which is <= 0 (the atom of D at 0)
+    exactly when q2 < 1 - rho; at rho = 0 that is always, and V = 1/e
+    (biv_sample takes that value directly, without drawing q2). ``u``
+    is kept; ``e`` and ``q2`` are overwritten, and the result is a new
+    array.
     """
-    c = 1.0 - rho
-    v = np.exp(s)
-    t = u + v
-    uu = u * u
-    m = c * uu + v * (2.0 * u + v)
-    minus_log_c = (u + c * v) / (v * t) + np.log1p(rho * uu / m)
-    # v d(-log C)/dv, the derivative in s
-    ds = -(u * (u + 2.0 * v) + c * v * v) / (v * t * t) - 2.0 * rho * uu * v / (t * m)
-    return np.log(minus_log_c), ds / minus_log_c
+    eu = e * u
+    h = np.subtract(eu, 1.0 - rho)
+    h *= 0.5
+    pos = h >= 0.0
+    t = np.multiply(h, h)
+    t += eu
+    np.sqrt(t, out=t)
+    t += np.abs(h, out=h)
+    r = np.divide(t, e, out=eu)
+    np.divide(u, t, out=r, where=pos)
+    d = np.subtract(1.0, q2, out=q2)
+    np.divide(rho, d, out=d)
+    np.sqrt(d, out=d)
+    d -= 1.0
+    d *= u
+    return np.maximum(r, d, out=r)
 
 
-def _cond_invert(u: np.ndarray, q: np.ndarray, rho: float) -> tuple[np.ndarray, int]:
-    """Solve C(v | u) = q for v, elementwise; returns v and the largest
-    iteration count any element needed.
-
-    Safeguarded Newton (after Numerical Recipes' ``rtsafe``) on
-    G(s) = log(-log C(e^s | u)) = log(-log q) in s = log v, from the
-    rho = 0 root s = -log(-log q), which is exact at rho = 0. Each
-    element keeps its own bracket from the sign of G - log(-log q) (G
-    decreases in s). It takes the Newton point unless that point leaves
-    the bracket, lies past |s| = LOG_GUARD / 4 (where v^4 would leave
-    the double range) or, once the bracket is closed, moves more than
-    half the previous step (which breaks Newton 2-cycles). In its place
-    it steps 1 in s towards the root while the bracket is open on that
-    side, and bisects once it is closed. An element stops once its
-    step is at most INVERT_TOL, so it ends within about 1e-12 relative
-    of its root. Only unconverged elements are iterated, over blocks
-    of INVERT_BLOCK pairs that keep the temporaries small. No element's
-    path depends on another's, so the result does not depend on the
-    blocking or on the order of the pairs. ``q`` must lie in
-    [1e-300, 1 - 1e-16], as biv_sample clips it.
-    """
-    target = np.log(-np.log(q))
-    s = np.empty_like(target)
-    iterations = 0
-    for start in range(0, target.size, INVERT_BLOCK):
-        block = slice(start, start + INVERT_BLOCK)
-        s[block], k = _invert_block(u[block], target[block], rho)
-        iterations = max(iterations, k)
-    return np.exp(s), iterations
-
-
-def _invert_block(u: np.ndarray, target: np.ndarray, rho: float) -> tuple[np.ndarray, int]:
-    """_cond_invert's iteration on one block, in s = log v."""
-    s = -target
-    out = np.empty_like(s)
-    pending = np.arange(s.size)
-    lo = np.full(s.size, -np.inf)
-    hi = np.full(s.size, np.inf)
-    last = np.full(s.size, np.inf)
-    for it in range(1, INVERT_MAX_ITER + 1):
-        g, slope = _cond_exponent(s, u, rho)
-        f = g - target
-        lo = np.where(f >= 0.0, s, lo)
-        hi = np.where(f < 0.0, s, hi)
-        closed = np.isfinite(lo) & np.isfinite(hi)
-        dx = f / slope
-        nxt = s - dx
-        newton = (
-            (nxt > lo) & (nxt < hi) & (np.abs(nxt) <= LOG_GUARD / 4.0)
-            & (~closed | (np.abs(dx) <= 0.5 * last))
-        ) | (np.abs(dx) <= INVERT_TOL)
-        safe = np.where(closed, 0.5 * (lo + hi), np.where(f >= 0.0, s + 1.0, s - 1.0))
-        nxt = np.where(newton, nxt, safe)
-        last = np.abs(nxt - s)
-        done = last <= INVERT_TOL
-        out[pending[done]] = nxt[done]
-        if done.all():
-            return out, it
-        keep = ~done
-        pending, s, u, target, lo, hi, last = (
-            a[keep] for a in (pending, nxt, u, target, lo, hi, last)
-        )
-    raise NumericalError(
-        f"conditional inversion did not converge in {INVERT_MAX_ITER} iterations"
-    )
+def _uniforms(gen: np.random.Generator, k: int) -> np.ndarray:
+    """k uniforms clipped to [1e-300, 1 - 1e-16], so that -log of each
+    is finite and positive."""
+    q = gen.random(k)
+    return np.clip(q, 1e-300, 1.0 - 1e-16, out=q)
 
 
 def biv_sample(
@@ -281,50 +231,62 @@ def biv_sample(
 ):
     """Draw n pairs from the bivariate extreme distribution.
 
-    X1 comes from inverting its Frechet marginal; X2 given X1 comes from
-    inverting the analytic conditional CDF by safeguarded Newton in
-    log scale (``_cond_invert``), to about 1e-12 relative. That solve
-    uses nothing from the UF code, so the ratio law it implies is an
-    independent check of ``uf_cdf``. Deterministic for fixed
-    (p, n, seed) via the Philox counter-based generator.
+    U = (X1/sigma1)^alpha = -1/log(un) is unit Frechet. Given U, the
+    conditional CDF of V = (X2/sigma2)^alpha factors into two CDFs, so
+    V is the larger of two independent closed-form draws
+    (``_cond_draw``): one from a second uniform q through a quadratic,
+    and, when rho > 0, one from a third uniform q2 (at rho = 0,
+    V = -1/log(q)). Each batch of k pairs takes k values of un, then k
+    of q, then k of q2 from the stream. Nothing here uses the UF code,
+    so the ratio law it implies is an independent check of ``uf_cdf``.
+    Deterministic for fixed (p, n, seed) via the Philox counter-based
+    generator.
 
     Pairs whose coordinates overflow or underflow to nonfinite or
     nonpositive floats (possible for very small alpha, where the tails
     are extremely heavy) are redrawn from the same stream rather than
     clamped. ``return_stats`` also returns a ``SampleStats`` with the
-    redraw counts and the largest inversion iteration count.
+    redraw counts.
     """
     p = BivParams.of(p)
     n, gen = sample_stream(n, seed)
+    power = 1.0 / p.alpha
 
-    def draw(k: int) -> tuple[np.ndarray, np.ndarray, int]:
-        un = np.clip(gen.random(k), 1e-300, 1.0 - 1e-16)
-        qn = np.clip(gen.random(k), 1e-300, 1.0 - 1e-16)
-        u = -1.0 / np.log(un)
-        v, iterations = _cond_invert(u, qn, p.rho)
-        x1 = p.sigma1 * u ** (1.0 / p.alpha)
-        x2 = p.sigma2 * v ** (1.0 / p.alpha)
-        return x1, x2, iterations
+    def draw(k: int) -> np.ndarray:
+        u = _uniforms(gen, k)
+        np.log(u, out=u)
+        np.divide(-1.0, u, out=u)
+        e = _uniforms(gen, k)
+        np.log(e, out=e)
+        np.negative(e, out=e)
+        if p.rho > 0.0:
+            v = _cond_draw(u, e, gen.random(k), p.rho)
+        else:
+            v = np.divide(1.0, e, out=e)
+        pairs = np.empty((k, 2))
+        # heavy tails at small alpha leave the double range here; the
+        # redraw loop catches the inf or 0 that results
+        with np.errstate(over="ignore", under="ignore"):
+            for w, sigma, col in ((u, p.sigma1, pairs[:, 0]), (v, p.sigma2, pairs[:, 1])):
+                np.power(w, power, out=w)
+                np.multiply(w, sigma, out=col)
+        return pairs
 
-    x1, x2, iterations = draw(n)
+    out = draw(n)
     resampled = 0
     rounds = 0
-    while True:
-        bad = ~(np.isfinite(x1) & np.isfinite(x2) & (x1 > 0.0) & (x2 > 0.0))
-        k = int(bad.sum())
-        if k == 0:
-            break
+    # NaN fails both comparisons, like an inf or a 0
+    while not (out.min() > 0.0 and out.max() < np.inf):
+        ok = (out > 0.0) & (out < np.inf)
+        bad = ~(ok[:, 0] & ok[:, 1])
+        k = int(np.count_nonzero(bad))
         rounds += 1
         resampled += k
         if rounds > 100:
             raise NumericalError("bivariate sampler failed to produce finite pairs")
-        r1, r2, more = draw(k)
-        x1[bad] = r1
-        x2[bad] = r2
-        iterations = max(iterations, more)
-    out = np.column_stack([x1, x2])
+        out[bad] = draw(k)
     if return_stats:
-        return out, SampleStats(resampled=resampled, rounds=rounds, iterations=iterations)
+        return out, SampleStats(resampled=resampled, rounds=rounds)
     return out
 
 
@@ -345,19 +307,25 @@ def ratio_transform(pairs) -> np.ndarray:
 def estimate_cov(p: BivParams | Sequence[float], n: int, seed: int) -> CovEstimate:
     """Monte Carlo estimate of Cov(X1, X2) with a standard error.
 
-    No closed form for this covariance is available, only the
-    Cauchy-Schwarz bound sigma1 sigma2 [Gamma(1-2/alpha) -
-    Gamma(1-1/alpha)^2]; alpha > 2 is required so second moments exist,
-    and n of at least 10^4 keeps the estimate usable. The standard
-    error is the usual large-sample plug-in
-    sqrt((m22 - cov^2)/n) with m22 the sample mean of the products of
-    squared deviations; for alpha close to 2 the fourth-moment tails
-    make it noisy, so treat it as indicative there.
+    alpha > 2 is required so second moments exist, and n of at least
+    10^4 keeps the estimate usable. The covariance also has a closed
+    form, a one-dimensional integral from Hoeffding's covariance
+    identity and the -alpha homogeneity of the exponent function:
+
+        Cov = Gamma(1 - 2/alpha)/2 * int_0^1 [B(t)^(2/alpha) - A(t)^(2/alpha)] dt
+
+    with B(t) = (t/sigma1)^-alpha + ((1-t)/sigma2)^-alpha and
+    A(t) = B(t) - rho / ((t/sigma1)^alpha + ((1-t)/sigma2)^alpha); this
+    estimator is the Monte Carlo check of it. The standard error is the
+    usual large-sample plug-in sqrt((m22 - cov^2)/n) with m22 the
+    sample mean of the products of squared deviations; for alpha close
+    to 2 the fourth-moment tails make it noisy, so treat it as
+    indicative there.
     """
     p = BivParams.of(p)
     if p.alpha <= 2.0:
         raise DomainError("estimate_cov requires alpha > 2 (finite second moments)")
-    n = int(n)
+    n, _ = sample_stream(n, seed)
     if n < 10_000:
         raise DomainError(f"estimate_cov requires n >= 10000, got {n}")
     xy = biv_sample(p, n, seed)

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bivariate import BivParams, biv_sample, estimate_cov
+from .bivariate import BivParams, biv_sample, estimate_cov, ratio_transform
 from .core import UfParams, uf_cdf, uf_quantile, uf_sample
 from .datasets import load_uefa
 from .errors import (
@@ -103,7 +103,8 @@ def _write_manifest(
 
 def _read_series(source: str, ratio: bool) -> DataSeries:
     """Read a one-column proportion file, or a two-column positive-pair
-    file reduced to first/(first+second) when ``ratio`` is set.
+    file reduced to first/(first+second) by ``ratio_transform`` when
+    ``ratio`` is set.
 
     Accepts headerless CSV or a single header row; blank lines are
     skipped. Every complaint carries the 1-based row number.
@@ -117,7 +118,7 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc.strerror or exc}") from None
     ncols = 2 if ratio else 1
-    values: list[float] = []
+    values: list = []
     seen_data = False
     for rowno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -145,7 +146,7 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
                 raise DataError(
                     f"row {rowno}: ratio input needs strictly positive pairs"
                 )
-            values.append(x1 / (x1 + x2))
+            values.append(nums)
         else:
             v = nums[0]
             if not math.isfinite(v):
@@ -157,6 +158,8 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
             values.append(v)
     if not values:
         raise DataError(f"no data in {source}")
+    if ratio:
+        values = ratio_transform(values).tolist()
     return DataSeries(tuple(values), source=source)
 
 

@@ -50,6 +50,7 @@ scalar input yields a Python float.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -297,16 +298,32 @@ def _fold_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(-np.abs(u)), u > 0.0
 
 
+def as_integer(value) -> int | None:
+    """value as an int when it is an integral number other than a bool
+    (an integral float such as 30.0 counts); None for anything else,
+    NaN and infinities included."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return None
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    return int(value) if float(value).is_integer() else None
+
+
 def sample_stream(n: int, seed: int) -> tuple[int, np.random.Generator]:
     """``(n, generator)`` for a sampler's n draws: numpy's Philox
-    generator for ``seed``, the stream both samplers draw from. An n
-    below 1 or a negative seed raises ``DomainError``."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if int(seed) < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    return n, np.random.Generator(np.random.Philox(int(seed)))
+    generator for ``seed``, the stream both samplers draw from. An n or
+    a seed that is not an integral number (``as_integer``), an n below
+    1 or a negative seed raises ``DomainError``."""
+    count, key = as_integer(n), as_integer(seed)
+    if count is None:
+        raise DomainError(f"n must be an integer, got {n!r}")
+    if count < 1:
+        raise DomainError(f"n must be >= 1, got {count}")
+    if key is None:
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    if key < 0:
+        raise DomainError(f"seed must be >= 0, got {key}")
+    return count, np.random.Generator(np.random.Philox(key))
 
 
 def log_odds(w: np.ndarray) -> np.ndarray:

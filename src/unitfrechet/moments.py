@@ -9,9 +9,10 @@ bivariate vector as inputs.
 The Frechet margins supply those inputs in closed form via the gamma
 function: mean sigma_i Gamma(1-1/alpha) for alpha > 1 and variance
 sigma_i^2 [Gamma(1-2/alpha) - Gamma(1-1/alpha)^2] for alpha > 2. The
-covariance has no closed form here, only a Cauchy-Schwarz bound, so it
-must be supplied by the caller (typically from
-:func:`unitfrechet.bivariate.estimate_cov`); it is never defaulted
+covariance is a one-dimensional integral (see
+:func:`unitfrechet.bivariate.estimate_cov`) that this module does not
+evaluate, so it must be supplied by the caller (typically from
+``estimate_cov``'s Monte Carlo estimate); it is never defaulted
 silently.
 
 A quality warning is emitted when a margin's coefficient of variation

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import uf_sample
+from .core import as_integer, uf_sample
 from .errors import DomainError, UnitFrechetError
 from .inference import PARAM_NAMES, DataSeries, fit_uf
 
@@ -58,15 +58,6 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _integer(value) -> Optional[int]:
-    """value as an int when it is an integral number other than a bool."""
-    if not _is_number(value):
-        return None
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    return int(value) if float(value).is_integer() else None
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Study layout: parameter points, sample sizes, replication count.
@@ -97,7 +88,7 @@ class SimConfig:
         problems: list[str] = []
 
         def integer(path: str, value, low: int) -> Optional[int]:
-            n = _integer(value)
+            n = as_integer(value)
             if n is None or n < low:
                 problems.append(f"{path}: must be an integer >= {low}")
             return n

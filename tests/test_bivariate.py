@@ -13,7 +13,6 @@ from scipy.integrate import dblquad
 
 from unitfrechet import bivariate
 from unitfrechet.bivariate import (
-    INVERT_MAX_ITER,
     BivParams,
     CovEstimate,
     SampleStats,
@@ -29,40 +28,31 @@ from unitfrechet.errors import DomainError, ParameterError
 # mpmath oracles, frozen
 EXP_M15 = 0.22313016014842983  # exp(-1.5)
 VAR_FRECHET_A4 = 0.2708077562248863  # gamma(1/2) - gamma(3/4)^2
-# roots s = log v of C(v | u) = q, mpmath at 60 digits: (u, q, rho, s);
-# u runs over -1/log of biv_sample's clip ends 1e-300 and 1 - 1e-16 and
-# 1. In the last rows unguarded Newton 2-cycles, and its first step
-# from the rho = 0 root lands past the double range of v^4
+# biv_sample's clip ends for un and q (1e-300 and 1 - 1e-16) bound
+# u = -1/log(un) and e = -log(q)
 U_LO = -1.0 / math.log(1e-300)  # 0.0014476482730108396
 U_HI = -1.0 / math.log(1.0 - 1e-16)  # 9007199254740992.0
-Q_HI = 1.0 - 1e-16
-COND_ROOTS = (
-    (U_LO, 1e-300, 0.0, -6.5378149199041569),
-    (U_LO, 1e-300, 0.5, -6.7850668363231598),
-    (U_LO, 1e-300, 0.9, -6.973426226143278),
-    (U_LO, 1e-300, 1.0, -7.0185227574700824),
-    (1.0, 1e-300, 0.0, -6.5378149199041569),
-    (1.0, 1e-300, 0.5, -6.5375384032857752),
-    (1.0, 1e-300, 0.9, -6.5358178227282147),
-    (1.0, 1e-300, 1.0, -6.5307817814610263),
-    (U_HI, 1e-300, 0.0, -6.5378149199041569),
-    (U_HI, 1e-300, 0.5, -6.5368109828090321),
-    (U_HI, 1e-300, 0.9, -6.5344760186386422),
-    (U_HI, 1e-300, 1.0, -6.474288127214749),
-    (U_LO, Q_HI, 0.0, 36.736800569677101),
-    (U_LO, Q_HI, 0.5, 36.043653389117156),
-    (U_LO, Q_HI, 0.9, 34.434215476683055),
-    (U_LO, Q_HI, 1.0, 15.10021612540609),
-    (1.0, Q_HI, 0.0, 36.736800569677101),
-    (1.0, Q_HI, 0.5, 36.043653389117156),
-    (1.0, Q_HI, 0.9, 34.434215476683075),
-    (1.0, Q_HI, 1.0, 18.714973869530588),
-    (U_HI, Q_HI, 0.0, 36.736800569677101),
-    (U_HI, Q_HI, 0.5, 54.758627253059809),
-    (U_HI, Q_HI, 0.9, 55.052520586135403),
-    (U_HI, Q_HI, 1.0, 55.10520084397894),
-    (382.08872150993653, 0.93354349758132, 0.5, 6.5124655246570222),
-    (386784.09361988626, 0.989587197667045, 0.5, 14.64557375687386),
+E_LO = -math.log(1.0 - 1e-16)
+E_HI = -math.log(1e-300)
+# positive roots r of e r^2 + (e u - (1 - rho)) r - u = 0 at the
+# corners of the (u, e) box, mpmath at 60 digits: (u, e, rho, r)
+ROOT_CORNERS = (
+    (U_LO, E_LO, 0.0, 9007199254740992.0),
+    (U_LO, E_LO, 0.5, 4503599627370496.0),
+    (U_LO, E_LO, 1.0 - 1e-9, 10276091.586379539),
+    (U_LO, E_LO, 1.0, 3610991.0607148937),
+    (U_LO, E_HI, 0.0, 0.0014476482730108395),
+    (U_LO, E_HI, 0.5, 0.0011302896163389609),
+    (U_LO, E_HI, 1.0 - 1e-9, 0.00089469583687590602),
+    (U_LO, E_HI, 1.0, 0.00089469583647578589),
+    (U_HI, E_LO, 0.0, 9007199254740992.0),
+    (U_HI, E_LO, 0.5, 7032608665885197.9),
+    (U_HI, E_LO, 1.0 - 1e-9, 5566755285362184.1),
+    (U_HI, E_LO, 1.0, 5566755282872655.5),
+    (U_HI, E_HI, 0.0, 0.0014476482730108395),
+    (U_HI, E_HI, 0.5, 0.0014476482730108395),
+    (U_HI, E_HI, 1.0 - 1e-9, 0.0014476482730108395),
+    (U_HI, E_HI, 1.0, 0.0014476482730108395),
 )
 SAMPLER_RHOS = (0.0, 0.3, 0.5, 0.9, 0.999, 1.0)
 
@@ -218,17 +208,32 @@ class TestBivSample:
         with pytest.raises(DomainError, match="seed must be >= 0"):
             biv_sample((1.0, 1.0, 2.0, 0.5), 5, -1)
 
+    @pytest.mark.parametrize(
+        "n, seed",
+        ((math.nan, 1), (math.inf, 1), (2.7, 1), (True, 1), ("5", 1),
+         (5, math.nan), (5, -math.inf), (5, 1.5), (5, False), (5, "1")),
+        ids=repr,
+    )
+    def test_non_integer_rejected(self, n, seed):
+        with pytest.raises(DomainError, match="must be an integer"):
+            biv_sample((1.0, 1.0, 2.0, 0.5), n, seed)
+
     def test_return_stats(self):
         xy, info = biv_sample((1.0, 1.0, 2.0, 0.5), 200, 7, return_stats=True)
         assert xy.shape == (200, 2)
         assert isinstance(info, SampleStats)
         assert info.resampled == 0 and info.rounds == 0
-        # the rho = 0 start is the root, so one Newton pass settles it
-        _, info = biv_sample((1.0, 1.0, 2.0, 0.0), 200, 7, return_stats=True)
-        assert info.iterations == 1
-        for rho in (0.5, 1.0):
-            _, info = biv_sample((1.0, 1.0, 2.0, rho), 200, 7, return_stats=True)
-            assert 1 <= info.iterations <= INVERT_MAX_ITER
+
+    @pytest.mark.parametrize("rho", (0.0, 0.5, 1.0))
+    @pytest.mark.parametrize("alpha", (0.01, 0.001))
+    def test_small_alpha_redraws(self, alpha, rho):
+        # the margins leave the double range for some draws; those pairs
+        # are redrawn, without a floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xy, info = biv_sample((1.0, 1.0, alpha, rho), 10_000, 3, return_stats=True)
+        assert info.resampled > 0 and info.rounds >= 1
+        assert np.all(np.isfinite(xy) & (xy > 0.0))
 
     @pytest.mark.parametrize("rho", SAMPLER_RHOS)
     def test_no_runtime_warnings(self, rho):
@@ -267,54 +272,27 @@ class TestBivSample:
                 assert abs(emp - biv_cdf(a, b, p)) < tol
 
 
-def sampler_uniforms(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u, q) drawn and clipped as biv_sample draws them."""
-    gen = np.random.Generator(np.random.Philox(seed))
-    un = np.clip(gen.random(n), 1e-300, 1.0 - 1e-16)
-    q = np.clip(gen.random(n), 1e-300, 1.0 - 1e-16)
-    return -1.0 / np.log(un), q
+class TestCondDraw:
+    @pytest.mark.parametrize("rho", SAMPLER_RHOS)
+    def test_conditional_pit(self, rho):
+        # the conditional CDF of V = (X2/sigma2)^alpha given
+        # U = (X1/sigma1)^alpha, evaluated at the drawn pairs, must be
+        # uniform on (0, 1)
+        n = 100_000
+        xy = biv_sample((1.0, 2.0, 2.0, rho), n, 911)
+        u = xy[:, 0] ** 2
+        v = (xy[:, 1] / 2.0) ** 2
+        t = u + v
+        c = np.exp(-1.0 / v + rho / t) * (1.0 - rho * (u / t) ** 2)
+        assert stats.kstest(c, "uniform").statistic < 1.63 / math.sqrt(n)
 
-
-def cond_residual(v: np.ndarray, u: np.ndarray, q: np.ndarray, rho: float) -> np.ndarray:
-    """|log(-log C(v | u)) - log(-log q)|."""
-    g, _ = bivariate._cond_exponent(np.log(v), u, rho)
-    return np.abs(g - np.log(-np.log(q)))
-
-
-class TestCondInvert:
-    def test_roots_against_mpmath(self):
-        for u, q, rho, s_ref in COND_ROOTS:
-            u, q = np.array([u]), np.array([q])
-            # the residual function itself reads ~0 at the mpmath root
-            assert cond_residual(np.exp([s_ref]), u, q, rho)[0] <= 1e-14
+    def test_root_against_mpmath(self):
+        for u, e, rho, ref in ROOT_CORNERS:
+            # q2 = 0 puts D at or below 0, so the draw is the root r
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                v, _ = bivariate._cond_invert(u, q, rho)
-            assert cond_residual(v, u, q, rho)[0] <= 1e-13
-            assert_allclose(np.log(v[0]), s_ref, rtol=1e-14, atol=1e-14)
-
-    @pytest.mark.parametrize("rho", SAMPLER_RHOS)
-    def test_residual_over_draws(self, rho):
-        u, q = sampler_uniforms(100_000, 909)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v, iterations = bivariate._cond_invert(u, q, rho)
-        assert np.all(np.isfinite(v) & (v > 0.0))
-        assert np.max(cond_residual(v, u, q, rho)) <= 1e-13
-        assert 1 <= iterations <= INVERT_MAX_ITER
-
-    def test_independent_of_order_and_blocking(self, monkeypatch):
-        u, q = sampler_uniforms(40_001, 910)
-        v, _ = bivariate._cond_invert(u, q, 0.7)
-        perm = np.random.default_rng(1).permutation(u.size)
-        assert np.array_equal(bivariate._cond_invert(u[perm], q[perm], 0.7)[0], v[perm])
-        cuts = (0, 3, 16_385, 29_000, u.size)
-        parts = [
-            bivariate._cond_invert(u[a:b], q[a:b], 0.7)[0] for a, b in zip(cuts, cuts[1:])
-        ]
-        assert np.array_equal(np.concatenate(parts), v)
-        monkeypatch.setattr(bivariate, "INVERT_BLOCK", 7)
-        assert np.array_equal(bivariate._cond_invert(u[:3000], q[:3000], 0.7)[0], v[:3000])
+                r = bivariate._cond_draw(np.array([u]), np.array([e]), np.zeros(1), rho)
+            assert_allclose(r[0], ref, rtol=1e-15, atol=0.0)
 
 
 class TestRatioTransform:
@@ -379,3 +357,17 @@ class TestEstimateCov:
     def test_negative_seed(self):
         with pytest.raises(DomainError, match="seed must be >= 0"):
             estimate_cov((1.0, 1.0, 3.0, 0.5), 10_000, -3)
+
+    @pytest.mark.parametrize(
+        "n, seed",
+        ((math.nan, 1), (-math.inf, 1), (10_000.5, 1), (True, 1), ("10000", 1),
+         (10_000, math.inf), (10_000, 0.5), (10_000, "1")),
+        ids=repr,
+    )
+    def test_non_integer_rejected(self, n, seed):
+        with pytest.raises(DomainError, match="must be an integer"):
+            estimate_cov((1.0, 1.0, 3.0, 0.5), n, seed)
+
+    def test_integral_float_n(self):
+        p = (1.0, 1.0, 3.0, 0.5)
+        assert estimate_cov(p, 10_000.0, 5) == estimate_cov(p, 10_000, 5)

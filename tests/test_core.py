@@ -644,6 +644,27 @@ class TestUfSample:
         with pytest.raises(DomainError, match="seed must be >= 0"):
             uf_sample(UfParams(1.0, 1.0, 0.0), 5, -1)
 
+    @pytest.mark.parametrize(
+        "n", (math.nan, math.inf, -math.inf, 2.7, True, "5", None), ids=repr
+    )
+    def test_n_must_be_integral(self, n):
+        # a fraction is not truncated, a bool or a string is not a count
+        with pytest.raises(DomainError, match="n must be an integer"):
+            uf_sample(UfParams(1.0, 1.0, 0.0), n, 1)
+
+    @pytest.mark.parametrize(
+        "seed", (math.nan, math.inf, -math.inf, 1.5, False, "1", None), ids=repr
+    )
+    def test_seed_must_be_integral(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            uf_sample(UfParams(1.0, 1.0, 0.0), 5, seed)
+
+    def test_integral_numbers_accepted(self):
+        th = UfParams(1.0, 2.0, 0.5)
+        want = uf_sample(th, 5, 3)
+        assert np.array_equal(uf_sample(th, 5.0, np.int64(3)), want)
+        assert np.array_equal(uf_sample(th, np.int32(5), 3.0), want)
+
     def test_single_draw_support(self):
         v = uf_sample(UfParams(1.0, 1.0, 0.0), 1, 42)
         assert v.shape == (1,)

@@ -5,7 +5,9 @@ one should call the owner's public (or array-level) entry point instead.
 Every exported name resolves, and so does every module attribute the
 traced benchmark run (``perfbench/traced.py``) swaps from outside. The
 package imports without ``scipy.stats``, which alone would double its
-import time.
+import time. The bivariate sampler takes from ``core`` only what keeps
+it independent of the UF kernel, so the ratio cross-check stays a
+cross-check.
 """
 
 import ast
@@ -92,3 +94,20 @@ def test_import_leaves_out_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_bivariate_independent_of_uf_kernel():
+    # bivariate.biv_sample checks uf_cdf through ratio_transform; routing
+    # the sampler through the UF code would make that check circular
+    tree = ast.parse((PACKAGE / "bivariate.py").read_text())
+    from_core = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = {alias.name for alias in node.names}
+            if module in ("core", "unitfrechet.core"):
+                from_core |= names
+            assert not (module in ("", "unitfrechet") and "core" in names)
+        elif isinstance(node, ast.Import):
+            assert "unitfrechet.core" not in {alias.name for alias in node.names}
+    assert from_core == {"LOG_GUARD", "UfParams", "sample_stream"}
