@@ -119,6 +119,7 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
         raise DataError(f"cannot read {source}: {exc.strerror or exc}") from None
     ncols = 2 if ratio else 1
     values: list = []
+    rows: list[int] = []  # the file row of each ratio pair
     seen_data = False
     for rowno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -147,6 +148,7 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
                     f"row {rowno}: ratio input needs strictly positive pairs"
                 )
             values.append(nums)
+            rows.append(rowno)
         else:
             v = nums[0]
             if not math.isfinite(v):
@@ -160,6 +162,12 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
         raise DataError(f"no data in {source}")
     if ratio:
         values = ratio_transform(values).tolist()
+        for rowno, w in zip(rows, values):
+            # x2/x1 can underflow to 0 or overflow, rounding w to 1 or 0
+            if not 0.0 < w < 1.0:
+                raise DataError(
+                    f"row {rowno}: ratio {w!r} outside the open interval (0, 1)"
+                )
     return DataSeries(tuple(values), source=source)
 
 

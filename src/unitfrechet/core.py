@@ -313,12 +313,15 @@ def sample_stream(n: int, seed: int) -> tuple[int, np.random.Generator]:
     """``(n, generator)`` for a sampler's n draws: numpy's Philox
     generator for ``seed``, the stream both samplers draw from. An n or
     a seed that is not an integral number (``as_integer``), an n below
-    1 or a negative seed raises ``DomainError``."""
+    1 or above the largest array length, or a negative seed raises
+    ``DomainError``."""
     count, key = as_integer(n), as_integer(seed)
     if count is None:
         raise DomainError(f"n must be an integer, got {n!r}")
     if count < 1:
         raise DomainError(f"n must be >= 1, got {count}")
+    if count > np.iinfo(np.intp).max:
+        raise DomainError(f"n must be <= {np.iinfo(np.intp).max}, got {count}")
     if key is None:
         raise DomainError(f"seed must be an integer, got {seed!r}")
     if key < 0:

@@ -24,6 +24,9 @@ module constants UF_TOP_STARTS and UF_GRAD_TOL and those of the Newton
 runs (UF_PROFILE_RISE through UF_PASS_ELEMENTS); fit_uf takes no tuning
 options. There is no hidden randomness anywhere in the fit, so results
 are reproducible bit for bit.
+
+scipy is imported where it is used, by the Kolmogorov p-value and the
+Beta and Kumaraswamy fits, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import optimize, special
 
 from .core import (
     UfParams,
@@ -290,15 +292,19 @@ def ks_test(data: DataSeries, cdf) -> KSResult:
     the p-value is then optimistic. Both caveats are the caller's to
     weigh; the computation itself is exact for what it claims.
     """
-    f = _as_cdf(cdf)
-    w = np.sort(data.array)
-    fv = np.asarray(f(w), dtype=float)
-    n = data.n
+    return _ks_sorted(np.asarray(_as_cdf(cdf)(np.sort(data.array)), dtype=float))
+
+
+def _ks_sorted(fv: np.ndarray) -> KSResult:
+    """ks_test from the CDF at the sorted sample."""
+    from scipy.special import kolmogorov
+
+    n = fv.size
     i = np.arange(1, n + 1, dtype=float)
     d_plus = float(np.max(i / n - fv))
     d_minus = float(np.max(fv - (i - 1.0) / n))
     d = max(d_plus, d_minus)
-    p = float(special.kolmogorov(math.sqrt(n) * d))
+    p = float(kolmogorov(math.sqrt(n) * d))
     return KSResult(statistic=d, pvalue=min(max(p, 0.0), 1.0))
 
 
@@ -308,12 +314,20 @@ def residuals(data: DataSeries, cdf) -> np.ndarray:
     The empirical CDF uses ranks divided by n with ties averaged, so
     tied observations share one residual value.
     """
-    f = _as_cdf(cdf)
     w = data.array
-    # a run of k ties ending at rank r shares the average rank r - (k - 1)/2
-    _, inv, counts = np.unique(w, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
-    return ranks / data.n - np.asarray(f(w), dtype=float)
+    return _residuals(w, np.argsort(w), np.asarray(_as_cdf(cdf)(w), dtype=float))
+
+
+def _residuals(w: np.ndarray, order: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """residuals from the sample w, its sorting permutation and the CDF at w."""
+    s = w[order]
+    # the sorted position of the last of each run of ties; a run of k
+    # ties ending at rank r shares the average rank r - (k - 1)/2
+    last = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    counts = np.diff(last, prepend=-1)
+    ranks = np.empty(w.size)
+    ranks[order] = np.repeat(last + 1 - (counts - 1) / 2.0, counts)
+    return ranks / w.size - fv
 
 
 def _build_report(
@@ -330,9 +344,14 @@ def _build_report(
     n = data.n
     k = len(PARAM_NAMES[model])
     if math.isfinite(loglik):
-        handle = model_handle(model, theta_hat)
-        ks = ks_test(data, handle)
-        res = tuple(float(r) for r in residuals(data, handle))
+        # one CDF evaluation and one sort feed both; the CDFs act
+        # elementwise, so permuting their values equals evaluating them
+        # at the sorted sample
+        w = data.array
+        order = np.argsort(w)
+        fv = np.asarray(model_handle(model, theta_hat).cdf(w), dtype=float)
+        ks = _ks_sorted(fv[order])
+        res = tuple(_residuals(w, order, fv).tolist())
     else:
         ks = KSResult(float("nan"), float("nan"))
         res = tuple([float("nan")] * n)
@@ -378,17 +397,19 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
             return np.asarray(uf_cdf(w, th))
 
     elif model == "beta":
+        from scipy.special import betainc, betaln
+
         a, b = (float(v) for v in theta)
 
         def pdf(w):
             return np.exp(
                 (a - 1.0) * np.log(w)
                 + (b - 1.0) * np.log1p(-np.asarray(w, dtype=float))
-                - special.betaln(a, b)
+                - betaln(a, b)
             )
 
         def cdf(w):
-            return special.betainc(a, b, np.asarray(w, dtype=float))
+            return betainc(a, b, np.asarray(w, dtype=float))
 
     elif model == "kumaraswamy":
         a, b = (float(v) for v in theta)
@@ -702,6 +723,8 @@ def fit_beta(data: DataSeries) -> FitReport:
     trigamma values, damped to keep (a, b) positive, starting from the
     method-of-moments point.
     """
+    from scipy.special import betaln, digamma, polygamma
+
     ill_posed = _ill_posed_report("beta", data, 3)
     if ill_posed is not None:
         return ill_posed
@@ -717,14 +740,14 @@ def fit_beta(data: DataSeries) -> FitReport:
     converged = False
     it = 0
     for it in range(1, 201):
-        f1 = float(special.digamma(a) - special.digamma(a + b)) - mean_lw
-        f2 = float(special.digamma(b) - special.digamma(a + b)) - mean_l1w
+        f1 = float(digamma(a) - digamma(a + b)) - mean_lw
+        f2 = float(digamma(b) - digamma(a + b)) - mean_l1w
         if max(abs(f1), abs(f2)) < 1e-12:
             converged = True
             break
-        tri_ab = float(special.polygamma(1, a + b))
-        j11 = float(special.polygamma(1, a)) - tri_ab
-        j22 = float(special.polygamma(1, b)) - tri_ab
+        tri_ab = float(polygamma(1, a + b))
+        j11 = float(polygamma(1, a)) - tri_ab
+        j22 = float(polygamma(1, b)) - tri_ab
         det = j11 * j22 - tri_ab * tri_ab
         da = (f1 * j22 + f2 * tri_ab) / det
         db = (f2 * j11 + f1 * tri_ab) / det
@@ -734,7 +757,7 @@ def fit_beta(data: DataSeries) -> FitReport:
         a -= scale * da
         b -= scale * db
     ll = float(
-        n * ((a - 1.0) * mean_lw + (b - 1.0) * mean_l1w - special.betaln(a, b))
+        n * ((a - 1.0) * mean_lw + (b - 1.0) * mean_l1w - betaln(a, b))
     )
     return _build_report(
         "beta", data, (a, b), ll, converged,
@@ -752,6 +775,8 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
     over log a remains: a coarse scan brackets the optimum and Brent
     iteration finishes it.
     """
+    from scipy.optimize import minimize_scalar
+
     ill_posed = _ill_posed_report("kumaraswamy", data, 3)
     if ill_posed is not None:
         return ill_posed
@@ -779,7 +804,7 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
     k = int(np.argmin(grid_vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
-    res = optimize.minimize_scalar(
+    res = minimize_scalar(
         profile_nll, bounds=(lo, hi), method="bounded",
         options={"xatol": 1e-12, "maxiter": 500},
     )

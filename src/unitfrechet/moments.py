@@ -29,8 +29,6 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from scipy import special
-
 from .bivariate import BivParams
 from .errors import DomainError, ParameterError
 
@@ -106,12 +104,13 @@ def frechet_moments(p: BivParams | Sequence[float]) -> MomentInputs:
         raise DomainError(
             f"the Frechet mean requires alpha > 1, got alpha={p.alpha!r}"
         )
-    g1 = float(special.gamma(1.0 - 1.0 / p.alpha))
+    # both gamma arguments lie in (0, 1)
+    g1 = math.gamma(1.0 - 1.0 / p.alpha)
     mu1 = p.sigma1 * g1
     mu2 = p.sigma2 * g1
     if p.alpha <= 2.0:
         return MomentInputs(mu1=mu1, mu2=mu2)
-    g2 = float(special.gamma(1.0 - 2.0 / p.alpha))
+    g2 = math.gamma(1.0 - 2.0 / p.alpha)
     spread = g2 - g1 * g1
     return MomentInputs(
         mu1=mu1,

@@ -15,7 +15,6 @@ import math
 import numbers
 import os
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
@@ -290,6 +289,8 @@ def run_study(config: SimConfig) -> SimReport:
         return SimReport(config=config, cells=tuple(
             _run_cell((*cell, range(reps), seed)) for cell in cells
         ))
+    from concurrent.futures import ProcessPoolExecutor
+
     outcomes: list[list] = [[] for _ in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(

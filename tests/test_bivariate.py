@@ -208,6 +208,11 @@ class TestBivSample:
         with pytest.raises(DomainError, match="seed must be >= 0"):
             biv_sample((1.0, 1.0, 2.0, 0.5), 5, -1)
 
+    def test_n_beyond_array_length(self):
+        # rejected before any generator or array is built
+        with pytest.raises(DomainError, match="n must be <="):
+            biv_sample((1.0, 1.0, 2.0, 0.5), 10**20, 1)
+
     @pytest.mark.parametrize(
         "n, seed",
         ((math.nan, 1), (math.inf, 1), (2.7, 1), (True, 1), ("5", 1),

@@ -66,6 +66,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "row 2" in err and "positive" in err
 
+    @pytest.mark.parametrize("header", ("", "x1,x2\n"), ids=("bare", "header"))
+    def test_ratio_rounding_to_an_endpoint(self, tmp_path, capsys, header):
+        # x2/x1 underflows, so w rounds to 1; the complaint names the file row
+        src = write(tmp_path / "r3.csv", header + "1,2\n\n1e308,1e-10\n")
+        assert run("fit", src, "--ratio", "--outdir", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert f"row {4 if header else 3}:" in err and "open interval" in err
+
     def test_bundled_rejects_ratio(self, tmp_path, capsys):
         assert run("fit", "bundled:uefa", "--ratio", "--outdir", str(tmp_path)) == 3
         assert "univariate" in capsys.readouterr().err

@@ -644,6 +644,11 @@ class TestUfSample:
         with pytest.raises(DomainError, match="seed must be >= 0"):
             uf_sample(UfParams(1.0, 1.0, 0.0), 5, -1)
 
+    def test_n_beyond_array_length(self):
+        # rejected before any generator or array is built
+        with pytest.raises(DomainError, match="n must be <="):
+            uf_sample((1.0, 2.0, 0.5), 10**20, 1)
+
     @pytest.mark.parametrize(
         "n", (math.nan, math.inf, -math.inf, 2.7, True, "5", None), ids=repr
     )

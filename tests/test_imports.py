@@ -4,8 +4,11 @@ Each module owns its underscore-prefixed helpers; a sibling that needs
 one should call the owner's public (or array-level) entry point instead.
 Every exported name resolves, and so does every module attribute the
 traced benchmark run (``perfbench/traced.py``) swaps from outside. The
-package imports without ``scipy.stats``, which alone would double its
-import time. The bivariate sampler takes from ``core`` only what keeps
+package and its CLI import without scipy or the process-pool machinery,
+which would take most of the import time: the KS p-value and the Beta and
+Kumaraswamy fitters load scipy on first use, and the UF evaluations,
+the samplers, the moments and the UF fit's Newton loop need none of
+it. The bivariate sampler takes from ``core`` only what keeps
 it independent of the UF kernel, so the ratio cross-check stays a
 cross-check.
 """
@@ -94,6 +97,33 @@ def test_import_leaves_out_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_out_scipy():
+    # a fresh interpreter, as above; scipy.special may load with the
+    # fit's KS p-value, the optimizer never
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    code = """
+import sys
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
+import unitfrechet, unitfrechet.cli
+print(loaded())
+unitfrechet.frechet_moments((1, 1, 6, 0.5))
+w = unitfrechet.uf_sample((1, 2, 0.5), 30, 1)
+unitfrechet.uf_cdf(w, (1, 2, 0.5))
+print(loaded())
+unitfrechet.fit_uf(unitfrechet.DataSeries(tuple(w)))
+print("scipy.optimize" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == ["[]", "[]", "False"]
 
 
 def test_bivariate_independent_of_uf_kernel():
