@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import LOG_GUARD, UfParams, sample_stream
+from .core import LOG_GUARD, UfParams, blockwise, sample_stream
 from .errors import DomainError, NumericalError, ParameterError
 
 __all__ = [
@@ -130,12 +130,17 @@ def biv_cdf(x1, x2, p: BivParams | Sequence[float]):
     """
     p = BivParams.of(p)
     x1, x2, scalar = _coords(x1, x2, strict=False)
+    out = blockwise(lambda a, b: _biv_cdf(a, b, p), x1, x2)
+    return float(out[0]) if scalar else out
+
+
+def _biv_cdf(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> np.ndarray:
     out = np.zeros(x1.shape, dtype=float)
     pos = (x1 > 0.0) & (x2 > 0.0)
     if np.any(pos):
         u, v = _powers(x1[pos], x2[pos], p)
         out[pos] = np.exp(-1.0 / u - 1.0 / v + p.rho / (u + v))
-    return float(out[0]) if scalar else out
+    return out
 
 
 def biv_pdf(x1, x2, p: BivParams | Sequence[float]):
@@ -154,23 +159,32 @@ def biv_pdf(x1, x2, p: BivParams | Sequence[float]):
     """
     p = BivParams.of(p)
     x1, x2, scalar = _coords(x1, x2, strict=True)
+    out = blockwise(lambda a, b: _biv_pdf(a, b, p), x1, x2)
+    return float(out[0]) if scalar else out
+
+
+def _biv_pdf(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> np.ndarray:
     u, v = _powers(x1, x2, p)
     t = u + v
     logF = -1.0 / u - 1.0 / v + p.rho / t
-    bracket = (1.0 / u**2 - p.rho / t**2) * (1.0 / v**2 - p.rho / t**2) + 2.0 * p.rho / t**3
-    # assemble in log space: alpha^2 u v / (x1 x2) can overflow on its own
-    log_jac = (
-        2.0 * math.log(p.alpha)
-        + np.log(u) + np.log(v)
-        - np.log(x1) - np.log(x2)
-    )
-    with np.errstate(divide="ignore"):
-        out = np.where(
+    # at the clipped powers the squares and cubes may overflow and their
+    # reciprocals read 0, and a density beyond the double range reads
+    # inf. A power below 1e-154 can make the bracket inf * 0 = NaN, but
+    # F has underflowed to 0 there, and the density is 0. These values
+    # come without a warning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bracket = (1.0 / u**2 - p.rho / t**2) * (1.0 / v**2 - p.rho / t**2) + 2.0 * p.rho / t**3
+        # assemble in log space: alpha^2 u v / (x1 x2) can overflow on its own
+        log_jac = (
+            2.0 * math.log(p.alpha)
+            + np.log(u) + np.log(v)
+            - np.log(x1) - np.log(x2)
+        )
+        return np.where(
             bracket > 0.0,
             np.exp(logF + log_jac + np.log(np.where(bracket > 0.0, bracket, 1.0))),
             0.0,
         )
-    return float(out[0]) if scalar else out
 
 
 def _cond_draw(u: np.ndarray, e: np.ndarray, q2: np.ndarray, rho: float) -> np.ndarray:
@@ -237,10 +251,12 @@ def biv_sample(
     (``_cond_draw``): one from a second uniform q through a quadratic,
     and, when rho > 0, one from a third uniform q2 (at rho = 0,
     V = -1/log(q)). Each batch of k pairs takes k values of un, then k
-    of q, then k of q2 from the stream. Nothing here uses the UF code,
-    so the ratio law it implies is an independent check of ``uf_cdf``.
-    Deterministic for fixed (p, n, seed) via the Philox counter-based
-    generator.
+    of q, then k of q2 from the stream, and then transforms them block
+    by block (``blockwise``); each pair depends only on its own
+    uniforms, so the output does not depend on the block size. Nothing
+    here uses the UF code, so the ratio law it implies is an
+    independent check of ``uf_cdf``. Deterministic for fixed
+    (p, n, seed) via the Philox counter-based generator.
 
     Pairs whose coordinates overflow or underflow to nonfinite or
     nonpositive floats (possible for very small alpha, where the tails
@@ -252,18 +268,17 @@ def biv_sample(
     n, gen = sample_stream(n, seed)
     power = 1.0 / p.alpha
 
-    def draw(k: int) -> np.ndarray:
-        u = _uniforms(gen, k)
+    def transform(u: np.ndarray, e: np.ndarray, q2: np.ndarray | None = None) -> np.ndarray:
+        # overwrites the batch's own uniforms, block by block
         np.log(u, out=u)
         np.divide(-1.0, u, out=u)
-        e = _uniforms(gen, k)
         np.log(e, out=e)
         np.negative(e, out=e)
-        if p.rho > 0.0:
-            v = _cond_draw(u, e, gen.random(k), p.rho)
+        if q2 is not None:
+            v = _cond_draw(u, e, q2, p.rho)
         else:
             v = np.divide(1.0, e, out=e)
-        pairs = np.empty((k, 2))
+        pairs = np.empty((len(u), 2))
         # heavy tails at small alpha leave the double range here; the
         # redraw loop catches the inf or 0 that results
         with np.errstate(over="ignore", under="ignore"):
@@ -271,6 +286,14 @@ def biv_sample(
                 np.power(w, power, out=w)
                 np.multiply(w, sigma, out=col)
         return pairs
+
+    def draw(k: int) -> np.ndarray:
+        # the whole batch's uniforms first, in stream order, then the
+        # transform block by block
+        batch = [_uniforms(gen, k), _uniforms(gen, k)]
+        if p.rho > 0.0:
+            batch.append(gen.random(k))
+        return blockwise(transform, *batch)
 
     out = draw(n)
     resampled = 0

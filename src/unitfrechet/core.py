@@ -41,7 +41,11 @@ Public functions validate their arguments once (NaN raises
 ``DomainError``); both samplers check n and the seed in
 ``sample_stream``. Beneath them is an unvalidated array layer:
 ``inference`` builds its likelihood from ``log_odds``, ``kernel_log_g``
-and ``kernel_log_derivs`` on data it has validated.
+and ``kernel_log_derivs`` on data it has validated. The elementwise
+public functions, and both samplers' transforms, evaluate through
+``blockwise`` in blocks of BLOCK_ELEMENTS elements, so their temporaries
+stay in cache; every kernel treats each element on its own, so no
+output depends on the block size.
 
 All public functions are pure and accept scalars or numpy arrays;
 scalar input yields a Python float.
@@ -202,14 +206,16 @@ def frechet_pdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
 
     Returns 0 at and below the location ``mu``; elsewhere
     ``(alpha/sigma) * z**(-alpha-1) * exp(-z**(-alpha))`` with
-    ``z = (x - mu) / sigma``.
+    ``z = (x - mu) / sigma``. A z past the largest double reads inf,
+    where the density is 0.
     """
     p = FrechetParams.of(p)
     x, scalar = _prepare(x, "x")
     out = np.zeros_like(x)
     pos = x > p.mu
     if np.any(pos):
-        z = (x[pos] - p.mu) / p.sigma
+        with np.errstate(over="ignore"):
+            z = (x[pos] - p.mu) / p.sigma
         logz = np.log(z)
         out[pos] = np.exp(
             np.log(p.alpha) - np.log(p.sigma)
@@ -220,13 +226,18 @@ def frechet_pdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
 
 
 def frechet_cdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
-    """CDF of the Frechet(mu, sigma, alpha) distribution."""
+    """CDF of the Frechet(mu, sigma, alpha) distribution.
+
+    A z = (x - mu) / sigma past the largest double reads inf, where the
+    CDF is 1.
+    """
     p = FrechetParams.of(p)
     x, scalar = _prepare(x, "x")
     out = np.zeros_like(x)
     pos = x > p.mu
     if np.any(pos):
-        logz = np.log((x[pos] - p.mu) / p.sigma)
+        with np.errstate(over="ignore"):
+            logz = np.log((x[pos] - p.mu) / p.sigma)
         out[pos] = np.exp(-np.exp(np.clip(-p.alpha * logz, -LOG_GUARD, LOG_GUARD)))
     return _finish(out, scalar)
 
@@ -282,6 +293,35 @@ def _kernel_n_drho(w, rho):
 # ---------------------------------------------------------------------------
 # Array layer: float arrays in, arrays out, no validation
 # ---------------------------------------------------------------------------
+
+# Elementwise array calls run over blocks of this many elements, so each
+# step's temporaries stay in cache instead of streaming through memory.
+# On a 2-core machine with numpy 2.4.6, 10^6-point calls ran about twice
+# as fast as whole-array ones; 2^14 and 2^15 were the fastest, 2^13
+# within 10 %, 2^12 and 2^16 slower. inference's likelihood pass chunks
+# at the same size.
+BLOCK_ELEMENTS = 2 ** 14
+
+
+def blockwise(kernel, *arrays: np.ndarray) -> np.ndarray:
+    """``kernel(*arrays)`` for an elementwise kernel of equally shaped
+    arrays, evaluated over blocks of BLOCK_ELEMENTS elements and written
+    into one output of their shape (plus any trailing axes the kernel
+    adds). An input of at most one block goes to the kernel as it is,
+    with no copy and no loop. The kernel treats each element on its own,
+    so the output does not depend on the block size."""
+    size = arrays[0].size
+    if size <= BLOCK_ELEMENTS:
+        return kernel(*arrays)
+    flat = [a.reshape(-1) for a in arrays]
+    out = None
+    for lo in range(0, size, BLOCK_ELEMENTS):
+        part = kernel(*(a[lo:lo + BLOCK_ELEMENTS] for a in flat))
+        if out is None:
+            out = np.empty((size,) + part.shape[1:])
+        out[lo:lo + len(part)] = part
+    return out.reshape(arrays[0].shape + out.shape[1:])
+
 
 def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reflect x into (0, 1]: returns ``y = min(x, 1/x)`` and the mask
@@ -452,11 +492,15 @@ def kernel_pdf(x: ArrayLike, rho: float):
     """
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
+    return _finish(blockwise(lambda b: _kernel_pdf(b, rho), x), scalar)
+
+
+def _kernel_pdf(x: np.ndarray, rho: float) -> np.ndarray:
     y, big = _fold(x)
     _, n, b = _kernel_polys(y, *_kernel_coeffs(rho))
     ab = (y + 1.0) * b
     g = n / (ab * ab)
-    return _finish(np.where(big, g * y * y, g), scalar)
+    return np.where(big, g * y * y, g)
 
 
 def kernel_cdf(x: ArrayLike, rho: float):
@@ -468,7 +512,7 @@ def kernel_cdf(x: ArrayLike, rho: float):
     """
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
-    return _finish(_kernel_cdf_folded(*_fold(x), rho), scalar)
+    return _finish(blockwise(lambda b: _kernel_cdf_folded(*_fold(b), rho), x), scalar)
 
 
 def kernel_sf(x: ArrayLike, rho: float):
@@ -480,7 +524,9 @@ def kernel_sf(x: ArrayLike, rho: float):
     """
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
-    return _finish(_kernel_cdf_folded(*_fold(x), rho, upper=True), scalar)
+    return _finish(
+        blockwise(lambda b: _kernel_cdf_folded(*_fold(b), rho, upper=True), x), scalar
+    )
 
 
 def kernel_pdf_dx(x: ArrayLike, rho: float):
@@ -495,6 +541,10 @@ def kernel_pdf_dx(x: ArrayLike, rho: float):
     """
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
+    return _finish(blockwise(lambda b: _kernel_pdf_dx(b, rho), x), scalar)
+
+
+def _kernel_pdf_dx(x: np.ndarray, rho: float) -> np.ndarray:
     y, big = _fold(x)
     coeffs = _kernel_coeffs(rho)
     _, n, b = _kernel_polys(y, *coeffs)
@@ -502,7 +552,7 @@ def kernel_pdf_dx(x: ArrayLike, rho: float):
     a = y + 1.0
     ab = a * b
     d = (dn * ab - 2.0 * n * (b + a * db)) / (ab * ab * ab)
-    return _finish(np.where(big, -(d * y + 2.0 * n / (ab * ab)) * (y * y * y), d), scalar)
+    return np.where(big, -(d * y + 2.0 * n / (ab * ab)) * (y * y * y), d)
 
 
 def kernel_pdf_drho(x: ArrayLike, rho: float):
@@ -515,12 +565,16 @@ def kernel_pdf_drho(x: ArrayLike, rho: float):
     """
     rho = _check_rho(rho)
     x, scalar = _prepare(x, "x", _POSITIVE)
+    return _finish(blockwise(lambda b: _kernel_pdf_drho(b, rho), x), scalar)
+
+
+def _kernel_pdf_drho(x: np.ndarray, rho: float) -> np.ndarray:
     y, _ = _fold(x)
     _, n, b = _kernel_polys(y, *_kernel_coeffs(rho))
     ab = (y + 1.0) * b
     h = (2.0 * n * y + _kernel_n_drho(y * y, rho) * b) / (ab * ab * b)
     # y / x is 1 for x <= 1 and y^2 = 1/x^2 above: the reflection's factor
-    return _finish(h * (y / x), scalar)
+    return h * (y / x)
 
 
 def kernel_quantile(p: ArrayLike, rho: float):
@@ -546,7 +600,7 @@ def kernel_quantile(p: ArrayLike, rho: float):
     """
     rho = _check_rho(rho)
     p, scalar = _prepare(p, "p", _UNIT_OPEN)
-    return _finish(_kernel_quantile(p, rho), scalar)
+    return _finish(blockwise(lambda b: _kernel_quantile(b, rho), p), scalar)
 
 
 def _kernel_quantile(p: np.ndarray, rho: float) -> np.ndarray:
@@ -556,8 +610,9 @@ def _kernel_quantile(p: np.ndarray, rho: float) -> np.ndarray:
     b = rho * (2.0 - q)
     t = 2.0 * q / (c + np.sqrt(c * c + 8.0 * rho * (1.0 - q) * q))
     live = np.ones(t.shape, dtype=bool)
-    # one set of buffers for every pass: 10^6-element temporaries cost
-    # more than the arithmetic
+    # one set of block-sized buffers, reused by every pass: blockwise keeps
+    # them in cache, and fresh temporaries per pass cost more than the
+    # arithmetic
     rt, qt, step, dh = (np.empty_like(t) for _ in range(4))
     for _ in range(QUANTILE_MAX_ITER):
         # h t = (c + (b - rho t) t - q/t) t and h' t = (b - 2 rho t) t + q/t,
@@ -603,12 +658,16 @@ def uf_cdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     """
     th = UfParams.of(theta)
     w, scalar = _prepare(w, "w")
+    return _finish(blockwise(lambda b: _uf_cdf(b, th), w), scalar)
+
+
+def _uf_cdf(w: np.ndarray, th: UfParams) -> np.ndarray:
     out = np.where(w >= 1.0, 1.0, 0.0)
     inside = (w > 0.0) & (w < 1.0)
     if np.any(inside):
         u = th.alpha * (log_odds(w[inside]) - math.log(th.sigma))
         out[inside] = _kernel_cdf_folded(*_fold_log(u), th.rho)
-    return _finish(out, scalar)
+    return out
 
 
 def _uf_logpdf(w: np.ndarray, th: UfParams) -> np.ndarray:
@@ -635,7 +694,7 @@ def uf_logpdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     """
     th = UfParams.of(theta)
     w, scalar = _prepare(w, "w", _UNIT_OPEN)
-    return _finish(_uf_logpdf(w, th), scalar)
+    return _finish(blockwise(lambda b: _uf_logpdf(b, th), w), scalar)
 
 
 def uf_pdf(w: ArrayLike, theta: UfParams | Sequence[float]):
@@ -648,7 +707,7 @@ def uf_pdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     """
     th = UfParams.of(theta)
     w, scalar = _prepare(w, "w", _UNIT_OPEN)
-    return _finish(np.exp(_uf_logpdf(w, th)), scalar)
+    return _finish(blockwise(lambda b: np.exp(_uf_logpdf(b, th)), w), scalar)
 
 
 def uf_quantile(p: ArrayLike, theta: UfParams | Sequence[float]):
@@ -664,7 +723,7 @@ def uf_quantile(p: ArrayLike, theta: UfParams | Sequence[float]):
     """
     th = UfParams.of(theta)
     p, scalar = _prepare(p, "p", _UNIT_OPEN)
-    return _finish(_uf_quantile(p, th), scalar)
+    return _finish(blockwise(lambda b: _uf_quantile(b, th), p), scalar)
 
 
 def _uf_quantile(p: np.ndarray, th: UfParams) -> np.ndarray:
@@ -687,13 +746,14 @@ def uf_sample(theta: UfParams | Sequence[float], n: int, seed: int) -> np.ndarra
     ``uf_quantile`` does it, by ``kernel_quantile``'s Newton solve from
     its closed-form start: each element until its own step is at most
     QUANTILE_TOL relative (one evaluation at rho = 0, at most four
-    near rho = 1), so a draw depends only on its own uniform.
+    near rho = 1), so a draw depends only on its own uniform, and the
+    output does not depend on the block size the inversion runs in.
     ``NumericalError`` is raised past QUANTILE_MAX_ITER evaluations.
     """
     th = UfParams.of(theta)
     n, gen = sample_stream(n, seed)
     u = np.clip(gen.random(n), 1e-300, 1.0 - 1e-16)
-    return _uf_quantile(u, th)
+    return blockwise(lambda b: _uf_quantile(b, th), u)
 
 
 def stress_strength(theta: UfParams | Sequence[float]) -> float:

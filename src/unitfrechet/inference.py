@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
+    BLOCK_ELEMENTS,
     UfParams,
     kernel_log_derivs,
     kernel_log_g,
@@ -86,7 +87,8 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
 # halves below UF_MIN_STEP. UF_ARMIJO is the sufficient-increase
 # fraction and UF_EIG_FLOOR the relative floor on Hessian eigenvalue
 # magnitudes. A pass over more than UF_PASS_ELEMENTS (rows x n)
-# elements sums over column chunks, which bounds its temporaries.
+# elements sums over column chunks, which bounds its temporaries; it is
+# core's block size, at which the array layer evaluates everything else.
 UF_TOP_STARTS = 3
 UF_GRAD_TOL = 1e-6
 UF_PROFILE_RISE = 1.0
@@ -96,7 +98,7 @@ UF_MAX_STEPS = 100
 UF_MIN_STEP = 2.0 ** -30
 UF_ARMIJO = 1e-4
 UF_EIG_FLOOR = 1e-8
-UF_PASS_ELEMENTS = 2 ** 14
+UF_PASS_ELEMENTS = BLOCK_ELEMENTS
 
 # Deterministic multistart grid for fit_uf, ranked by likelihood before
 # any optimizer runs. A moment-matched start derived from the sample

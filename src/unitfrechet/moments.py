@@ -25,6 +25,7 @@ measured error levels.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -97,7 +98,10 @@ def frechet_moments(p: BivParams | Sequence[float]) -> MomentInputs:
     Raises DomainError for alpha <= 1 (the mean diverges). For
     1 < alpha <= 2 only the means are returned and the variances stay
     None, since Gamma(1 - 2/alpha) diverges at alpha = 2 and the second
-    moment does not exist below it.
+    moment does not exist below it. DomainError is also raised where
+    the values leave the double range: a mean or a variance that
+    overflows (sigma1 = 1e300 at alpha = 3), or a sigma^2 below the
+    smallest normal double, whose variance would underflow.
     """
     p = BivParams.of(p)
     if p.alpha <= 1.0:
@@ -106,18 +110,19 @@ def frechet_moments(p: BivParams | Sequence[float]) -> MomentInputs:
         )
     # both gamma arguments lie in (0, 1)
     g1 = math.gamma(1.0 - 1.0 / p.alpha)
-    mu1 = p.sigma1 * g1
-    mu2 = p.sigma2 * g1
-    if p.alpha <= 2.0:
-        return MomentInputs(mu1=mu1, mu2=mu2)
-    g2 = math.gamma(1.0 - 2.0 / p.alpha)
-    spread = g2 - g1 * g1
-    return MomentInputs(
-        mu1=mu1,
-        mu2=mu2,
-        var1=p.sigma1**2 * spread,
-        var2=p.sigma2**2 * spread,
-    )
+    moments = {"mu1": p.sigma1 * g1, "mu2": p.sigma2 * g1}
+    if p.alpha > 2.0:
+        spread = math.gamma(1.0 - 2.0 / p.alpha) - g1 * g1
+        moments["var1"] = p.sigma1 * p.sigma1 * spread
+        moments["var2"] = p.sigma2 * p.sigma2 * spread
+    if not all(map(math.isfinite, moments.values())) or (
+        p.alpha > 2.0 and min(p.sigma1, p.sigma2) ** 2 < sys.float_info.min
+    ):
+        raise DomainError(
+            "the Frechet means and variances leave the double range at "
+            f"sigma1={p.sigma1!r}, sigma2={p.sigma2!r}, alpha={p.alpha!r}"
+        )
+    return MomentInputs(**moments)
 
 
 def _require_complete(m: MomentInputs) -> None:
@@ -129,6 +134,15 @@ def _require_complete(m: MomentInputs) -> None:
             "moment approximation needs fully populated inputs; missing: "
             + ", ".join(missing)
         )
+
+
+def _unit_scale(m: MomentInputs) -> tuple[float, float, float, float, float]:
+    """(mu1, mu2, var1, var2, cov) of m with the margins divided by
+    max(mu1, mu2). The expansions are scale free, and the powers of
+    mu1 + mu2 they take would leave the double range for margins past
+    about 1e77."""
+    c = max(m.mu1, m.mu2)
+    return m.mu1 / c, m.mu2 / c, m.var1 / c / c, m.var2 / c / c, m.cov / c / c
 
 
 def _quality_guard(m: MomentInputs) -> None:
@@ -154,18 +168,19 @@ def approx_moment(p_exponent: float, m: MomentInputs) -> float:
     with r = mu1/(mu1+mu2). Exact for p = 0 (everything carries a
     factor p); equal to 1/2 at p = 1 for symmetric inputs, where the
     correction cancels. Every term is degree-0 homogeneous in
-    (mu, sqrt(var), sqrt(cov)) scaling, so the value is scale free.
+    (mu, sqrt(var), sqrt(cov)) scaling, so the value is scale free; it
+    is evaluated at margins rescaled to max(mu1, mu2) = 1.
     """
     _require_complete(m)
     _quality_guard(m)
     p = float(p_exponent)
-    mu1, mu2 = m.mu1, m.mu2
+    mu1, mu2, var1, var2, cov = _unit_scale(m)
     tot = mu1 + mu2
     lead = (mu1 / tot) ** p
     inner = (
-        (mu2 / mu1) * ((p - 1.0) * mu2 - 2.0 * mu1) * m.var1
-        + 2.0 * (mu1 - p * mu2) * m.cov
-        + (p + 1.0) * mu1 * m.var2
+        (mu2 / mu1) * ((p - 1.0) * mu2 - 2.0 * mu1) * var1
+        + 2.0 * (mu1 - p * mu2) * cov
+        + (p + 1.0) * mu1 * var2
     )
     corr = p * mu1 ** (p - 1.0) / (2.0 * tot ** (p + 2.0)) * inner
     return lead + corr
@@ -187,22 +202,24 @@ def approx_var(m: MomentInputs, truncated: bool = False) -> float:
     first-order mean correction; it is formally beyond second order, so
     ``truncated=True`` drops it, giving a consistently truncated
     variant that is never smaller than the default. The two variants
-    coincide whenever B = 0, in particular for symmetric margins.
+    coincide whenever B = 0, in particular for symmetric margins. Like
+    ``approx_moment`` it is evaluated at margins rescaled to
+    max(mu1, mu2) = 1.
     """
     _require_complete(m)
     _quality_guard(m)
-    mu1, mu2 = m.mu1, m.mu2
+    mu1, mu2, var1, var2, cov = _unit_scale(m)
     tot = mu1 + mu2
     t2 = (
         mu1
         / tot**4
         * (
-            (mu2 / mu1) * (mu2 - 2.0 * mu1) * m.var1
-            + 2.0 * (mu1 - 2.0 * mu2) * m.cov
-            + 3.0 * mu1 * m.var2
+            (mu2 / mu1) * (mu2 - 2.0 * mu1) * var1
+            + 2.0 * (mu1 - 2.0 * mu2) * cov
+            + 3.0 * mu1 * var2
         )
     )
-    b = mu2 * m.var1 + (mu2 - mu1) * m.cov - mu1 * m.var2
+    b = mu2 * var1 + (mu2 - mu1) * cov - mu1 * var2
     out = t2 + 2.0 * mu1 * b / tot**4
     if not truncated:
         out -= b * b / tot**6

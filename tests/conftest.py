@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from unitfrechet import DataSeries, load_uefa
+from unitfrechet import DataSeries, core, load_uefa
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +14,18 @@ def uefa() -> DataSeries:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260822)
+
+
+@pytest.fixture()
+def whole(monkeypatch):
+    """``whole(fn, *args)`` calls fn with the block size raised to 2^40,
+    so every input is one block: the whole-array evaluation that blocked
+    results must equal bit for bit."""
+    def call(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(core, "BLOCK_ELEMENTS", 2**40)
+            return fn(*args, **kwargs)
+    return call
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,5 +1,6 @@
 """Tests for the bivariate extreme distribution and the ratio cross-check."""
 
+import hashlib
 import math
 import warnings
 
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.integrate import dblquad
 
-from unitfrechet import bivariate
+from unitfrechet import bivariate, core
 from unitfrechet.bivariate import (
     BivParams,
     CovEstimate,
@@ -55,6 +56,13 @@ ROOT_CORNERS = (
     (U_HI, E_HI, 1.0, 0.0014476482730108395),
 )
 SAMPLER_RHOS = (0.0, 0.3, 0.5, 0.9, 0.999, 1.0)
+# blocked evaluation: core.BLOCK_ELEMENTS monkeypatched to these sizes;
+# coordinates at the edges of the double range sit at every fifth point
+BLOCK_SIZES = (1, 7, core.BLOCK_ELEMENTS)
+COORD_EDGES = (1e-300, 1.0 - 1e-16, 1e300, math.inf)
+# SHA-256 of biv_sample((1, 1, 2, 0.5), 10**5, 7).tobytes(), taken
+# before the sampler's transform was blocked
+BIV_SAMPLE_DIGEST = "f551253c83ddb0a4b9f7530e17cf2f7b95209d29702413fd68219c249d935168"
 
 coords = st.floats(min_value=0.01, max_value=50.0)
 rhos = st.floats(min_value=0.0, max_value=1.0)
@@ -178,6 +186,15 @@ class TestBivPdf:
     def test_nonnegative(self, x1, x2, rho):
         assert biv_pdf(x1, x2, (0.8, 1.4, 2.0, rho)) >= 0.0
 
+    def test_extreme_values_are_quiet(self):
+        # the density is 0 at an infinite coordinate and overflows to inf
+        # at alpha = 1e300; neither comes with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert biv_pdf(math.inf, 1.0, (1.0, 1.0, 2.0, 0.5)) == 0.0
+            assert biv_pdf(1.0, 1.0, (1.0, 1.0, 1e300, 0.5)) == math.inf
+            assert biv_pdf(1e-300, 1e300, (1.0, 1.0, 1.5, 0.5)) == 0.0
+
     def test_nonpositive_rejected(self):
         p = (1.0, 1.0, 2.0, 0.5)
         with pytest.raises(DomainError):
@@ -275,6 +292,69 @@ class TestBivSample:
             for b in qs:
                 emp = np.mean((xy[:, 0] <= a) & (xy[:, 1] <= b))
                 assert abs(emp - biv_cdf(a, b, p)) < tol
+
+
+def coords_with_edges(n, seed=0):
+    """Two coordinate arrays of n points in (0, 20), with COORD_EDGES
+    cycled into every fifth position of each."""
+    x = np.random.default_rng(seed).uniform(0.0, 20.0, (2, n))
+    x[:, ::5] = np.resize(COORD_EDGES, x[0, ::5].size)
+    x[1, ::5] = x[1, ::5][::-1]
+    return x
+
+
+class TestBlocked:
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("fn", (biv_cdf, biv_pdf), ids=lambda f: f.__name__)
+    def test_independent_of_block_size(self, monkeypatch, whole, fn, block):
+        x1, x2 = coords_with_edges(max(64, 3 * block + 5))
+        if fn is biv_cdf:
+            x1[3::11] = 0.0
+        p = (0.8, 1.4, 2.0, 0.5)
+        want = whole(fn, x1, x2, p)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", block)
+        got = fn(x1, x2, p)
+        assert got.shape == x1.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fn", (biv_cdf, biv_pdf), ids=lambda f: f.__name__)
+    def test_shapes_kept(self, monkeypatch, whole, fn):
+        # a 2-d input larger than one block, broadcast against a scalar;
+        # a 0-size input; a scalar pair
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 7)
+        p = (0.8, 1.4, 2.0, 0.5)
+        x1 = coords_with_edges(24)[0].reshape(3, 8)
+        got = fn(x1, 2.0, p)
+        want = whole(fn, x1.ravel(), np.full(24, 2.0), p)
+        assert got.shape == (3, 8) and got.tobytes() == want.tobytes()
+        assert fn(np.empty(0), 2.0, p).shape == (0,)
+        scalar = fn(float(x1[0, 1]), 2.0, p)
+        assert type(scalar) is float and scalar == want[1]
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("rho", (0.0, 0.5, 1.0))
+    def test_sample_independent_of_block_size(self, monkeypatch, whole, rho, block):
+        p = (1.0, 2.0, 1.5, rho)
+        n = max(64, 3 * block + 5)
+        want = whole(biv_sample, p, n, 13)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", block)
+        assert biv_sample(p, n, 13).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_redraws_independent_of_block_size(self, monkeypatch, whole, block):
+        # at alpha = 1e-3 most pairs leave the double range and are
+        # redrawn in rounds of shrinking batches
+        p = (1.0, 1.0, 1e-3, 0.5)
+        n = max(200, 3 * block + 5)
+        want, want_stats = whole(biv_sample, p, n, 3, return_stats=True)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", block)
+        got, stats_ = biv_sample(p, n, 3, return_stats=True)
+        assert want_stats.resampled > 0 and stats_ == want_stats
+        assert got.tobytes() == want.tobytes()
+
+    def test_sample_digest(self):
+        # the bytes the whole-array transform gave, pinned
+        got = hashlib.sha256(biv_sample((1.0, 1.0, 2.0, 0.5), 10**5, 7).tobytes())
+        assert got.hexdigest() == BIV_SAMPLE_DIGEST
 
 
 class TestCondDraw:

@@ -133,6 +133,24 @@ class TestExitCodes:
         )
         assert "alpha <= 2" in capsys.readouterr().err
 
+    def test_moments_past_the_double_range(self, capsys):
+        # sigma^2 = 1e600: the margin variances cannot be held, so a usage
+        # error, not a traceback
+        assert (
+            run("moments", "--sigma1", "1e300", "--sigma2", "1e300", "--alpha", "3",
+                "--rho", "0") == 2
+        )
+        assert "leave the double range" in capsys.readouterr().err
+
+    def test_moments_large_scales(self, capsys):
+        # the moments of W are scale free: margins at 1e100 print what
+        # margins at 1 do
+        for scale in ("1", "1e100"):
+            assert run("moments", "--sigma1", scale, "--sigma2", scale, "--alpha", "6",
+                       "--rho", "0") == 0
+        small, large = capsys.readouterr().out.split("E(W)")[1:]
+        assert small == large
+
     def test_moments_needs_seed_for_mc(self, capsys):
         assert (
             run("moments", "--sigma1", "1", "--sigma2", "1", "--alpha", "4",

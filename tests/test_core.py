@@ -1,6 +1,7 @@
 """Core distribution functions against hand values, high-precision
 oracles, finite differences and quadrature."""
 
+import hashlib
 import math
 import warnings
 
@@ -198,6 +199,15 @@ class TestFrechet:
         p = FrechetParams(0.0, 1.0, 2.0)
         total, _ = quad(lambda x: frechet_pdf(x, p), 0.0, np.inf, limit=200)
         assert abs(total - 1.0) < 1e-8
+
+    def test_past_the_double_range_is_quiet(self):
+        # z = (x - mu) / sigma = 1e600 reads inf: the CDF is 1 there and
+        # the density 0, without an overflow warning
+        p = FrechetParams(0.0, 1e-300, 1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frechet_cdf(1e300, p) == 1.0
+            assert frechet_pdf(1e300, p) == 0.0
 
     def test_cdf_pdf_consistency(self):
         p = FrechetParams(0.0, 2.0, 1.5)
@@ -738,6 +748,113 @@ class TestStressStrength:
         # a closed form in sigma**-alpha cancels to ~1e-16 here
         for th, want in STRESS_STRENGTH_TAILS:
             assert_allclose(stress_strength(th), want, rtol=1e-12)
+
+
+# Blocked evaluation: every array entry point must give the same bits
+# whatever core.BLOCK_ELEMENTS is. Edge values sit at every fifth point,
+# so each block of five or more holds one.
+P_EDGES = (1e-300, 1.0 - 1e-16)
+W_CDF_EDGES = P_EDGES + (-0.5, 0.0, 1.0, 2.0)
+X_EDGES = (5e-324, 1e-300, 1.0 - 1e-16, 1.0, 3.0, 1e300)
+BLOCK_SIZES = (1, 7, core.BLOCK_ELEMENTS)
+BLOCK_THETA = UfParams(0.7, 2.5, 0.5)
+BLOCKED_CALLS = {
+    "uf_pdf": (lambda w: uf_pdf(w, BLOCK_THETA), P_EDGES),
+    "uf_logpdf": (lambda w: uf_logpdf(w, BLOCK_THETA), P_EDGES),
+    "uf_cdf": (lambda w: uf_cdf(w, BLOCK_THETA), W_CDF_EDGES),
+    "uf_quantile": (lambda p: uf_quantile(p, BLOCK_THETA), P_EDGES),
+    "uf_quantile_rho1": (lambda p: uf_quantile(p, (0.7, 2.5, 1.0)), P_EDGES),
+    "kernel_pdf": (lambda x: kernel_pdf(x, 0.5), X_EDGES),
+    "kernel_cdf": (lambda x: kernel_cdf(x, 0.5), X_EDGES),
+    "kernel_sf": (lambda x: kernel_sf(x, 0.5), X_EDGES),
+    "kernel_pdf_dx": (lambda x: kernel_pdf_dx(x, 0.5), X_EDGES),
+    "kernel_pdf_drho": (lambda x: kernel_pdf_drho(x, 0.5), X_EDGES),
+    "kernel_quantile": (lambda p: kernel_quantile(p, 0.9), P_EDGES),
+}
+# SHA-256 of uf_sample((1, 2, 0.5), 10**5, 7).tobytes(), taken before
+# the array layer was blocked
+UF_SAMPLE_DIGEST = "6222782780e8b7e87fbfa85e6aaab3b29c86375e29e94eb109c3eab9c1a5011f"
+
+
+def with_edges(edges, n, seed=0):
+    """n points uniform in (0, 1) with ``edges`` cycled into every fifth
+    position."""
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    x[::5] = np.resize(edges, x[::5].size)
+    return x
+
+
+class TestBlocked:
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("name", sorted(BLOCKED_CALLS))
+    def test_independent_of_block_size(self, monkeypatch, whole, name, block):
+        fn, edges = BLOCKED_CALLS[name]
+        x = with_edges(edges, max(64, 3 * block + 5))
+        want = whole(fn, x)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", block)
+        got = fn(x)
+        assert got.shape == x.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", (7, core.BLOCK_ELEMENTS))
+    @pytest.mark.parametrize("name", sorted(BLOCKED_CALLS))
+    def test_shapes_kept(self, monkeypatch, whole, name, block):
+        # a 2-d input larger than one block, a 0-size input and a scalar
+        fn, edges = BLOCKED_CALLS[name]
+        x = with_edges(edges, 2 * (block + 3)).reshape(2, block + 3)
+        want = whole(fn, x.ravel())
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", block)
+        got = fn(x)
+        assert got.shape == x.shape and got.tobytes() == want.tobytes()
+        assert fn(np.empty(0)).shape == (0,)
+        scalar = fn(float(x[0, 1]))
+        assert type(scalar) is float and scalar == want[1]
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("rho", (0.0, 0.5, 1.0))
+    def test_sample_independent_of_block_size(self, monkeypatch, whole, rho, block):
+        th = UfParams(0.7, 2.5, rho)
+        n = max(64, 3 * block + 5)
+        want = whole(uf_sample, th, n, 11)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", block)
+        assert uf_sample(th, n, 11).tobytes() == want.tobytes()
+
+    def test_sample_digest(self):
+        # the bytes the whole-array sampler gave, pinned
+        got = hashlib.sha256(uf_sample((1.0, 2.0, 0.5), 10**5, 7).tobytes())
+        assert got.hexdigest() == UF_SAMPLE_DIGEST
+
+    def test_one_block_goes_straight_through(self, monkeypatch):
+        # study-sized arrays and scalars pay nothing for the blocking: the
+        # kernel runs once, on the caller's own array
+        seen = []
+        x = np.linspace(0.01, 0.99, core.BLOCK_ELEMENTS)
+        assert core.blockwise(lambda a: seen.append(a) or a, x) is x
+        assert len(seen) == 1 and seen[0] is x
+
+        real = core._kernel_quantile
+        monkeypatch.setattr(
+            core, "_kernel_quantile", lambda p, rho: seen.append(p) or real(p, rho)
+        )
+        seen.clear()
+        p = np.linspace(0.01, 0.99, 100)
+        uf_quantile(p, BLOCK_THETA)
+        uf_quantile(0.3, BLOCK_THETA)
+        assert len(seen) == 2 and seen[0] is p and seen[1].shape == (1,)
+        seen.clear()
+        uf_quantile(np.linspace(0.01, 0.99, core.BLOCK_ELEMENTS + 1), BLOCK_THETA)
+        assert [len(b) for b in seen] == [core.BLOCK_ELEMENTS, 1]
+
+    def test_quantile_failure_still_raises(self, monkeypatch):
+        # p = 1/2 settles in one evaluation from its exact start, p = 0.3
+        # at rho = 0.5 needs three: the one slow element, in the last
+        # block, raises
+        monkeypatch.setattr(core, "QUANTILE_MAX_ITER", 1)
+        monkeypatch.setattr(core, "BLOCK_ELEMENTS", 7)
+        p = np.full(30, 0.5)
+        assert np.all(uf_quantile(p, BLOCK_THETA) == uf_quantile(0.5, BLOCK_THETA))
+        p[-1] = 0.3
+        with pytest.raises(NumericalError):
+            uf_quantile(p, BLOCK_THETA)
 
 
 EDGE_W = np.array([5e-324, 1e-300, 1e-100, 0.3, 0.5, 0.9, 1.0 - 2.0**-53])

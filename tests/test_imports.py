@@ -140,4 +140,4 @@ def test_bivariate_independent_of_uf_kernel():
             assert not (module in ("", "unitfrechet") and "core" in names)
         elif isinstance(node, ast.Import):
             assert "unitfrechet.core" not in {alias.name for alias in node.names}
-    assert from_core == {"LOG_GUARD", "UfParams", "sample_stream"}
+    assert from_core == {"LOG_GUARD", "UfParams", "blockwise", "sample_stream"}

@@ -114,6 +114,28 @@ class TestFrechetMoments:
         m = frechet_moments((1.0, 2.0, 1.5, 0.0))
         assert m.mu1 > 0.0 and m.var1 is None
 
+    @pytest.mark.parametrize(
+        "p",
+        ((1e300, 1.0, 3.0, 0.0), (1.0, 1e155, 3.0, 0.5), (1e306, 1.0, 1.001, 0.0),
+         (1e-300, 1.0, 3.0, 0.0), (1.0, 1e-200, 6.0, 0.5)),
+        ids=repr,
+    )
+    def test_outside_the_double_range(self, p):
+        # a mean or variance that overflows, or a variance whose sigma^2
+        # underflows, raises instead of a bare OverflowError or a
+        # variance of 0
+        with pytest.raises(DomainError, match="leave the double range"):
+            frechet_moments(p)
+
+    def test_approximations_at_large_scales(self):
+        # the expansions are scale free; powers of mu1 + mu2 taken at the
+        # margins' own scale would overflow
+        base = frechet_moments((1.0, 2.0, 4.0, 0.0)).with_cov(0.0)
+        large = frechet_moments((1e120, 2e120, 4.0, 0.0)).with_cov(0.0)
+        for p in (1.0, 2.0):
+            assert_allclose(approx_moment(p, large), approx_moment(p, base), rtol=1e-14)
+        assert_allclose(approx_var(large), approx_var(base), rtol=1e-14)
+
 
 class TestApproxMoment:
     def test_p_zero_exact(self):
