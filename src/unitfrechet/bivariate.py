@@ -25,6 +25,7 @@ cross-checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -317,14 +318,18 @@ def ratio_transform(pairs) -> np.ndarray:
     """Map pairs (x1, x2) to proportions x1 / (x1 + x2).
 
     Computed as 1 / (1 + x2/x1), which stays accurate when both
-    coordinates are huge. All entries must be strictly positive.
+    coordinates are huge. All entries must be strictly positive. A
+    proportion too close to 0 or 1 for a double comes back as 0.0 or
+    1.0, without a warning (x2/x1 overflows, or underflows); a caller
+    that needs the open interval checks for them.
     """
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DomainError("pairs must be an (n, 2) array")
     if np.any(~(arr > 0.0)):
         raise DomainError("pair entries must be strictly positive")
-    return 1.0 / (1.0 + arr[:, 1] / arr[:, 0])
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + arr[:, 1] / arr[:, 0])
 
 
 def estimate_cov(p: BivParams | Sequence[float], n: int, seed: int) -> CovEstimate:
@@ -344,6 +349,12 @@ def estimate_cov(p: BivParams | Sequence[float], n: int, seed: int) -> CovEstima
     sample mean of the products of squared deviations; for alpha close
     to 2 the fourth-moment tails make it noisy, so treat it as
     indicative there.
+
+    Both are formed on the draws divided by (sigma1, sigma2) and scaled
+    back by sigma1 sigma2, so the fourth moments do not overflow at
+    large scales. DomainError is raised where the result leaves the
+    double range: a value or standard error that overflows, or a
+    sigma1 sigma2 below the smallest normal double.
     """
     p = BivParams.of(p)
     if p.alpha <= 2.0:
@@ -352,9 +363,17 @@ def estimate_cov(p: BivParams | Sequence[float], n: int, seed: int) -> CovEstima
     if n < 10_000:
         raise DomainError(f"estimate_cov requires n >= 10000, got {n}")
     xy = biv_sample(p, n, seed)
+    xy /= [p.sigma1, p.sigma2]
     d1 = xy[:, 0] - xy[:, 0].mean()
     d2 = xy[:, 1] - xy[:, 1].mean()
     cov = float(np.dot(d1, d2) / (n - 1))
     m22 = float(np.mean((d1 * d2) ** 2))
     se = math.sqrt(max(m22 - cov * cov, 0.0) / n)
+    scale = p.sigma1 * p.sigma2
+    cov, se = cov * scale, se * scale
+    if not (math.isfinite(cov) and math.isfinite(se)) or scale < sys.float_info.min:
+        raise DomainError(
+            "the covariance estimate leaves the double range at "
+            f"sigma1={p.sigma1!r}, sigma2={p.sigma2!r}"
+        )
     return CovEstimate(value=cov, se=se, n=n)

@@ -40,8 +40,8 @@ subnormal range.
 Public functions validate their arguments once (NaN raises
 ``DomainError``); both samplers check n and the seed in
 ``sample_stream``. Beneath them is an unvalidated array layer:
-``inference`` builds its likelihood from ``log_odds``, ``kernel_log_g``
-and ``kernel_log_derivs`` on data it has validated. The elementwise
+``inference`` builds its likelihood from ``log_odds`` and
+``kernel_log_derivs`` on data it has validated. The elementwise
 public functions, and both samplers' transforms, evaluate through
 ``blockwise`` in blocks of BLOCK_ELEMENTS elements, so their temporaries
 stay in cache; every kernel treats each element on its own, so no

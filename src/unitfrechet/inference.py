@@ -8,22 +8,19 @@ with its asymptotic p-value, rank-based residuals, and AIC/BIC model
 ranking.
 
 The UF log-likelihood, its gradient and its Hessian have one source,
-the batched log-space pass ``_uf_pass`` over ``core.kernel_log_derivs``,
-with a value-only twin ``_uf_loglik`` over ``core.kernel_log_g`` that
-shares its column chunks and its assembly, so the two values agree bit
-for bit. loglik_uf is a single-row value-only pass and score_uf a
-single-row full pass; the fit ranks its starts with the value-only
-pass, and steps, picks its winner and judges convergence with the full
-one. The UF fit works in (log sigma, log alpha, rho) with rho boxed to
-[0, 1]: a deterministic multistart grid is ranked by likelihood in one
-batched value-only pass, then projected Newton on the analytic Hessian
-runs from the best few starts and from the best start at each rho level
-of the grid, all in lockstep, one batched kernel pass per iteration. A rho
-estimate on 0 or 1 sets ``boundary_hit``. The fit's settings are the
-module constants UF_TOP_STARTS and UF_GRAD_TOL and those of the Newton
-runs (UF_PROFILE_RISE through UF_PASS_ELEMENTS); fit_uf takes no tuning
-options. There is no hidden randomness anywhere in the fit, so results
-are reproducible bit for bit.
+the batched log-space pass ``_uf_pass`` over ``core.kernel_log_derivs``:
+loglik_uf and score_uf are single-row passes, and the fit steps, picks
+its winner and judges convergence with the same pass. The UF fit works
+in (log sigma, log alpha, rho) with rho boxed to [0, 1], and it follows
+the shape of the likelihood in rho, whose profile is flat and often has
+two modes: projected Newton on the analytic Hessian first maximizes over
+(sigma, alpha) with rho held at each of the levels UF_RHO_LEVELS, all
+in lockstep, then runs again with rho free from the two highest local
+maxima of that profile. A rho estimate on 0 or 1 sets ``boundary_hit``.
+The fit's settings are module constants (UF_RHO_LEVELS, UF_GRAD_TOL and
+the Newton settings UF_NEWTON_TOL through UF_PASS_ELEMENTS); fit_uf
+takes no tuning options. There is no hidden randomness anywhere in the
+fit, so results are reproducible bit for bit.
 
 scipy is imported where it is used, by the Kolmogorov p-value and the
 Beta and Kumaraswamy fits, so importing this module does not load it.
@@ -42,7 +39,7 @@ from .core import (
     BLOCK_ELEMENTS,
     UfParams,
     kernel_log_derivs,
-    kernel_log_g,
+    kernel_quantile,
     log_odds,
     uf_cdf,
     uf_pdf,
@@ -55,7 +52,6 @@ __all__ = [
     "KSResult",
     "ModelComparison",
     "ModelHandle",
-    "START_GRID",
     "describe",
     "fit_beta",
     "fit_kumaraswamy",
@@ -76,22 +72,21 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
     "kumaraswamy": ("a", "b"),
 }
 
-# fit_uf's fixed settings. Newton runs from the UF_TOP_STARTS best
-# starts (besides the best start at each rho level); _uf_verdict's
-# relative score tolerance is UF_GRAD_TOL. The rest belong to _newton:
-# a run holds rho at its start until the predicted rise of a step falls
-# below UF_PROFILE_RISE (log-likelihood units), settles at a projected
-# gradient below UF_NEWTON_TOL times max(1, |loglik|), takes its last
-# step once the predicted rise falls below UF_RISE_TOL times
-# max(n, |loglik|), and stops after UF_MAX_STEPS steps or once its step
-# halves below UF_MIN_STEP. UF_ARMIJO is the sufficient-increase
-# fraction and UF_EIG_FLOOR the relative floor on Hessian eigenvalue
-# magnitudes. A pass over more than UF_PASS_ELEMENTS (rows x n)
-# elements sums over column chunks, which bounds its temporaries; it is
-# core's block size, at which the array layer evaluates everything else.
-UF_TOP_STARTS = 3
+# fit_uf's fixed settings. The rho profile is taken at UF_RHO_LEVELS:
+# six levels reach every maximum of the fit corpus, and eleven cost
+# about 1.4 times as much at n = 10^5. _uf_verdict's relative score
+# tolerance is UF_GRAD_TOL. The rest belong to _newton: a run
+# settles at a projected gradient below UF_NEWTON_TOL times
+# max(1, |loglik|), takes its last step once the predicted rise falls
+# below UF_RISE_TOL times max(n, |loglik|), and stops after
+# UF_MAX_STEPS steps or once its step halves below UF_MIN_STEP.
+# UF_ARMIJO is the sufficient-increase fraction and UF_EIG_FLOOR the
+# relative floor on Hessian eigenvalue magnitudes. A pass over more than
+# UF_PASS_ELEMENTS (rows x n) elements sums over column chunks, which
+# bounds its temporaries; it is core's block size, at which the array
+# layer evaluates everything else.
+UF_RHO_LEVELS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 UF_GRAD_TOL = 1e-6
-UF_PROFILE_RISE = 1.0
 UF_NEWTON_TOL = 1e-10
 UF_RISE_TOL = 1e-14
 UF_MAX_STEPS = 100
@@ -99,16 +94,6 @@ UF_MIN_STEP = 2.0 ** -30
 UF_ARMIJO = 1e-4
 UF_EIG_FLOOR = 1e-8
 UF_PASS_ELEMENTS = BLOCK_ELEMENTS
-
-# Deterministic multistart grid for fit_uf, ranked by likelihood before
-# any optimizer runs. A moment-matched start derived from the sample
-# median is prepended at fit time.
-START_GRID: tuple[tuple[float, float, float], ...] = tuple(
-    (sg, al, rh)
-    for sg in (0.5, 1.0, 2.0)
-    for al in (0.5, 1.0, 2.0, 4.0)
-    for rh in (0.1, 0.5, 0.9)
-)
 
 
 @dataclass(frozen=True)
@@ -219,16 +204,16 @@ def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
 
     n log alpha - n alpha log sigma + (alpha-1) sum log s_i
     + 2 sum log(s_i + 1) + sum log g(x_i; rho), with
-    x_i = (s_i/sigma)^alpha. Formed in log space by the value-only pass
-    _uf_loglik, which equals the fit's own evaluation _uf_pass bit for
-    bit (so a report's loglik is loglik_uf at its theta_hat). It is
-    exact for any finite u_i = alpha (log s_i - log sigma), including
-    where x_i or g(x_i) lie outside the double range; it is non-finite
-    only where u_i itself overflows. Agrees with summing uf_logpdf,
-    whose log kernel density comes from the same code, to 1e-10
-    (asserted in tests).
+    x_i = (s_i/sigma)^alpha. It is the value of a single-row _uf_pass,
+    the fit's own evaluation, so a report's loglik is loglik_uf at its
+    theta_hat bit for bit. Formed in log space, it is exact for any
+    finite u_i = alpha (log s_i - log sigma), including where x_i or
+    g(x_i) lie outside the double range; it is non-finite only where
+    u_i itself overflows. Agrees with summing uf_logpdf, whose log
+    kernel density comes from the same code, to 1e-10 (asserted in
+    tests).
     """
-    return float(_uf_loglik(_phi(UfParams.of(theta)), data)[0])
+    return float(_uf_pass(_phi(UfParams.of(theta)), data)[0][0])
 
 
 def score_uf(theta: UfParams | Sequence[float], data: DataSeries) -> np.ndarray:
@@ -467,38 +452,6 @@ def _uf_verdict(th: UfParams, data: DataSeries) -> tuple[float, bool]:
     return ll, bool(np.max(np.abs(tgrad)) < tol and math.isfinite(ll))
 
 
-def _log_args(phi: np.ndarray, data: DataSeries):
-    """u_i = alpha (log s_i - log sigma) at each row of ``phi`` over the
-    data, yielded as (rows, width) column chunks of at most
-    UF_PASS_ELEMENTS elements (at least one column), so a row is summed
-    in an order that depends only on the row count. The caller silences the overflow of
-    u, which the likelihood turns into a non-finite value."""
-    width = max(1, UF_PASS_ELEMENTS // len(phi))
-    alpha = np.exp(phi[:, 1:2])
-    for lo in range(0, data.n, width):
-        yield alpha * (data.log_odds[lo:lo + width] - phi[:, :1])
-
-
-def _assemble_loglik(phi: np.ndarray, data: DataSeries, s_val: np.ndarray) -> np.ndarray:
-    """The log-likelihood at each row of ``phi`` from s_val, the sum of
-    u_i + log g(e^u_i; rho) over the data:
-    n log alpha - sum log s_i + 2 sum log(1 + s_i) + s_val."""
-    return data.n * phi[:, 1] - data.log_odds.sum() + 2.0 * data._sum_log1p_odds + s_val
-
-
-def _uf_loglik(phi: np.ndarray, data: DataSeries) -> np.ndarray:
-    """The log-likelihood alone at each row of ``phi`` (shape (rows, 3)),
-    _uf_pass's value bit for bit, from the same chunks and the same
-    assembly, without the derivative terms. A row whose u_i overflows
-    gets a non-finite value, not a warning."""
-    rho = phi[:, 2:]
-    s_val = np.zeros(len(phi))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for u in _log_args(phi, data):
-            s_val += (u + kernel_log_g(u, rho)).sum(axis=-1)
-        return _assemble_loglik(phi, data, s_val)
-
-
 def _uf_pass(phi: np.ndarray, data: DataSeries):
     """Log-likelihood, gradient and Hessian in (log sigma, log alpha,
     rho) at each row of ``phi``, shape (rows, 3), from one kernel pass
@@ -510,17 +463,20 @@ def _uf_pass(phi: np.ndarray, data: DataSeries):
     the data of the kernel_log_derivs terms times powers of u_i. Above
     UF_PASS_ELEMENTS elements the sums run over column chunks. The value
     is formed in log space, so it is exact for any finite u_i; a row
-    whose point overflows gets a non-finite value, not a warning. It
-    shares its chunks (_log_args) and its assembly (_assemble_loglik)
-    with the value-only _uf_loglik, so the two give the same value bit
-    for bit: these are the package's one UF log-likelihood, which
-    loglik_uf, score_uf and the fit all read.
+    whose point overflows gets a non-finite value, not a warning. This
+    is the package's one UF log-likelihood, which loglik_uf, score_uf
+    and the fit all read.
     """
     rows = len(phi)
     rho = phi[:, 2:]
+    alpha = np.exp(phi[:, 1:2])
+    # at least one column per chunk; a row's summation order depends
+    # only on the row count
+    width = max(1, UF_PASS_ELEMENTS // rows)
     sums = np.zeros((10, rows))
     with np.errstate(over="ignore", invalid="ignore"):
-        for u in _log_args(phi, data):
+        for lo in range(0, data.n, width):
+            u = alpha * (data.log_odds[lo:lo + width] - phi[:, :1])
             logg, r, h, dr_du, dr_drho, dh_drho = kernel_log_derivs(u, rho)
             p = 1.0 + r
             ru = dr_du * u
@@ -528,9 +484,9 @@ def _uf_pass(phi: np.ndarray, data: DataSeries):
                 u + logg, p, p * u, h, dr_du, ru, ru * u, dr_drho, dr_drho * u, dh_drho,
             )]
         s_val, s_p, s_pu, s_h, s_ru, s_ruu, s_ruuu, s_rr, s_rru, s_hr = sums
-        a = np.exp(phi[:, 1])
+        a = alpha[:, 0]
         n = data.n
-        ll = _assemble_loglik(phi, data, s_val)
+        ll = n * phi[:, 1] - data.log_odds.sum() + 2.0 * data._sum_log1p_odds + s_val
         grad = np.column_stack([-a * s_p, n + s_pu, s_h])
         hess = np.empty((rows, 3, 3))
         hess[:, 0, 0] = a * a * s_ru
@@ -584,18 +540,17 @@ def _ascent(phi, grad, hess, fixed) -> np.ndarray:
         fixed = fixed | out
 
 
-def _newton(phi: np.ndarray, data: DataSeries) -> tuple[np.ndarray, np.ndarray, int]:
+def _newton(
+    phi: np.ndarray, data: DataSeries, hold: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Projected Newton ascent from every row of ``phi`` in lockstep:
-    one _uf_pass over the rows still running per iteration. Returns the
-    final rows, their log-likelihoods and the number of Newton steps
-    taken over all of them.
-
-    Each run first holds rho at its start and steps in (log sigma,
-    log alpha) alone, until the predicted rise of that step falls below
-    UF_PROFILE_RISE; then rho is freed. A run thus sets out along rho
-    from the profile likelihood at its own rho level and tends to stay
-    with the mode nearest that level: freed at once, runs from every
-    level could leap into one mode together and miss the other.
+    one _uf_pass over the rows still running per iteration. In the rows
+    ``hold`` (a boolean mask) rho stays at its start and the run steps
+    in (log sigma, log alpha) alone: their rho derivatives, which may
+    overflow (at rho = 1 past the double range), are set to zero, so
+    they neither steer nor settle the run. Returns the final rows, their
+    log-likelihoods and the number of Newton steps taken over all of
+    them.
 
     A trial point is the current point plus the step times the
     direction, with rho clipped to [0, 1]. It is accepted when it raises
@@ -607,28 +562,28 @@ def _newton(phi: np.ndarray, data: DataSeries) -> tuple[np.ndarray, np.ndarray, 
     run also leaves when it settles (_settled), stalls (the step falls
     below UF_MIN_STEP) or has taken UF_MAX_STEPS steps.
     """
-    def aim(rows):
-        direction[rows] = _ascent(phi[rows], grad[rows], hess[rows], profiling[rows])
-        rise[rows] = np.einsum("ij,ij->i", grad[rows], direction[rows])
-        freed = rows[profiling[rows] & (rise[rows] <= UF_PROFILE_RISE)]
-        if len(freed):
-            profiling[freed] = False
-            aim(freed)
+    def evaluate(rows, held):
+        ll, grad, hess = _uf_pass(rows, data)
+        grad[held, 2] = 0.0
+        hess[held, 2, :] = hess[held, :, 2] = 0.0
+        return ll, grad, hess
 
     phi = phi.copy()
-    ll, grad, hess = _uf_pass(phi, data)
+    ll, grad, hess = evaluate(phi, hold)
     live = ~_settled(phi, ll, grad, hess)
-    profiling = np.ones(len(phi), dtype=bool)
     direction = np.zeros_like(phi)
     rise = np.zeros(len(phi))
-    aim(np.flatnonzero(live))
     step = np.ones(len(phi))
     taken = np.zeros(len(phi), dtype=int)
     while live.any():
         idx = np.flatnonzero(live)
+        # a fresh run, or one that has just stepped, takes a new direction
+        aim = idx[step[idx] == 1.0]
+        direction[aim] = _ascent(phi[aim], grad[aim], hess[aim], hold[aim])
+        rise[aim] = np.einsum("ij,ij->i", grad[aim], direction[aim])
         trial = phi[idx] + step[idx, None] * direction[idx]
         trial[:, 2] = np.clip(trial[:, 2], 0.0, 1.0)
-        t_ll, t_grad, t_hess = _uf_pass(trial, data)
+        t_ll, t_grad, t_hess = evaluate(trial, hold[idx])
         gain = np.einsum("ij,ij->i", grad[idx], trial - phi[idx])
         # ll sums n terms, so its rounding error grows like n at least
         noise = UF_RISE_TOL * np.maximum(data.n, np.abs(ll[idx]))
@@ -649,7 +604,6 @@ def _newton(phi: np.ndarray, data: DataSeries) -> tuple[np.ndarray, np.ndarray, 
             & ~last[ok]
             & (taken[up] < UF_MAX_STEPS)
         )
-        aim(up[live[up]])
     return phi, ll, int(taken.sum())
 
 
@@ -659,22 +613,36 @@ def _theta(phi: np.ndarray) -> UfParams:
     return UfParams(float(sg), float(al), min(max(float(phi[2]), 0.0), 1.0))
 
 
+def _level_starts(data: DataSeries) -> np.ndarray:
+    """fit_uf's start at each rho level, as rows (log sigma, log alpha,
+    rho): the UF law whose median and quartiles at that rho match the
+    data's, on the log-odds scale (see fit_uf)."""
+    q1, med, q3 = np.quantile(data.log_odds, [0.25, 0.5, 0.75])
+    # positive, since the data are not all equal
+    spread = (q3 - q1) or np.ptp(data.log_odds)
+    levels = np.array(UF_RHO_LEVELS)
+    alphas = [2.0 * math.log(kernel_quantile(0.75, rho)) / spread for rho in levels]
+    return np.column_stack([np.full(levels.size, med), np.log(alphas), levels])
+
+
 def fit_uf(data: DataSeries) -> FitReport:
     """Maximum-likelihood fit of the UF distribution.
 
-    The multistart grid (START_GRID plus a moment-matched start whose
-    sigma solves the median equation sigma/(1+sigma) = sample median) is
-    ranked by log-likelihood in one batched value-only pass
-    (_uf_loglik), which forms no gradient or Hessian for the starts it
-    throws away. Projected Newton on the analytic Hessian (see _newton)
-    then runs in (log sigma, log alpha, rho), with rho boxed to [0, 1],
-    from the UF_TOP_STARTS best starts and from the best start at each
-    distinct rho level of the grid, all in lockstep. The per-level starts matter because the
-    rho profile can have one mode on the boundary and another inside.
-    The run whose end point has the highest log-likelihood wins, the
-    first of equals. ``iterations`` counts the Newton steps of all runs.
-    The settings are the module constants; the function takes no tuning
-    options.
+    A rho profile, then a free refine. Projected Newton on the analytic
+    Hessian (see _newton) works in (log sigma, log alpha, rho) with rho
+    boxed to [0, 1]. It first maximizes over (sigma, alpha) with rho
+    held at each level of UF_RHO_LEVELS, all levels in lockstep. Each
+    level starts (_level_starts) at log sigma = the median of the log
+    odds and alpha = 2 log Q(3/4; rho) / IQR of the log odds (their
+    range where the quartiles tie), with Q the kernel quantile: since
+    log s = log sigma + (log x)/alpha and log x is symmetric about 0,
+    that law has the data's median and quartiles. Newton then runs
+    again with rho free from the two highest local maxima of the profile
+    over the levels (the end levels count), since the rho profile is
+    flat and often has a mode at each end of [0, 1]. The refined point
+    with the highest log-likelihood wins, the first of equals.
+    ``iterations`` counts the Newton steps of both phases. The settings
+    are the module constants; the function takes no tuning options.
 
     ``converged`` means the reparameterized score has infinity norm
     below UF_GRAD_TOL * max(1, |loglik|). ``boundary_hit`` is set when
@@ -688,27 +656,23 @@ def fit_uf(data: DataSeries) -> FitReport:
     if ill_posed is not None:
         return ill_posed
 
-    med = float(np.median(data.array))
-    starts = [(med / (1.0 - med), 1.0, 0.5), *START_GRID]
-    phi = np.array([(math.log(sg), math.log(al), rh) for sg, al, rh in starts])
-    values = _uf_loglik(phi, data)
-    # every start is finite on valid data (all |u_i| < 3000), but a
-    # non-finite value is kept out of the ranking all the same
-    order = [i for i in np.argsort(values)[::-1] if math.isfinite(values[i])]
-    picked = order[:UF_TOP_STARTS]
-    for level in sorted({starts[i][2] for i in order}):
-        best_at_level = next(i for i in order if starts[i][2] == level)
-        if best_at_level not in picked:
-            picked.append(best_at_level)
+    phi = _level_starts(data)
+    ends, profile, steps = _newton(phi, data, np.ones(len(phi), dtype=bool))
 
-    ends, values, iterations = _newton(phi[picked], data)
+    # local maxima of the profile over the levels, highest first
+    v = np.where(np.isnan(profile), -np.inf, profile)
+    edged = np.concatenate([[-np.inf], v, [-np.inf]])
+    peaks = np.flatnonzero((v >= edged[:-2]) & (v >= edged[2:]))
+    peaks = peaks[np.argsort(-v[peaks], kind="stable")[:2]]
+    ends, values, refine_steps = _newton(ends[peaks], data, np.zeros(peaks.size, dtype=bool))
+
     best = _theta(ends[int(np.argmax(values))])
     ll, converged = _uf_verdict(best, data)
     theta_hat = best.astuple()
     return _build_report(
         "uf", data, theta_hat, ll, converged,
         boundary_hit=theta_hat[2] in (0.0, 1.0),
-        iterations=iterations,
+        iterations=steps + refine_steps,
         message="" if converged else "gradient tolerance not reached",
     )
 

@@ -390,6 +390,13 @@ class TestRatioTransform:
         assert out[0] == 0.5
         assert 0.0 < out[1] < 1.0
 
+    def test_endpoints_past_the_double_range(self):
+        # x2/x1 overflows or underflows: the proportion rounds to 0 or 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ratio_transform([[1e-320, 1e308], [1e308, 1e-320]])
+        assert out.tolist() == [0.0, 1.0]
+
     def test_shape_rejected(self):
         with pytest.raises(DomainError):
             ratio_transform([1.0, 2.0, 3.0])
@@ -456,3 +463,17 @@ class TestEstimateCov:
     def test_integral_float_n(self):
         p = (1.0, 1.0, 3.0, 0.5)
         assert estimate_cov(p, 10_000.0, 5) == estimate_cov(p, 10_000, 5)
+
+    def test_large_scales(self):
+        # the draws scale with sigma1 sigma2, and so do the estimate and
+        # its standard error, up to the rounding of the scaled draws;
+        # (d1 d2)^2 at sigma = 1e150 would pass 1e600
+        unit = estimate_cov((1.0, 1.0, 3.0, 0.5), 10_000, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = estimate_cov((1e150, 1e150, 3.0, 0.5), 10_000, 1)
+            # a covariance past the largest double, or below the normal range
+            for sigma in (1e300, 1e-300):
+                with pytest.raises(DomainError, match="double range"):
+                    estimate_cov((sigma, sigma, 3.0, 0.5), 10_000, 1)
+        assert_allclose([big.value, big.se], [unit.value * 1e300, unit.se * 1e300], rtol=1e-13)

@@ -74,6 +74,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"row {4 if header else 3}:" in err and "open interval" in err
 
+    def test_ratio_past_the_double_range(self, tmp_path, capsys):
+        # x2/x1 overflows, so w rounds to 0, quietly; the complaint names
+        # the file row
+        src = write(tmp_path / "r4.csv", "1,2\n1e-320,1e308\n")
+        assert run("fit", src, "--ratio", "--outdir", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "row 2:" in err and "open interval" in err
+
     def test_bundled_rejects_ratio(self, tmp_path, capsys):
         assert run("fit", "bundled:uefa", "--ratio", "--outdir", str(tmp_path)) == 3
         assert "univariate" in capsys.readouterr().err

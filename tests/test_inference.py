@@ -13,7 +13,7 @@ from scipy import stats
 from unitfrechet.core import uf_logpdf, uf_quantile, uf_sample
 from unitfrechet.errors import DataError, DomainError
 from unitfrechet.inference import (
-    START_GRID,
+    UF_RHO_LEVELS,
     DataSeries,
     FitReport,
     describe,
@@ -281,31 +281,7 @@ class TestNewtonPass:
         for got, want in zip(chunked, whole):
             assert_allclose(got, want[:3], rtol=1e-12, atol=1e-12)
 
-    def test_value_only_pass_is_the_full_pass_value(self, monkeypatch):
-        from unitfrechet import inference
-
-        def assert_same_values(phi, data):
-            whole = inference._uf_loglik(phi, data)
-            assert np.array_equal(whole, inference._uf_pass(phi, data)[0])
-            for i in range(len(phi)):
-                row = inference._uf_loglik(phi[i:i + 1], data)
-                assert np.array_equal(row, inference._uf_pass(phi[i:i + 1], data)[0])
-
-        # fit_uf's ranking batch: the median start plus START_GRID; at
-        # n = 2000 its 37 rows span several chunks, where one row does not
-        large = sample_series((1.0, 2.0, 0.5), 2000, 271)
-        for data in (self.data, large):
-            med = float(np.median(data.array))
-            phi = np.array([phi_of(th) for th in [(med / (1.0 - med), 1.0, 0.5), *START_GRID]])
-            assert_same_values(phi, data)
-        assert large.n > inference.UF_PASS_ELEMENTS // len(phi)
-        assert_same_values(np.array([phi_of(th) for th in self.thetas]), self.data)
-        # at most 3 columns per chunk with 3 rows
-        monkeypatch.setattr(inference, "UF_PASS_ELEMENTS", 9)
-        assert_same_values(phi[:3], self.data)
-        assert_same_values(phi[:3], large)
-
-    def test_value_only_pass_overflow_is_quiet(self):
+    def test_pass_overflow_is_quiet(self):
         from unitfrechet import inference
 
         # alpha = e^705 carries the log odds -690.8 of 1e-300 past the
@@ -314,10 +290,10 @@ class TestNewtonPass:
         phi = np.array([[0.0, 705.0, 0.5], phi_of((1.0, 2.0, 0.5))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = inference._uf_loglik(phi, data)
-            full = inference._uf_pass(phi, data)[0]
+            values = inference._uf_pass(phi, data)[0]
+            single = [loglik_uf(th, data) for th in ((1.0, math.exp(705.0), 0.5), (1.0, 2.0, 0.5))]
         assert not math.isfinite(values[0]) and math.isfinite(values[1])
-        assert np.array_equal(values, full, equal_nan=True)
+        assert np.array_equal(values, single, equal_nan=True)
 
 
 class TestFitUf:
@@ -389,12 +365,17 @@ class TestFitUf:
         assert "ill-posed" in r.message
 
     def test_extreme_data_converges(self):
-        # at the median start (sigma = median/(1 - median) = 3e-300) the
-        # datum next to 1 has kernel argument e^727, past the double
-        # range, yet the likelihood is exact (mpmath at 1200 digits)
+        from unitfrechet import inference
+
+        # at the level starts' sigma (the median odds, 3e-300) the datum
+        # next to 1 has kernel argument e^727, past the double range, yet
+        # the likelihood is exact (mpmath at 1200 digits); every level
+        # start has a finite likelihood
         d = series([1e-300, 2e-300, 3e-300, 1.0 - 1e-16, 0.5])
         assert_allclose(loglik_uf((3e-300, 1.0, 0.5), d), 687.21883474042865, rtol=1e-12)
-        assert all(math.isfinite(loglik_uf(s, d)) for s in START_GRID)
+        phi = inference._level_starts(d)
+        assert np.array_equal(phi[:, 2], UF_RHO_LEVELS)
+        assert np.isfinite(inference._uf_pass(phi, d)[0]).all()
         assert fit_uf(d).converged
 
     def test_reaches_rho_one_mode(self):
@@ -425,9 +406,23 @@ class TestFitUf:
         with pytest.raises(DataError):
             fit_uf(series([0.2, 0.5, 0.8]))
 
+    @pytest.mark.parametrize(
+        "values, loglik",
+        [([0.4] * 9 + [0.5], 25.89925859022763), ([0.4] * 3 + [0.5], 7.002516083713353)],
+        ids=("tied-quartiles", "four-points"),
+    )
+    def test_mostly_tied_data(self, values, loglik):
+        # in the first sample the quartiles of the log odds tie, so the
+        # level starts take alpha from their range (the reference values
+        # are an earlier engine's fits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = fit_uf(series(values))
+        assert r.converged and r.loglik >= loglik - 1e-9
+
     def test_large_sample_report_loglik(self):
         # past UF_PASS_ELEMENTS observations even a one-row pass sums
-        # over two chunks, and the ranking's 37 rows over dozens; on
+        # over two chunks, and the profile's 6 rows over dozens; on
         # this sample a one-chunk sum at theta_hat differs in its last bit
         from unitfrechet import inference
 
