@@ -31,8 +31,21 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import LOG_GUARD, UfParams, blockwise, sample_stream
-from .errors import DomainError, NumericalError, ParameterError
+from .core import (
+    LOG_GUARD,
+    NONNEGATIVE,
+    POSITIVE,
+    UfParams,
+    blockwise,
+    check_positive,
+    check_rho,
+    finish,
+    params_of,
+    prepare,
+    sample_stream,
+    uniforms,
+)
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "BivParams",
@@ -55,23 +68,10 @@ class BivParams:
     rho: float
 
     def __post_init__(self) -> None:
-        for name in ("sigma1", "sigma2", "alpha"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ParameterError(f"{name} must be finite and > 0, got {v!r}")
-        if not (math.isfinite(self.rho) and 0.0 <= self.rho <= 1.0):
-            raise ParameterError(f"rho must lie in [0, 1], got {self.rho!r}")
+        check_positive(self, "sigma1", "sigma2", "alpha")
+        check_rho(self.rho)
 
-    @classmethod
-    def of(cls, p: "BivParams | Sequence[float]") -> "BivParams":
-        if isinstance(p, cls):
-            return p
-        vals = tuple(float(v) for v in p)
-        if len(vals) != 4:
-            raise ParameterError(
-                f"expected (sigma1, sigma2, alpha, rho), got {len(vals)} values"
-            )
-        return cls(*vals)
+    of = classmethod(params_of)
 
     @property
     def scale_ratio(self) -> float:
@@ -107,20 +107,16 @@ def _powers(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> tuple[np.ndarray, n
     return u, v
 
 
-def _coords(x1, x2, strict: bool) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Both coordinates as broadcast 1-d float arrays plus a was-scalar
-    flag. Every coordinate must be > 0 (``strict``) or >= 0; NaN is
-    neither and is rejected."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    scalar = x1.ndim == 0 and x2.ndim == 0
-    x1, x2 = np.broadcast_arrays(np.atleast_1d(x1), np.atleast_1d(x2))
-    low = np.minimum(x1, x2)  # NaN propagates
-    if strict and not np.all(low > 0.0):
-        raise DomainError("coordinates must be strictly positive")
-    if not np.all(low >= 0.0):
-        raise DomainError("coordinates must be nonnegative")
-    return x1, x2, scalar
+def _coords(x1, x2, domain) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Both coordinates checked against ``domain`` by ``prepare`` and
+    broadcast together, plus a was-scalar flag."""
+    (x1, scalar1), (x2, scalar2) = prepare(x1, "x1", domain), prepare(x2, "x2", domain)
+    try:
+        return (*np.broadcast_arrays(x1, x2), scalar1 and scalar2)
+    except ValueError:
+        raise DomainError(
+            f"x1 of shape {x1.shape} and x2 of shape {x2.shape} do not broadcast"
+        ) from None
 
 
 def biv_cdf(x1, x2, p: BivParams | Sequence[float]):
@@ -130,9 +126,8 @@ def biv_cdf(x1, x2, p: BivParams | Sequence[float]):
     must be nonnegative.
     """
     p = BivParams.of(p)
-    x1, x2, scalar = _coords(x1, x2, strict=False)
-    out = blockwise(lambda a, b: _biv_cdf(a, b, p), x1, x2)
-    return float(out[0]) if scalar else out
+    x1, x2, scalar = _coords(x1, x2, NONNEGATIVE)
+    return finish(blockwise(lambda a, b: _biv_cdf(a, b, p), x1, x2), scalar)
 
 
 def _biv_cdf(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> np.ndarray:
@@ -159,9 +154,8 @@ def biv_pdf(x1, x2, p: BivParams | Sequence[float]):
     (u+v)^-2), so the density is nonnegative everywhere.
     """
     p = BivParams.of(p)
-    x1, x2, scalar = _coords(x1, x2, strict=True)
-    out = blockwise(lambda a, b: _biv_pdf(a, b, p), x1, x2)
-    return float(out[0]) if scalar else out
+    x1, x2, scalar = _coords(x1, x2, POSITIVE)
+    return finish(blockwise(lambda a, b: _biv_pdf(a, b, p), x1, x2), scalar)
 
 
 def _biv_pdf(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> np.ndarray:
@@ -231,13 +225,6 @@ def _cond_draw(u: np.ndarray, e: np.ndarray, q2: np.ndarray, rho: float) -> np.n
     return np.maximum(r, d, out=r)
 
 
-def _uniforms(gen: np.random.Generator, k: int) -> np.ndarray:
-    """k uniforms clipped to [1e-300, 1 - 1e-16], so that -log of each
-    is finite and positive."""
-    q = gen.random(k)
-    return np.clip(q, 1e-300, 1.0 - 1e-16, out=q)
-
-
 def biv_sample(
     p: BivParams | Sequence[float],
     n: int,
@@ -259,11 +246,15 @@ def biv_sample(
     independent check of ``uf_cdf``. Deterministic for fixed
     (p, n, seed) via the Philox counter-based generator.
 
-    Pairs whose coordinates overflow or underflow to nonfinite or
-    nonpositive floats (possible for very small alpha, where the tails
-    are extremely heavy) are redrawn from the same stream rather than
-    clamped. ``return_stats`` also returns a ``SampleStats`` with the
-    redraw counts.
+    A pair with a coordinate that overflows to inf or underflows to 0
+    is redrawn from the same stream rather than clamped, without a
+    warning, so the sample is conditioned on both coordinates being
+    positive finite doubles. That happens for very small alpha, where
+    the tails are extremely heavy, and for scales near the ends of the
+    double range: ``biv_sample((1e307, 1, 3, 0.5), 10**5, 1)`` redraws
+    16 pairs whose first coordinate overflowed. ``return_stats`` also
+    returns a ``SampleStats`` that counts the redrawn pairs and the
+    redraw rounds.
     """
     p = BivParams.of(p)
     n, gen = sample_stream(n, seed)
@@ -291,7 +282,7 @@ def biv_sample(
     def draw(k: int) -> np.ndarray:
         # the whole batch's uniforms first, in stream order, then the
         # transform block by block
-        batch = [_uniforms(gen, k), _uniforms(gen, k)]
+        batch = [uniforms(gen, k), uniforms(gen, k)]
         if p.rho > 0.0:
             batch.append(gen.random(k))
         return blockwise(transform, *batch)
@@ -323,11 +314,9 @@ def ratio_transform(pairs) -> np.ndarray:
     1.0, without a warning (x2/x1 overflows, or underflows); a caller
     that needs the open interval checks for them.
     """
-    arr = np.asarray(pairs, dtype=float)
+    arr, _ = prepare(pairs, "pair entries", POSITIVE)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DomainError("pairs must be an (n, 2) array")
-    if np.any(~(arr > 0.0)):
-        raise DomainError("pair entries must be strictly positive")
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + arr[:, 1] / arr[:, 0])
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .bivariate import BivParams, biv_sample, estimate_cov, ratio_transform
-from .core import UfParams, uf_cdf, uf_quantile, uf_sample
+from .core import UNIT_OPEN, UfParams, uf_cdf, uf_quantile, uf_sample
 from .datasets import load_uefa
 from .errors import (
     DataError,
@@ -119,7 +119,7 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
         raise DataError(f"cannot read {source}: {exc.strerror or exc}") from None
     ncols = 2 if ratio else 1
     values: list = []
-    rows: list[int] = []  # the file row of each ratio pair
+    rows: list[int] = []  # the file row of each value
     seen_data = False
     for rowno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -139,36 +139,21 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
             raise DataError(
                 f"row {rowno}: expected {ncols} column(s), got {len(nums)}"
             )
-        if ratio:
-            x1, x2 = nums
-            if not (math.isfinite(x1) and math.isfinite(x2)):
-                raise DataError(f"row {rowno}: non-finite value")
-            if x1 <= 0.0 or x2 <= 0.0:
-                raise DataError(
-                    f"row {rowno}: ratio input needs strictly positive pairs"
-                )
-            values.append(nums)
-            rows.append(rowno)
-        else:
-            v = nums[0]
-            if not math.isfinite(v):
-                raise DataError(f"row {rowno}: non-finite value {stripped!r}")
-            if not (0.0 < v < 1.0):
-                raise DataError(
-                    f"row {rowno}: value {stripped!r} outside the open interval (0, 1)"
-                )
-            values.append(v)
+        if ratio and not (nums[0] > 0.0 and nums[1] > 0.0):
+            raise DataError(f"row {rowno}: ratio input needs strictly positive pairs")
+        values.append(nums if ratio else nums[0])
+        rows.append(rowno)
     if not values:
         raise DataError(f"no data in {source}")
-    if ratio:
-        values = ratio_transform(values).tolist()
-        for rowno, w in zip(rows, values):
-            # x2/x1 can underflow to 0 or overflow, rounding w to 1 or 0
-            if not 0.0 < w < 1.0:
-                raise DataError(
-                    f"row {rowno}: ratio {w!r} outside the open interval (0, 1)"
-                )
-    return DataSeries(tuple(values), source=source)
+    # x2/x1 can underflow to 0 or overflow, rounding a ratio to 1 or 0
+    w = ratio_transform(values) if ratio else np.array(values)
+    bad = ~UNIT_OPEN.test(w)
+    if bad.any():
+        i = int(bad.argmax())
+        raise DataError(
+            f"row {rows[i]}: value {float(w[i])!r} outside the open interval (0, 1)"
+        )
+    return DataSeries(tuple(w.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +319,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if args.n <= 0:
-        raise DomainError("n must be a positive integer")
     # draw before touching the disk, so a rejected call leaves no --outdir
     if args.bivariate:
         if args.sigma1 is None or args.sigma2 is None:

@@ -30,16 +30,20 @@ the CDF evaluates the same B, and ``kernel_pdf_dx``, ``kernel_pdf_drho``
 and ``kernel_log_derivs`` are their quotient rule. The quantile solves
 G = q by Newton's method in ``t = x / (1 + x)``, where the equation
 becomes a quadratic plus a ``q / t`` term. The UF functions
-(``uf_cdf``, ``uf_logpdf``, ``uf_pdf``, ``stress_strength``),
-``kernel_log_g`` and ``kernel_log_derivs`` take the log argument
+(``uf_cdf``, ``uf_logpdf``, ``uf_pdf``, ``stress_strength``)
+and ``kernel_log_derivs`` take the log argument
 ``u = alpha (log s - log sigma)`` and fold it to ``y = exp(-|u|)``
 without forming ``x = e^u``, so the CDF, its complement and the log
 density keep their relative accuracy for any finite u, into the
 subnormal range.
 
 Public functions validate their arguments once (NaN raises
-``DomainError``); both samplers check n and the seed in
-``sample_stream``. Beneath them is an unvalidated array layer:
+``DomainError``), through the argument rules written once here and
+shared with the sibling modules: ``check_positive``, ``check_rho``,
+``params_of`` (every parameter record's ``of``), ``prepare`` and
+``finish`` for array arguments, and, for both samplers,
+``sample_stream`` for n and the seed and ``uniforms`` for the clipped
+draws. Beneath them is an unvalidated array layer:
 ``inference`` builds its likelihood from ``log_odds`` and
 ``kernel_log_derivs`` on data it has validated. The elementwise
 public functions, and both samplers' transforms, evaluate through
@@ -55,8 +59,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -98,6 +102,40 @@ QUANTILE_MAX_ITER = 32
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
 
+# ---------------------------------------------------------------------------
+# Argument rules: each written once here, for core and its siblings
+# ---------------------------------------------------------------------------
+
+def check_positive(record, *names: str) -> None:
+    """Raise ParameterError unless each named field of ``record`` is
+    finite and > 0."""
+    for name in names:
+        v = getattr(record, name)
+        if not (math.isfinite(v) and v > 0.0):
+            raise ParameterError(f"{name} must be finite and > 0, got {v!r}")
+
+
+def check_rho(rho: float) -> float:
+    """rho as a float; ParameterError unless it lies in [0, 1]."""
+    rho = float(rho)
+    if not 0.0 <= rho <= 1.0:
+        raise ParameterError(f"rho must lie in [0, 1], got {rho!r}")
+    return rho
+
+
+def params_of(cls, value):
+    """``value`` as the parameter record ``cls``: itself if it is one,
+    else ``cls`` of its entries as floats, which must number one per
+    field. Every parameter record's ``of``."""
+    if isinstance(value, cls):
+        return value
+    vals = tuple(float(v) for v in value)
+    names = [f.name for f in fields(cls)]
+    if len(vals) != len(names):
+        raise ParameterError(f"expected ({', '.join(names)}), got {len(vals)} values")
+    return cls(*vals)
+
+
 @dataclass(frozen=True)
 class UfParams:
     """Parameter triple (sigma, alpha, rho) of the UF distribution.
@@ -119,24 +157,10 @@ class UfParams:
     rho: float
 
     def __post_init__(self) -> None:
-        sigma, alpha, rho = self.sigma, self.alpha, self.rho
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise ParameterError(f"sigma must be finite and > 0, got {sigma!r}")
-        if not (math.isfinite(alpha) and alpha > 0.0):
-            raise ParameterError(f"alpha must be finite and > 0, got {alpha!r}")
-        _check_rho(rho)
+        check_positive(self, "sigma", "alpha")
+        check_rho(self.rho)
 
-    @classmethod
-    def of(cls, theta: "UfParams | Sequence[float]") -> "UfParams":
-        """Coerce a (sigma, alpha, rho) sequence into UfParams."""
-        if isinstance(theta, cls):
-            return theta
-        vals = tuple(float(v) for v in theta)
-        if len(vals) != 3:
-            raise ParameterError(
-                f"theta must have exactly 3 components, got {len(vals)}"
-            )
-        return cls(*vals)
+    of = classmethod(params_of)
 
     def astuple(self) -> tuple[float, float, float]:
         return (self.sigma, self.alpha, self.rho)
@@ -151,50 +175,45 @@ class FrechetParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ParameterError(f"sigma must be finite and > 0, got {self.sigma!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ParameterError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        check_positive(self, "sigma", "alpha")
         if not math.isfinite(self.mu):
             raise ParameterError(f"mu must be finite, got {self.mu!r}")
 
-    @classmethod
-    def of(cls, p: "FrechetParams | Sequence[float]") -> "FrechetParams":
-        if isinstance(p, cls):
-            return p
-        vals = tuple(float(v) for v in p)
-        if len(vals) != 3:
-            raise ParameterError(f"expected (mu, sigma, alpha), got {len(vals)} values")
-        return cls(*vals)
+    of = classmethod(params_of)
 
 
-# Argument domains for _prepare: an elementwise test and the complaint
+# Argument domains for prepare: an elementwise test and the complaint
 # when it fails. NaN fails every test.
-_REAL = (lambda a: ~np.isnan(a), "must not be NaN")
-_POSITIVE = (lambda a: a > 0.0, "must be strictly positive")
-_UNIT_OPEN = (lambda a: (a > 0.0) & (a < 1.0), "must lie strictly inside (0, 1)")
+class Domain(NamedTuple):
+    test: Callable[[np.ndarray], np.ndarray]
+    rule: str
 
 
-def _prepare(x: ArrayLike, name: str, domain=_REAL) -> tuple[np.ndarray, bool]:
+REAL = Domain(lambda a: ~np.isnan(a), "must not be NaN")
+POSITIVE = Domain(lambda a: a > 0.0, "must be strictly positive")
+NONNEGATIVE = Domain(lambda a: a >= 0.0, "must be nonnegative")
+UNIT_OPEN = Domain(lambda a: (a > 0.0) & (a < 1.0), "must lie strictly inside (0, 1)")
+
+
+def prepare(x: ArrayLike, name: str, domain: Domain = REAL) -> tuple[np.ndarray, bool]:
     """x as a 1-d float array plus a was-scalar flag, checked against
     ``domain``; the shared check of every public array argument."""
     arr = np.asarray(x, dtype=float)
     flat = np.atleast_1d(arr)
-    test, rule = domain
-    if not np.all(test(flat)):
-        raise DomainError(f"{name} {rule}")
+    if not np.all(domain.test(flat)):
+        raise DomainError(f"{name} {domain.rule}")
     return flat, arr.ndim == 0
 
 
-def _finish(arr: np.ndarray, scalar: bool):
+def finish(arr: np.ndarray, scalar: bool):
     return float(arr[0]) if scalar else arr
 
 
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not (math.isfinite(rho) and 0.0 <= rho <= 1.0):
-        raise ParameterError(f"rho must lie in [0, 1], got {rho!r}")
-    return rho
+def _evaluate(kernel, x: ArrayLike, name: str, domain: Domain = REAL):
+    """An elementwise kernel over the array argument x: ``prepare``,
+    ``blockwise``, then ``finish``."""
+    x, scalar = prepare(x, name, domain)
+    return finish(blockwise(kernel, x), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +229,7 @@ def frechet_pdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
     where the density is 0.
     """
     p = FrechetParams.of(p)
-    x, scalar = _prepare(x, "x")
+    x, scalar = prepare(x, "x")
     out = np.zeros_like(x)
     pos = x > p.mu
     if np.any(pos):
@@ -222,7 +241,7 @@ def frechet_pdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
             - (p.alpha + 1.0) * logz
             - np.exp(np.clip(-p.alpha * logz, -LOG_GUARD, LOG_GUARD))
         )
-    return _finish(out, scalar)
+    return finish(out, scalar)
 
 
 def frechet_cdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
@@ -232,14 +251,14 @@ def frechet_cdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
     CDF is 1.
     """
     p = FrechetParams.of(p)
-    x, scalar = _prepare(x, "x")
+    x, scalar = prepare(x, "x")
     out = np.zeros_like(x)
     pos = x > p.mu
     if np.any(pos):
         with np.errstate(over="ignore"):
             logz = np.log((x[pos] - p.mu) / p.sigma)
         out[pos] = np.exp(-np.exp(np.clip(-p.alpha * logz, -LOG_GUARD, LOG_GUARD)))
-    return _finish(out, scalar)
+    return finish(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +378,7 @@ def sample_stream(n: int, seed: int) -> tuple[int, np.random.Generator]:
     if count is None:
         raise DomainError(f"n must be an integer, got {n!r}")
     if count < 1:
-        raise DomainError(f"n must be >= 1, got {count}")
+        raise DomainError(f"n must be a positive integer, got {count}")
     if count > np.iinfo(np.intp).max:
         raise DomainError(f"n must be <= {np.iinfo(np.intp).max}, got {count}")
     if key is None:
@@ -367,6 +386,13 @@ def sample_stream(n: int, seed: int) -> tuple[int, np.random.Generator]:
     if key < 0:
         raise DomainError(f"seed must be >= 0, got {key}")
     return count, np.random.Generator(np.random.Philox(key))
+
+
+def uniforms(gen: np.random.Generator, k: int) -> np.ndarray:
+    """k uniforms from ``gen`` clipped to [1e-300, 1 - 1e-16], the draws
+    both samplers transform: -log of each is finite and positive, and
+    no quantile lands on the boundary of the support."""
+    return np.clip(gen.random(k), 1e-300, 1.0 - 1e-16)
 
 
 def log_odds(w: np.ndarray) -> np.ndarray:
@@ -403,18 +429,6 @@ def _kernel_logpdf(u, y, big, c0, c1, c2):
         logn = np.where(deep, np.log(p) - np.abs(u), logn)
     logg = logn - 2.0 * np.log1p(y) - 2.0 * np.log(b)
     return np.where(big, logg - 2.0 * u, logg), p, n, b, deep
-
-
-def kernel_log_g(u: np.ndarray, rho) -> np.ndarray:
-    """log g(x; rho) at ``x = exp(u)``: the value ``kernel_log_derivs``
-    returns first, without its derivatives.
-
-    ``rho`` is a float or a column broadcasting against u. Formed at the
-    folded point ``exp(-|u|)`` by ``_kernel_logpdf``, so it is exact for
-    any finite u and equals ``kernel_log_derivs(u, rho)[0]`` bit for bit.
-    """
-    with np.errstate(divide="ignore"):
-        return _kernel_logpdf(u, *_fold_log(u), *_kernel_coeffs(rho))[0]
 
 
 def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
@@ -490,9 +504,8 @@ def kernel_pdf(x: ArrayLike, rho: float):
     rho : float
         Association parameter in [0, 1].
     """
-    rho = _check_rho(rho)
-    x, scalar = _prepare(x, "x", _POSITIVE)
-    return _finish(blockwise(lambda b: _kernel_pdf(b, rho), x), scalar)
+    rho = check_rho(rho)
+    return _evaluate(lambda b: _kernel_pdf(b, rho), x, "x", POSITIVE)
 
 
 def _kernel_pdf(x: np.ndarray, rho: float) -> np.ndarray:
@@ -510,9 +523,8 @@ def kernel_cdf(x: ArrayLike, rho: float):
     evaluated through the reflection ``G(x) = 1 - G(1/x)`` for x > 1.
     ``kernel_cdf(1.0, rho)`` is exactly 0.5 for every rho.
     """
-    rho = _check_rho(rho)
-    x, scalar = _prepare(x, "x", _POSITIVE)
-    return _finish(blockwise(lambda b: _kernel_cdf_folded(*_fold(b), rho), x), scalar)
+    rho = check_rho(rho)
+    return _evaluate(lambda b: _kernel_cdf_folded(*_fold(b), rho), x, "x", POSITIVE)
 
 
 def kernel_sf(x: ArrayLike, rho: float):
@@ -522,11 +534,8 @@ def kernel_sf(x: ArrayLike, rho: float):
     equals the CDF at 1/x, so right-tail values stay accurate down to
     the underflow threshold.
     """
-    rho = _check_rho(rho)
-    x, scalar = _prepare(x, "x", _POSITIVE)
-    return _finish(
-        blockwise(lambda b: _kernel_cdf_folded(*_fold(b), rho, upper=True), x), scalar
-    )
+    rho = check_rho(rho)
+    return _evaluate(lambda b: _kernel_cdf_folded(*_fold(b), rho, upper=True), x, "x", POSITIVE)
 
 
 def kernel_pdf_dx(x: ArrayLike, rho: float):
@@ -539,9 +548,8 @@ def kernel_pdf_dx(x: ArrayLike, rho: float):
     away from its zeros the value keeps its relative accuracy from
     subnormal x to the largest double.
     """
-    rho = _check_rho(rho)
-    x, scalar = _prepare(x, "x", _POSITIVE)
-    return _finish(blockwise(lambda b: _kernel_pdf_dx(b, rho), x), scalar)
+    rho = check_rho(rho)
+    return _evaluate(lambda b: _kernel_pdf_dx(b, rho), x, "x", POSITIVE)
 
 
 def _kernel_pdf_dx(x: np.ndarray, rho: float) -> np.ndarray:
@@ -563,9 +571,8 @@ def kernel_pdf_drho(x: ArrayLike, rho: float):
     ``dg/drho(y) = [2 N y + N_rho B] / (A^2 B^3)``, and for x > 1 the
     reflection ``dg/drho(x) = dg/drho(1/x) / x^2``.
     """
-    rho = _check_rho(rho)
-    x, scalar = _prepare(x, "x", _POSITIVE)
-    return _finish(blockwise(lambda b: _kernel_pdf_drho(b, rho), x), scalar)
+    rho = check_rho(rho)
+    return _evaluate(lambda b: _kernel_pdf_drho(b, rho), x, "x", POSITIVE)
 
 
 def _kernel_pdf_drho(x: np.ndarray, rho: float) -> np.ndarray:
@@ -598,9 +605,8 @@ def kernel_quantile(p: ArrayLike, rho: float):
     four near rho = 1, from p = 5e-324 to 1 - 1.1e-16.
     ``NumericalError`` is raised past QUANTILE_MAX_ITER evaluations.
     """
-    rho = _check_rho(rho)
-    p, scalar = _prepare(p, "p", _UNIT_OPEN)
-    return _finish(blockwise(lambda b: _kernel_quantile(b, rho), p), scalar)
+    rho = check_rho(rho)
+    return _evaluate(lambda b: _kernel_quantile(b, rho), p, "p", UNIT_OPEN)
 
 
 def _kernel_quantile(p: np.ndarray, rho: float) -> np.ndarray:
@@ -657,8 +663,7 @@ def uf_cdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     ``w**alpha / (w**alpha + sigma**alpha (1-w)**alpha)``.
     """
     th = UfParams.of(theta)
-    w, scalar = _prepare(w, "w")
-    return _finish(blockwise(lambda b: _uf_cdf(b, th), w), scalar)
+    return _evaluate(lambda b: _uf_cdf(b, th), w, "w")
 
 
 def _uf_cdf(w: np.ndarray, th: UfParams) -> np.ndarray:
@@ -673,7 +678,8 @@ def _uf_cdf(w: np.ndarray, th: UfParams) -> np.ndarray:
 def _uf_logpdf(w: np.ndarray, th: UfParams) -> np.ndarray:
     logs = log_odds(w)
     u = th.alpha * (logs - math.log(th.sigma))
-    logg = kernel_log_g(u, th.rho)
+    with np.errstate(divide="ignore"):
+        logg = _kernel_logpdf(u, *_fold_log(u), *_kernel_coeffs(th.rho))[0]
     logg += (
         math.log(th.alpha)
         - th.alpha * math.log(th.sigma)
@@ -693,8 +699,7 @@ def uf_logpdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     ``kernel_log_derivs`` its value, so it is exact for any finite u.
     """
     th = UfParams.of(theta)
-    w, scalar = _prepare(w, "w", _UNIT_OPEN)
-    return _finish(blockwise(lambda b: _uf_logpdf(b, th), w), scalar)
+    return _evaluate(lambda b: _uf_logpdf(b, th), w, "w", UNIT_OPEN)
 
 
 def uf_pdf(w: ArrayLike, theta: UfParams | Sequence[float]):
@@ -706,8 +711,7 @@ def uf_pdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     expanded closed form.
     """
     th = UfParams.of(theta)
-    w, scalar = _prepare(w, "w", _UNIT_OPEN)
-    return _finish(blockwise(lambda b: np.exp(_uf_logpdf(b, th)), w), scalar)
+    return _evaluate(lambda b: np.exp(_uf_logpdf(b, th)), w, "w", UNIT_OPEN)
 
 
 def uf_quantile(p: ArrayLike, theta: UfParams | Sequence[float]):
@@ -722,8 +726,7 @@ def uf_quantile(p: ArrayLike, theta: UfParams | Sequence[float]):
     returned instead.
     """
     th = UfParams.of(theta)
-    p, scalar = _prepare(p, "p", _UNIT_OPEN)
-    return _finish(blockwise(lambda b: _uf_quantile(b, th), p), scalar)
+    return _evaluate(lambda b: _uf_quantile(b, th), p, "p", UNIT_OPEN)
 
 
 def _uf_quantile(p: np.ndarray, th: UfParams) -> np.ndarray:
@@ -752,8 +755,7 @@ def uf_sample(theta: UfParams | Sequence[float], n: int, seed: int) -> np.ndarra
     """
     th = UfParams.of(theta)
     n, gen = sample_stream(n, seed)
-    u = np.clip(gen.random(n), 1e-300, 1.0 - 1e-16)
-    return blockwise(lambda b: _uf_quantile(b, th), u)
+    return blockwise(lambda b: _uf_quantile(b, th), uniforms(gen, n))
 
 
 def stress_strength(theta: UfParams | Sequence[float]) -> float:

@@ -23,8 +23,4 @@ def load_uefa() -> DataSeries:
         .read_text(encoding="utf-8")
     )
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    return DataSeries(
-        values=lines[1:],  # skip the header row
-        label="UEFA Champions League medium pass completion, 2004/05 and 2005/06",
-        source="bundled:uefa",
-    )
+    return DataSeries(values=lines[1:])  # skip the header row

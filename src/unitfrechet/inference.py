@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import (
     BLOCK_ELEMENTS,
+    UNIT_OPEN,
     UfParams,
     kernel_log_derivs,
     kernel_quantile,
@@ -86,6 +87,11 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
 # bounds its temporaries; it is core's block size, at which the array
 # layer evaluates everything else.
 UF_RHO_LEVELS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+# 2 log Q(3/4; rho) at each level, Q the kernel quantile: the log-odds
+# interquartile range of the UF law with alpha = 1 (see fit_uf)
+UF_LEVEL_SPREADS = tuple(
+    2.0 * math.log(kernel_quantile(0.75, rho)) for rho in UF_RHO_LEVELS
+)
 UF_GRAD_TOL = 1e-6
 UF_NEWTON_TOL = 1e-10
 UF_RISE_TOL = 1e-14
@@ -107,8 +113,6 @@ class DataSeries:
     """
 
     values: tuple[float, ...]
-    label: str = ""
-    source: str = ""
     # the validated values, read-only
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -120,7 +124,7 @@ class DataSeries:
         arr = np.array(vals)
         if not arr.size:
             raise DataError("data series is empty")
-        bad = ~((arr > 0.0) & (arr < 1.0))
+        bad = ~UNIT_OPEN.test(arr)
         if bad.any():
             i = int(bad.argmax())
             v = float(arr[i])
@@ -620,9 +624,8 @@ def _level_starts(data: DataSeries) -> np.ndarray:
     q1, med, q3 = np.quantile(data.log_odds, [0.25, 0.5, 0.75])
     # positive, since the data are not all equal
     spread = (q3 - q1) or np.ptp(data.log_odds)
-    levels = np.array(UF_RHO_LEVELS)
-    alphas = [2.0 * math.log(kernel_quantile(0.75, rho)) / spread for rho in levels]
-    return np.column_stack([np.full(levels.size, med), np.log(alphas), levels])
+    alphas = [c / spread for c in UF_LEVEL_SPREADS]
+    return np.column_stack([np.full(len(alphas), med), np.log(alphas), UF_RHO_LEVELS])
 
 
 def fit_uf(data: DataSeries) -> FitReport:

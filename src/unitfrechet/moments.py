@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .bivariate import BivParams
+from .core import check_positive
 from .errors import DomainError, ParameterError
 
 __all__ = [
@@ -63,10 +64,7 @@ class MomentInputs:
     cov: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("mu1", "mu2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ParameterError(f"{name} must be finite and > 0, got {v!r}")
+        check_positive(self, "mu1", "mu2")
         for name in ("var1", "var2"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v >= 0.0):
@@ -186,10 +184,10 @@ def approx_moment(p_exponent: float, m: MomentInputs) -> float:
     return lead + corr
 
 
-def approx_var(m: MomentInputs, truncated: bool = False) -> float:
+def approx_var(m: MomentInputs) -> float:
     """Second-order approximation of Var(W).
 
-    The default assembles the variance display
+    Assembles the variance display
 
         mu1/(mu1+mu2)^4 { (mu2/mu1)(mu2 - 2 mu1) var1
                           + 2 (mu1 - 2 mu2) cov + 3 mu1 var2 }
@@ -198,13 +196,8 @@ def approx_var(m: MomentInputs, truncated: bool = False) -> float:
 
     which is algebraically identical to
     ``approx_moment(2, m) - approx_moment(1, m)**2`` (the tests assert
-    the two routes agree). The middle term is the square of the
-    first-order mean correction; it is formally beyond second order, so
-    ``truncated=True`` drops it, giving a consistently truncated
-    variant that is never smaller than the default. The two variants
-    coincide whenever B = 0, in particular for symmetric margins. Like
-    ``approx_moment`` it is evaluated at margins rescaled to
-    max(mu1, mu2) = 1.
+    the two routes agree). Like ``approx_moment`` it is evaluated at
+    margins rescaled to max(mu1, mu2) = 1.
     """
     _require_complete(m)
     _quality_guard(m)
@@ -220,7 +213,4 @@ def approx_var(m: MomentInputs, truncated: bool = False) -> float:
         )
     )
     b = mu2 * var1 + (mu2 - mu1) * cov - mu1 * var2
-    out = t2 + 2.0 * mu1 * b / tot**4
-    if not truncated:
-        out -= b * b / tot**6
-    return out
+    return t2 + 2.0 * mu1 * b / tot**4 - b * b / tot**6

@@ -125,6 +125,12 @@ class TestBivCdf:
         with pytest.raises(DomainError):
             biv_cdf(-1.0, 1.0, (1.0, 1.0, 2.0, 0.5))
 
+    @pytest.mark.parametrize("fn", (biv_cdf, biv_pdf), ids=lambda f: f.__name__)
+    def test_unbroadcastable_rejected(self, fn):
+        # a UnitFrechetError, not numpy's bare ValueError
+        with pytest.raises(DomainError, match="do not broadcast"):
+            fn([1.0, 2.0], [1.0, 2.0, 3.0], (1.0, 1.0, 2.0, 0.5))
+
     @given(x1=coords, x2=coords, rho=rhos)
     @settings(max_examples=200)
     def test_in_unit_interval(self, x1, x2, rho):

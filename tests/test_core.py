@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from unitfrechet import (
+    BivParams,
     DomainError,
     FrechetParams,
     ParameterError,
@@ -173,6 +174,19 @@ class TestParams:
             UfParams(1.0, 2.0, 1.5)
         with pytest.raises(ParameterError):
             FrechetParams(0.0, -1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "record, names",
+        [(UfParams, "sigma, alpha, rho"), (FrechetParams, "mu, sigma, alpha"),
+         (BivParams, "sigma1, sigma2, alpha, rho")],
+        ids=("UfParams", "FrechetParams", "BivParams"),
+    )
+    def test_of_rejects_wrong_count(self, record, names):
+        # one shared rule, whose message names the record's fields
+        for values in ((1.0, 2.0), (1.0, 2.0, 0.5, 0.5, 0.5)):
+            with pytest.raises(ParameterError) as info:
+                record.of(values)
+            assert str(info.value) == f"expected ({names}), got {len(values)} values"
 
     def test_coercion(self):
         th = UfParams.of((1, 2, 0.5))

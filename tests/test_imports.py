@@ -10,7 +10,8 @@ Kumaraswamy fitters load scipy on first use, and the UF evaluations,
 the samplers, the moments and the UF fit's Newton loop need none of
 it. The bivariate sampler takes from ``core`` only what keeps
 it independent of the UF kernel, so the ratio cross-check stays a
-cross-check.
+cross-check. Each argument rule (a positive parameter, rho in [0, 1], the
+sampler's uniform clip) is written once, in ``core``.
 """
 
 import ast
@@ -140,4 +141,18 @@ def test_bivariate_independent_of_uf_kernel():
             assert not (module in ("", "unitfrechet") and "core" in names)
         elif isinstance(node, ast.Import):
             assert "unitfrechet.core" not in {alias.name for alias in node.names}
-    assert from_core == {"LOG_GUARD", "UfParams", "blockwise", "sample_stream"}
+    # the array helpers and, beside them, only the argument rules
+    assert from_core == {"LOG_GUARD", "UfParams", "blockwise", "sample_stream"} | {
+        "NONNEGATIVE", "POSITIVE", "check_positive", "check_rho", "finish",
+        "params_of", "prepare", "uniforms",
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    ("must be finite and > 0, got", "must lie in [0, 1], got", "1e-300, 1.0 - 1e-16"),
+)
+def test_argument_rule_written_once(text):
+    # each argument rule has one definition, in core, that every module calls
+    count = sum(path.read_text().count(text) for path in PACKAGE.rglob("*.py"))
+    assert count == 1

@@ -402,6 +402,19 @@ class TestFitUf:
         assert r.converged and r.loglik >= loglik - 1e-9
         assert abs(r.theta_hat[2] - rho) < 1e-3
 
+    def test_starts_solve_no_quantile(self, uefa, monkeypatch):
+        # the level starts read 2 log Q(3/4; rho) from UF_LEVEL_SPREADS,
+        # formed once on import, so a fit solves no kernel quantile
+        from unitfrechet import inference
+
+        want = fit_uf(uefa)
+
+        def unused(*args):
+            raise AssertionError("fit_uf solved a kernel quantile")
+
+        monkeypatch.setattr(inference, "kernel_quantile", unused)
+        assert fit_uf(uefa) == want
+
     def test_too_few_observations(self):
         with pytest.raises(DataError):
             fit_uf(series([0.2, 0.5, 0.8]))
