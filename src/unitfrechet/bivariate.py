@@ -131,12 +131,10 @@ def biv_cdf(x1, x2, p: BivParams | Sequence[float]):
 
 
 def _biv_cdf(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> np.ndarray:
-    out = np.zeros(x1.shape, dtype=float)
-    pos = (x1 > 0.0) & (x2 > 0.0)
-    if np.any(pos):
-        u, v = _powers(x1[pos], x2[pos], p)
-        out[pos] = np.exp(-1.0 / u - 1.0 / v + p.rho / (u + v))
-    return out
+    # a zero coordinate's power clips to e^-700, where F reads 0
+    with np.errstate(divide="ignore"):
+        u, v = _powers(x1, x2, p)
+    return np.exp(-1.0 / u - 1.0 / v + p.rho / (u + v))
 
 
 def biv_pdf(x1, x2, p: BivParams | Sequence[float]):

@@ -8,6 +8,14 @@ problems, :class:`DataError` covers ingestion, and
 never occur for valid inputs.
 """
 
+__all__ = [
+    "UnitFrechetError",
+    "ParameterError",
+    "DomainError",
+    "DataError",
+    "NumericalError",
+]
+
 
 class UnitFrechetError(Exception):
     """Base class for all errors raised by this package."""

@@ -223,6 +223,18 @@ class TestFrechet:
             assert frechet_cdf(1e300, p) == 1.0
             assert frechet_pdf(1e300, p) == 0.0
 
+    def test_underflowing_z_is_quiet(self):
+        # z = 5e-324 / 10 underflows to 0, where the CDF and the density
+        # are 0; at alpha = 1e-3 and z = 5e-324 the density lies past the
+        # largest double, and at alpha = 1e308 and z = 1e-10 both z**-alpha
+        # and z**(-alpha-1) overflow, where the density is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frechet_pdf(5e-324, (0.0, 10.0, 2.0)) == 0.0
+            assert frechet_cdf(5e-324, (0.0, 10.0, 2.0)) == 0.0
+            assert frechet_pdf(5e-324, (0.0, 1.0, 1e-3)) == np.inf
+            assert frechet_pdf(1e-10, (0.0, 1.0, 1e308)) == 0.0
+
     def test_cdf_pdf_consistency(self):
         p = FrechetParams(0.0, 2.0, 1.5)
         for x in (0.5, 1.0, 2.0, 5.0):
@@ -770,6 +782,11 @@ class TestStressStrength:
 P_EDGES = (1e-300, 1.0 - 1e-16)
 W_CDF_EDGES = P_EDGES + (-0.5, 0.0, 1.0, 2.0)
 X_EDGES = (5e-324, 1e-300, 1.0 - 1e-16, 1.0, 3.0, 1e300)
+# below mu, mu, mu + 5e-324 (z underflows to 0 at sigma = 10) and +-inf
+FRECHET_EDGES = (-1.0, 0.0, 5e-324, np.inf, -np.inf)
+FRECHET_BLOCK = FrechetParams(0.0, 10.0, 2.0)
+# biv_cdf(x, 1 - x): both coordinates, or one, at 0
+BIV_EDGES = (0.0, 1.0, 5e-324, 1.0 - 1e-16)
 BLOCK_SIZES = (1, 7, core.BLOCK_ELEMENTS)
 BLOCK_THETA = UfParams(0.7, 2.5, 0.5)
 BLOCKED_CALLS = {
@@ -784,6 +801,9 @@ BLOCKED_CALLS = {
     "kernel_pdf_dx": (lambda x: kernel_pdf_dx(x, 0.5), X_EDGES),
     "kernel_pdf_drho": (lambda x: kernel_pdf_drho(x, 0.5), X_EDGES),
     "kernel_quantile": (lambda p: kernel_quantile(p, 0.9), P_EDGES),
+    "frechet_pdf": (lambda x: frechet_pdf(x, FRECHET_BLOCK), FRECHET_EDGES),
+    "frechet_cdf": (lambda x: frechet_cdf(x, FRECHET_BLOCK), FRECHET_EDGES),
+    "biv_cdf": (lambda x: biv_cdf(x, 1.0 - x, (0.7, 1.3, 2.5, 0.5)), BIV_EDGES),
 }
 # SHA-256 of uf_sample((1, 2, 0.5), 10**5, 7).tobytes(), taken before
 # the array layer was blocked

@@ -11,7 +11,9 @@ the samplers, the moments and the UF fit's Newton loop need none of
 it. The bivariate sampler takes from ``core`` only what keeps
 it independent of the UF kernel, so the ratio cross-check stays a
 cross-check. Each argument rule (a positive parameter, rho in [0, 1], the
-sampler's uniform clip) is written once, in ``core``.
+sampler's uniform clip) is written once, in ``core``. Each public name
+is written once, in its module's ``__all__``: the package re-exports the
+modules by ``*`` and joins their lists.
 """
 
 import ast
@@ -58,6 +60,29 @@ def test_exports_resolve(path):
     module = module_of(path)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{path.name} exports undefined names: {missing}"
+
+
+EXPORTING = ("bivariate", "core", "datasets", "errors", "inference", "moments", "simulation")
+
+
+def test_public_names_written_once():
+    joined = [
+        name
+        for stem in EXPORTING
+        for name in importlib.import_module(f"unitfrechet.{stem}").__all__
+    ]
+    assert len(set(unitfrechet.__all__)) == len(unitfrechet.__all__)
+    assert unitfrechet.__all__ == joined
+    # no hand-kept list of names in the package: each relative import is
+    # a * import or imports modules
+    stems = {path.stem for path in MODULES}
+    for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names = [alias.name for alias in node.names]
+            if node.module is None:
+                assert set(names) <= stems, f"line {node.lineno} imports {names}"
+            else:
+                assert names == ["*"], f"line {node.lineno} imports {names}"
 
 
 def test_traced_attributes_exist():
