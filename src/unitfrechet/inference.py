@@ -473,12 +473,12 @@ def _uf_pass(phi: np.ndarray, data: DataSeries):
     """
     rows = len(phi)
     rho = phi[:, 2:]
-    alpha = np.exp(phi[:, 1:2])
     # at least one column per chunk; a row's summation order depends
     # only on the row count
     width = max(1, UF_PASS_ELEMENTS // rows)
     sums = np.zeros((10, rows))
     with np.errstate(over="ignore", invalid="ignore"):
+        alpha = np.exp(phi[:, 1:2])
         for lo in range(0, data.n, width):
             u = alpha * (data.log_odds[lo:lo + width] - phi[:, :1])
             logg, r, h, dr_du, dr_drho, dh_drho = kernel_log_derivs(u, rho)
