@@ -435,8 +435,8 @@ class TestFitUf:
 
     def test_large_sample_report_loglik(self):
         # past UF_PASS_ELEMENTS observations even a one-row pass sums
-        # over two chunks, and the profile's 6 rows over dozens; on
-        # this sample a one-chunk sum at theta_hat differs in its last bit
+        # over two chunks; on this sample a one-chunk sum at theta_hat
+        # differs in its last bit
         from unitfrechet import inference
 
         d = sample_series((1.0, 2.0, 0.5), 20_000, 4241)
@@ -446,6 +446,42 @@ class TestFitUf:
             r = fit_uf(d)
             assert r.converged
             assert r.loglik == loglik_uf(r.theta_hat, d)
+
+    def test_profile_runs_on_a_summary_past_summary_n(self, monkeypatch):
+        # each _uf_pass call's sample size, under the stage that made it
+        from unitfrechet import inference
+
+        seen = []
+        newton, verdict = inference._newton, inference._uf_verdict
+        uf_pass = inference._uf_pass
+
+        def staged_newton(phi, data, hold):
+            seen.append("profile" if hold.all() else "refine")
+            return newton(phi, data, hold)
+
+        def staged_verdict(th, data):
+            seen.append("verdict")
+            return verdict(th, data)
+
+        def counted_pass(phi, data):
+            seen.append(data.n)
+            return uf_pass(phi, data)
+
+        monkeypatch.setattr(inference, "_newton", staged_newton)
+        monkeypatch.setattr(inference, "_uf_verdict", staged_verdict)
+        monkeypatch.setattr(inference, "_uf_pass", counted_pass)
+
+        def stages(values):
+            seen.clear()
+            fit_uf(series(values))
+            marks = [i for i, v in enumerate(seen) if isinstance(v, str)]
+            assert [seen[i] for i in marks] == ["profile", "refine", "verdict"]
+            return [set(seen[i + 1:j]) for i, j in zip(marks, marks[1:] + [len(seen)])]
+
+        m = inference.UF_SUMMARY_N
+        w = uf_sample((1.0, 2.0, 0.5), m + 1, 2024)
+        assert stages(w[:m]) == [{m}] * 3
+        assert stages(w) == [{m}, {m + 1}, {m + 1}]
 
     def test_runtime(self, uefa):
         import time
