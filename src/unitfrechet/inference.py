@@ -25,8 +25,8 @@ UF_SUMMARY_N); fit_uf takes no tuning options. There is no hidden
 randomness anywhere in the fit, so results are reproducible bit for
 bit.
 
-scipy is imported where it is used, by the Kolmogorov p-value and the
-Beta and Kumaraswamy fits, so importing this module does not load it.
+scipy.special is imported where it is used, by the Kolmogorov p-value
+and the Beta fit and model; no fit loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
 # fit_uf's fixed settings. The rho profile is taken at UF_RHO_LEVELS:
 # six levels reach every maximum of the fit corpus, and eleven cost
 # about 1.4 times as much at n = 10^5. _uf_verdict's relative score
-# tolerance is UF_GRAD_TOL. The rest belong to _newton: a run
-# settles at a projected gradient below UF_NEWTON_TOL times
-# max(1, |loglik|), takes its last step once the predicted rise falls
-# below UF_RISE_TOL times max(n, |loglik|), and stops after
+# tolerance is UF_GRAD_TOL. The rest belong to _newton, and the next four
+# to fit_kumaraswamy too: a run settles at a gradient below UF_NEWTON_TOL
+# times max(1, |loglik|), takes its last step once the predicted rise
+# falls below UF_RISE_TOL times max(n, |loglik|), and stops after
 # UF_MAX_STEPS steps or once its step halves below UF_MIN_STEP.
 # UF_ARMIJO is the sufficient-increase fraction and UF_EIG_FLOOR the
 # relative floor on Hessian eigenvalue magnitudes. A pass over more than
@@ -373,9 +373,12 @@ def _build_report(
 
 
 def _log1m_pow(logw, a):
-    """log(1 - w^a) from log w, without losing precision for w^a near 0
-    or 1: the Kumaraswamy density's, CDF's and profile's one form."""
-    return np.log(-np.expm1(a * logw))
+    """log(1 - w^a) from log w, precise for w^a near 0 and near 1: the
+    Kumaraswamy density's, CDF's and profile's one form. It is Maechler's
+    log1mexp at z = a log w, each branch fed only its own side of the cut."""
+    z, cut = a * logw, -math.log(2.0)
+    return np.where(z > cut, np.log(-np.expm1(np.maximum(z, cut))),
+                    np.log1p(-np.exp(np.minimum(z, cut))))[()]
 
 
 def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
@@ -786,15 +789,15 @@ def fit_beta(data: DataSeries) -> FitReport:
 
 
 def fit_kumaraswamy(data: DataSeries) -> FitReport:
-    """Kumaraswamy MLE via the profile likelihood in the first shape.
+    """Kumaraswamy MLE by Newton iteration in t = log a on the profile.
 
-    For fixed a the second shape has the closed-form maximizer
-    b(a) = n / (-sum log(1 - w^a)), so only a one-dimensional search
-    over log a remains: a coarse scan brackets the optimum and Brent
-    iteration finishes it.
+    For fixed a the second shape has the closed-form maximizer b(a) = -n/s,
+    s = sum log(1 - w^a), which leaves l = n log a + n log(-n/s) +
+    (a - 1) sum log w - n - s with closed-form derivatives in t (Jones
+    2009). Newton starts at a = 1, where s < 0, steps at most 1 in t
+    (uphill where l is not concave), halves a step until l does not
+    fall, and stops by the UF _newton's rules; ``iterations`` counts steps.
     """
-    from scipy.optimize import minimize_scalar
-
     ill_posed = _ill_posed_report("kumaraswamy", data, 3)
     if ill_posed is not None:
         return ill_posed
@@ -802,46 +805,42 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
     logw = np.log(data.array)
     sum_logw = float(logw.sum())
 
-    def profile_nll(la: float) -> float:
-        a = math.exp(la)
-        s = float(_log1m_pow(logw, a).sum())  # equals -n/b(a)
+    def profile(t: float) -> tuple[float, float, float]:
+        # l, dl/dt and d2l/dt2; with z = a log w and r = w^a / (1 - w^a),
+        # ds/dt = -sum z r and d2s/dt2 = -sum z r (1 + z + z r)
+        a = math.exp(t)
+        s = float(_log1m_pow(logw, a).sum())
         if s == 0.0:
             # every 1 - w^a rounds to 1, so b(a) is infinite: no fit there
-            return math.inf
-        b = -n / s
-        ll = (
-            n * la
-            + n * math.log(b)
-            + (a - 1.0) * sum_logw
-            + (b - 1.0) * s
-        )
-        return -ll
+            return -math.inf, 0.0, 0.0
+        z = a * logw
+        zr = z * np.exp(z) / -np.expm1(z)
+        g, h = -float(zr.sum()) / s, -float((zr * (1.0 + z + zr)).sum()) / s
+        ll = n * (t + math.log(n) - math.log(-s) - 1.0) + (a - 1.0) * sum_logw - s
+        return ll, n + a * sum_logw - (n + s) * g, a * sum_logw - (n + s) * h + n * g * g
 
-    grid = np.linspace(-5.0, 5.0, 81)
-    grid_vals = np.array([profile_nll(la) for la in grid])
-    k = int(np.argmin(grid_vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    res = minimize_scalar(
-        profile_nll, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12, "maxiter": 500},
-    )
-    la, nll = float(res.x), float(res.fun)
-    if not nll <= grid_vals[k]:
-        # the search found no point better than the scan's, possibly
-        # none with a finite b: keep the scan's best, which is finite
-        # because the scan's first point always is
-        la, nll = float(grid[k]), float(grid_vals[k])
-    a = math.exp(la)
-    b = -n / float(_log1m_pow(logw, a).sum())
-    ll = -nll
-    at_edge = la <= grid[0] + 1e-9 or la >= grid[-1] - 1e-9
-    converged = bool(res.success and not at_edge)
+    t, steps, step = 0.0, 0, 1.0
+    ll, score, curv = profile(t)
+    converged = abs(score) <= UF_NEWTON_TOL * max(1.0, abs(ll))
+    while not converged and step >= UF_MIN_STEP and steps < UF_MAX_STEPS:
+        d = min(max(-score / curv if curv < 0.0 else math.copysign(1.0, score), -1.0), 1.0)
+        noise = UF_RISE_TOL * max(n, abs(ll))
+        # a step whose predicted rise is under the rounding of l is the
+        # last, kept unless it lowers l by more than that rounding
+        last = score * d <= noise
+        trial = profile(t + step * d)
+        if trial[0] >= ll - (noise if last else 0.0):
+            t, (ll, score, curv), step = t + step * d, trial, 1.0
+            steps += 1
+        else:
+            step *= 0.5
+        converged = last or abs(score) <= UF_NEWTON_TOL * max(1.0, abs(ll))
+    a = math.exp(t)
     return _build_report(
-        "kumaraswamy", data, (a, b), ll, converged,
+        "kumaraswamy", data, (a, -n / float(_log1m_pow(logw, a).sum())), ll, converged,
         boundary_hit=False,
-        iterations=int(res.nfev) + grid.size,
-        message="" if converged else "profile search hit its bounds",
+        iterations=steps,
+        message="" if converged else "Newton iteration did not converge",
     )
 
 

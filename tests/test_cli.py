@@ -458,8 +458,9 @@ class TestFit:
         assert "model ranking" in out
 
     def test_kumaraswamy_with_underflowing_scan(self, tmp_path, capsys):
-        # every w^a of this sample underflows at the profile scan's large
-        # shapes; the fit still finishes with exit 0
+        # every w^a of this sample is below rounding against 1 at large
+        # shapes, where b(a) = -n / sum log(1 - w^a) can come out
+        # infinite; the fit still finishes with exit 0
         from unitfrechet.simulation import replication_seed
 
         w = uf_sample((0.5, 4.0, 0.2), 50, replication_seed(7, 1, 50, 1))

@@ -5,15 +5,16 @@ one should call the owner's public (or array-level) entry point instead.
 Every exported name resolves, and so does every module attribute the
 traced benchmark run (``perfbench/traced.py``) swaps from outside. The
 package and its CLI import without scipy or the process-pool machinery,
-which would take most of the import time: the KS p-value and the Beta and
-Kumaraswamy fitters load scipy on first use, and the UF evaluations,
-the samplers, the moments and the UF fit's Newton loop need none of
-it. The bivariate sampler takes from ``core`` only what keeps
-it independent of the UF kernel, so the ratio cross-check stays a
-cross-check. Each argument rule (a positive parameter, rho in [0, 1], the
-sampler's uniform clip) is written once, in ``core``. Each public name
-is written once, in its module's ``__all__``: the package re-exports the
-modules by ``*`` and joins their lists.
+which would take most of the import time: the KS p-value, the Beta fit
+and the Beta model load ``scipy.special`` on first use, and the UF
+evaluations, the samplers, the moments and the UF and Kumaraswamy fits'
+Newton loops need none of it. No fit loads ``scipy.optimize``. The
+bivariate sampler takes from ``core`` only what keeps it independent
+of the UF kernel, so the ratio cross-check stays a cross-check. Each
+argument rule (a positive parameter, rho in [0, 1], the sampler's
+uniform clip) is written once, in ``core``. Each public name is written
+once, in its module's ``__all__``: the package re-exports the modules
+by ``*`` and joins their lists.
 """
 
 import ast
@@ -126,8 +127,8 @@ def test_import_leaves_out_scipy_stats():
 
 
 def test_import_leaves_out_scipy():
-    # a fresh interpreter, as above; scipy.special may load with the
-    # fit's KS p-value, the optimizer never
+    # a fresh interpreter, as above; scipy.special may load with a fit
+    # report's KS p-value and with the Beta fit, scipy.optimize never
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
@@ -145,11 +146,15 @@ unitfrechet.uf_cdf(w, (1, 2, 0.5))
 print(loaded())
 unitfrechet.fit_uf(unitfrechet.DataSeries(tuple(w)))
 print("scipy.optimize" in sys.modules)
+uefa = unitfrechet.load_uefa()
+unitfrechet.fit_beta(uefa)
+unitfrechet.fit_kumaraswamy(uefa)
+print("scipy.optimize" in sys.modules)
 """
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines() == ["[]", "[]", "False"]
+    assert out.stdout.splitlines() == ["[]", "[]", "False", "False"]
 
 
 def test_bivariate_independent_of_uf_kernel():

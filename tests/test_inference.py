@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from unitfrechet.core import uf_logpdf, uf_quantile, uf_sample
+from unitfrechet.datasets import load_uefa
 from unitfrechet.errors import DataError, DomainError
 from unitfrechet.inference import (
     UF_RHO_LEVELS,
@@ -47,11 +48,24 @@ UEFA_BETA_THETA = (1.808225911452102, 2.18759337026144)
 UEFA_BETA_LOGLIK = 4.94035797480469
 UEFA_KUM_THETA = (1.6787187256638814, 2.3131813309213873)
 UEFA_KUM_LOGLIK = 4.985622379038308
-# Kumaraswamy densities at w = 0.5, 1 - 1e-10 and 1 - 2^-53, mpmath at
-# 60 digits: ((a, b), values)
-KUM_PDF_NEAR_ONE = (
-    ((0.4, 2.3), (0.22064613633500155, 2.7955409789632049e-14, 5.0757370449418253e-22)),
-    ((1.7, 2.3), (1.4919977505921452, 7.7940000070813177e-13, 1.4151212545407607e-20)),
+# Kumaraswamy densities and CDFs at KUM_EDGE_W, mpmath at 60 digits:
+# ((a, b), densities, CDFs)
+KUM_EDGE_W = (1e-20, 1e-17, 1e-10, 0.5, 1.0 - 1e-10, 1.0 - 2.0**-53)
+KUM_NEAR_EDGES = (
+    ((0.4, 2.3),
+     (919999988039.99909, 14581014366.42613, 919880.40179404135,
+      0.22064613633500155, 2.7955409789632049e-14, 5.0757370449418253e-22),
+     (2.2999999850499974e-8, 3.6452539671335421e-7, 0.00022998505014950248,
+      0.9616857684562459, 1.0, 1.0)),
+    ((1.7, 2.3),
+     (3.9100000000000074e-14, 4.9223983601152021e-12, 3.9100000000000036e-7,
+      1.4919977505921452, 7.7940000070813177e-13, 1.4151212545407607e-20),
+     (2.3000000000000043e-34, 2.8955284471265897e-29, 2.3000000000000023e-17,
+      0.57090572346365898, 1.0, 1.0)),
+    ((1.0, 2.0),
+     (2.0, 2.0, 1.9999999998, 1.0, 2.000000165480742e-10, 2.2204460492503131e-16),
+     (1.9999999999999999e-20, 2.0000000000000001e-17, 1.9999999999000001e-10,
+      0.75, 1.0, 1.0)),
 )
 # Kumaraswamy log-likelihood at the reference comparison point
 KUM_REF_POINT = (1.5721, 1.9757)
@@ -66,6 +80,24 @@ def series(values) -> DataSeries:
 
 def sample_series(theta, n, seed) -> DataSeries:
     return series(uf_sample(theta, n, seed))
+
+
+def kumaraswamy_series(a, b, n, seed) -> DataSeries:
+    """n Kumaraswamy(a, b) draws by inversion: (1 - (1 - u)^(1/b))^(1/a)."""
+    u = np.random.default_rng(seed).random(n)
+    return series(np.exp(np.log(-np.expm1(np.log1p(-u) / b)) / a))
+
+
+# Kumaraswamy fits checked against a grid of their profile, by name: the
+# bundled data, the edge samples of TestFitKumaraswamy, and draws whose
+# MLE of log a lies outside [-5, 5]
+KUM_PROFILE_SAMPLES = {
+    "uefa": load_uefa,
+    "underflowing": lambda: sample_series((0.5, 4.0, 0.2), 50, replication_seed(7, 1, 50, 1)),
+    "next_to_one": lambda: series([0.05, 0.2, 0.45, 0.7, 0.9, 0.99, 1.0 - 2.0**-53]),
+    "log_a_above_5": lambda: kumaraswamy_series(math.exp(6.0), 2.0, 50, 1),
+    "log_a_below_-5": lambda: kumaraswamy_series(math.exp(-6.0), 0.2, 50, 2),
+}
 
 
 class TestDataSeries:
@@ -539,9 +571,10 @@ class TestFitKumaraswamy:
         assert r.loglik > ll_ref
 
     def test_scan_points_where_every_power_underflows(self):
-        # at the scan's large shapes (log a near 4.1-4.6) every 1 - w^a
-        # of this sample rounds to 1, so b(a) = -n / sum log(1 - w^a) is
-        # infinite there; those points must not end the fit
+        # past log a of about 4.4 every w^a of this sample is below
+        # rounding against 1, so log(1 - w^a) must come from w^a itself,
+        # and a shape where s = sum log(1 - w^a) still rounds to 0
+        # (b(a) = -n/s infinite) must count as no fit, not end the fit
         d = sample_series((0.5, 4.0, 0.2), 50, replication_seed(7, 1, 50, 1))
         r = fit_kumaraswamy(d)
         assert r.converged and all(math.isfinite(v) for v in r.theta_hat)
@@ -559,6 +592,24 @@ class TestFitKumaraswamy:
         assert r.converged and r.theta_hat[0] < 0.5
         h = model_handle("kumaraswamy", r.theta_hat)
         assert_allclose(r.loglik, np.sum(np.log(h.pdf(d.array))), rtol=1e-12)
+
+    @pytest.mark.parametrize("name", KUM_PROFILE_SAMPLES)
+    def test_reaches_profile_maximum(self, name):
+        # no point of a dense grid of log a beats the fit on the profile
+        # n log a + n log(n/-s) + (a - 1) sum log w - n - s, with
+        # s = sum log(1 - w^a); where s rounds to 0, b(a) is infinite and
+        # the point is no fit
+        d = KUM_PROFILE_SAMPLES[name]()
+        r = fit_kumaraswamy(d)
+        assert r.converged
+        n, logw = d.n, np.log(d.array)
+        la = np.linspace(-10.0, 10.0, 2001)
+        z = np.exp(la)[:, None] * logw
+        with np.errstate(all="ignore"):
+            s = np.where(z > -math.log(2.0), np.log(-np.expm1(z)), np.log1p(-np.exp(z)))
+            s = s.sum(axis=1)
+            ll = n * (la + math.log(n) - np.log(-s)) + (np.exp(la) - 1.0) * logw.sum() - n - s
+        assert np.max(ll[s < 0.0]) <= r.loglik + 1e-9
 
 
 class TestKsTest:
@@ -710,14 +761,18 @@ class TestModelHandle:
             h.pdf(w), a * b * w ** (a - 1.0) * (1.0 - w**a) ** (b - 1.0), rtol=1e-12
         )
 
-    @pytest.mark.parametrize("theta, want", KUM_PDF_NEAR_ONE, ids=["a=0.4", "a=1.7"])
-    def test_kumaraswamy_near_one(self, theta, want):
+    @pytest.mark.parametrize(
+        "theta, want_pdf, want_cdf", KUM_NEAR_EDGES, ids=["a=0.4", "a=1.7", "a=1"]
+    )
+    def test_kumaraswamy_near_one(self, theta, want_pdf, want_cdf):
         # 1 - w^a is formed from log w, so it keeps its precision where
-        # w^a rounds to 1 (w = 1 - 2^-53 at a = 0.4)
+        # w^a rounds to 1 (w = 1 - 2^-53 at a = 0.4) and where w^a is
+        # below rounding against 1 (the CDF near 0 is then about b w^a)
         h = model_handle("kumaraswamy", theta)
-        w = np.array([0.5, 1.0 - 1e-10, 1.0 - 2.0**-53])
+        w = np.array(KUM_EDGE_W)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pdf, cdf = h.pdf(w), h.cdf(w)
-        assert_allclose(pdf, want, rtol=1e-12)
-        assert np.all(cdf[1:] == 1.0)
+        assert_allclose(pdf, want_pdf, rtol=1e-12)
+        assert_allclose(cdf, want_cdf, rtol=1e-12)
+        assert np.all(cdf[-2:] == 1.0)
