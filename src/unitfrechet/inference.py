@@ -17,13 +17,15 @@ two modes: projected Newton on the analytic Hessian first maximizes over
 (sigma, alpha) with rho held at each of the levels UF_RHO_LEVELS, all
 in lockstep, then runs again with rho free from the two highest local
 maxima of that profile. Past UF_SUMMARY_N observations the profile runs
-on that many quantiles of the log odds, and only the refine and the
-verdict on the data. A rho estimate on 0 or 1 sets ``boundary_hit``.
-The fit's settings are module constants (UF_RHO_LEVELS, UF_GRAD_TOL,
-the Newton settings UF_NEWTON_TOL through UF_PASS_ELEMENTS, and
-UF_SUMMARY_N); fit_uf takes no tuning options. There is no hidden
-randomness anywhere in the fit, so results are reproducible bit for
-bit.
+on the sample's UF_SUMMARY_N midpoint quantiles, itself a DataSeries,
+and only the refine and the verdict on the data. A rho estimate on 0 or
+1 sets ``boundary_hit``. A pass sums over column chunks of core's
+BLOCK_ELEMENTS whatever its row count, so each row's value is the same
+bits whichever rows share its pass. The fit's settings are module
+constants (UF_RHO_LEVELS, UF_GRAD_TOL, the Newton settings UF_NEWTON_TOL
+through UF_EIG_FLOOR, and UF_SUMMARY_N); fit_uf takes no tuning options.
+There is no hidden randomness anywhere in the fit, so results are
+reproducible bit for bit.
 
 scipy.special is imported where it is used, by the Kolmogorov p-value
 and the Beta fit and model; no fit loads scipy.optimize.
@@ -85,13 +87,13 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
 # falls below UF_RISE_TOL times max(n, |loglik|), and stops after
 # UF_MAX_STEPS steps or once its step halves below UF_MIN_STEP.
 # UF_ARMIJO is the sufficient-increase fraction and UF_EIG_FLOOR the
-# relative floor on Hessian eigenvalue magnitudes. A pass over more than
-# UF_PASS_ELEMENTS (rows x n) elements sums over column chunks, which
-# bounds its temporaries; it is core's block size, at which the array
-# layer evaluates everything else. Past UF_SUMMARY_N observations the
-# profile runs on the log-odds quantiles at (i + 1/2)/UF_SUMMARY_N: its
-# only job is to pick the refine's starts, and at n = 10^5 that cut the
-# fit from 0.28 to 0.10 s (2 cores) with its loglik within 1.5e-11.
+# relative floor on Hessian eigenvalue magnitudes. A pass sums over
+# column chunks of core's BLOCK_ELEMENTS, the block the array layer
+# evaluates everything else in, whatever its row count. Past UF_SUMMARY_N
+# observations the profile runs on the sample's midpoint quantiles at
+# (i + 1/2)/UF_SUMMARY_N: its only job is to pick the refine's starts,
+# and at n = 10^5 that cut the fit from 0.28 to 0.10 s (2 cores) with
+# its loglik within 1.5e-11.
 UF_RHO_LEVELS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 # 2 log Q(3/4; rho) at each level, Q the kernel quantile: the log-odds
 # interquartile range of the UF law with alpha = 1 (see fit_uf)
@@ -105,7 +107,6 @@ UF_MAX_STEPS = 100
 UF_MIN_STEP = 2.0 ** -30
 UF_ARMIJO = 1e-4
 UF_EIG_FLOOR = 1e-8
-UF_PASS_ELEMENTS = BLOCK_ELEMENTS
 UF_SUMMARY_N = 2048
 
 
@@ -466,7 +467,7 @@ def _uf_verdict(th: UfParams, data: DataSeries) -> tuple[float, bool]:
     return ll, bool(np.max(np.abs(tgrad)) < tol and math.isfinite(ll))
 
 
-def _uf_pass(phi: np.ndarray, data: DataSeries | _Summary):
+def _uf_pass(phi: np.ndarray, data: DataSeries):
     """Log-likelihood, gradient and Hessian in (log sigma, log alpha,
     rho) at each row of ``phi``, shape (rows, 3), from one kernel pass
     over (rows x n).
@@ -474,23 +475,21 @@ def _uf_pass(phi: np.ndarray, data: DataSeries | _Summary):
     Writing u_i = alpha (log s_i - log sigma), the log-likelihood is
     n log alpha - sum log s_i + 2 sum log(1 + s_i)
     + sum [u_i + log g(e^u_i; rho)], so every derivative is a sum over
-    the data of the kernel_log_derivs terms times powers of u_i. Above
-    UF_PASS_ELEMENTS elements the sums run over column chunks. The value
-    is formed in log space, so it is exact for any finite u_i; a row
-    whose point overflows gets a non-finite value, not a warning. This
-    is the package's one UF log-likelihood, which loglik_uf, score_uf
-    and the fit all read.
+    the data of the kernel_log_derivs terms times powers of u_i. The
+    sums run over column chunks of BLOCK_ELEMENTS whatever the row
+    count, so a row's summation order, and so its bits, do not depend
+    on the rows beside it. The value is formed in log space, so it is
+    exact for any finite u_i; a row whose point overflows gets a
+    non-finite value, not a warning. This is the package's one UF
+    log-likelihood, which loglik_uf, score_uf and the fit all read.
     """
     rows = len(phi)
     rho = phi[:, 2:]
-    # at least one column per chunk; a row's summation order depends
-    # only on the row count
-    width = max(1, UF_PASS_ELEMENTS // rows)
     sums = np.zeros((10, rows))
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = np.exp(phi[:, 1:2])
-        for lo in range(0, data.n, width):
-            u = alpha * (data.log_odds[lo:lo + width] - phi[:, :1])
+        for lo in range(0, data.n, BLOCK_ELEMENTS):
+            u = alpha * (data.log_odds[lo:lo + BLOCK_ELEMENTS] - phi[:, :1])
             logg, r, h, dr_du, dr_drho, dh_drho = kernel_log_derivs(u, rho)
             p = 1.0 + r
             ru = dr_du * u
@@ -555,7 +554,7 @@ def _ascent(phi, grad, hess, fixed) -> np.ndarray:
 
 
 def _newton(
-    phi: np.ndarray, data: DataSeries | _Summary, hold: np.ndarray
+    phi: np.ndarray, data: DataSeries, hold: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Projected Newton ascent from every row of ``phi`` in lockstep:
     one _uf_pass over the rows still running per iteration. In the rows
@@ -627,41 +626,25 @@ def _theta(phi: np.ndarray) -> UfParams:
     return UfParams(float(sg), float(al), min(max(float(phi[2]), 0.0), 1.0))
 
 
-@dataclass(frozen=True)
-class _Summary:
-    """A sample given by its log odds alone: the fields of a DataSeries
-    that _level_starts, _newton and _uf_pass read, for fit_uf's profile
-    on a quantile summary (_profile_sample)."""
-
-    log_odds: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.log_odds.size
-
-    @cached_property
-    def _sum_log1p_odds(self) -> float:
-        return float(np.logaddexp(0.0, self.log_odds).sum())
-
-
-def _profile_sample(data: DataSeries) -> DataSeries | _Summary:
+def _profile_sample(data: DataSeries) -> DataSeries:
     """The sample fit_uf's profile runs on: past M = UF_SUMMARY_N
-    observations, the log-odds quantiles at (i + 1/2)/M, i < M, linearly
-    interpolated in one sort (np.quantile's default rule); the data
-    themselves up to M observations or where those quantiles are all
-    equal, since a profile on M equal points diverges."""
+    observations, the sample's M midpoint quantiles at (i + 1/2)/M,
+    i < M, linearly interpolated in w in one sort (np.quantile's default
+    rule), which lie strictly inside (0, 1) like the data; the data
+    themselves up to M observations or where those quantiles' log odds
+    are all equal, since a profile on M equal points diverges."""
     if data.n <= UF_SUMMARY_N:
         return data
     # midpoints, not 0 and 1: a summary holding the sample's extremes
     # led the refine of one n = 20000 sample to a mode 11 lower
-    s = np.sort(data.log_odds)
+    s = np.sort(data.array)
     h = (np.arange(UF_SUMMARY_N) + 0.5) * ((data.n - 1) / UF_SUMMARY_N)
     lo = h.astype(int)
-    q = s[lo] + (h - lo) * (s[lo + 1] - s[lo])
-    return _Summary(q) if q[-1] > q[0] else data
+    summary = DataSeries(s[lo] + (h - lo) * (s[lo + 1] - s[lo]))
+    return summary if np.ptp(summary.log_odds) > 0.0 else data
 
 
-def _level_starts(data: DataSeries | _Summary) -> np.ndarray:
+def _level_starts(data: DataSeries) -> np.ndarray:
     """fit_uf's start at each rho level, as rows (log sigma, log alpha,
     rho): the UF law whose median and quartiles at that rho match the
     data's, on the log-odds scale (see fit_uf)."""
@@ -692,11 +675,13 @@ def fit_uf(data: DataSeries) -> FitReport:
     are the module constants; the function takes no tuning options.
 
     Past UF_SUMMARY_N = M observations the profile, starts included,
-    runs on the M log-odds quantiles at (i + 1/2)/M (_profile_sample)
-    in place of the data, since it only picks the refine's starts; the
-    refine and the convergence verdict run on the data. Up to M
-    observations, or where those quantiles are all equal, the profile
-    runs on the data.
+    runs on the sample's M midpoint quantiles at (i + 1/2)/M, a
+    DataSeries of M values (_profile_sample), in place of the data,
+    since it only picks the refine's starts; the refine and the
+    convergence verdict run on the data. Up to M observations, or where
+    those quantiles are all equal, the profile runs on the data. Every
+    pass chunks its columns by BLOCK_ELEMENTS alone (_uf_pass), so a
+    row's value does not depend on the rows run beside it.
 
     ``converged`` means the reparameterized score has infinity norm
     below UF_GRAD_TOL * max(1, |loglik|). ``boundary_hit`` is set when

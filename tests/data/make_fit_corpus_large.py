@@ -6,7 +6,7 @@ The corpus is one sample at each theta of ``make_fit_corpus.py``
 (``default_theta_grid()`` plus its five points on or near the rho
 boundary), with n cycling through SIZES, sampled with
 ``replication_seed(MASTER_SEED, i, n, 0)``, plus the tied sample
-``[0.4] * 5000 + [0.5]``, whose log-odds quantiles all coincide. For
+``[0.4] * 5000 + [0.5]``, whose midpoint quantiles all coincide. For
 each sample it records the fitted log-likelihood and the ``converged``
 flag. ``tests/test_fit_corpus.py`` asserts that a fit never ends below
 the frozen log-likelihood (minus 1e-9) and that a sample that converged

@@ -18,7 +18,7 @@ DATA = Path(__file__).parent / "data"
 CORPUS = json.loads((DATA / "fit_corpus.json").read_text())
 LARGE = json.loads((DATA / "fit_corpus_large.json").read_text())
 LOGLIK_SLACK = 1e-9
-# the tied sample of fit_corpus_large.json, whose log-odds quantiles
+# the tied sample of fit_corpus_large.json, whose midpoint quantiles
 # all coincide
 TIED = DataSeries((0.4,) * 5000 + (0.5,))
 

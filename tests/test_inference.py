@@ -307,11 +307,28 @@ class TestNewtonPass:
             row = inference._uf_pass(phi[i:i + 1], self.data)
             for got, want in zip(row, whole):
                 assert np.array_equal(got[0], want[i])
-        # at most 3 columns per chunk with 3 rows: the sums run over 7 chunks
-        monkeypatch.setattr(inference, "UF_PASS_ELEMENTS", 9)
-        chunked = inference._uf_pass(phi[:3], self.data)
-        for got, want in zip(chunked, whole):
-            assert_allclose(got, want[:3], rtol=1e-12, atol=1e-12)
+        # 9 columns per chunk whatever the row count: the sums run over 3
+        # chunks, and each row of a 3-row pass is its 1-row pass bit for
+        # bit, whichever rows share the pass and in whatever order
+        monkeypatch.setattr(inference, "BLOCK_ELEMENTS", 9)
+        shapes = []
+        derivs = inference.kernel_log_derivs
+
+        def recorded(u, rho):
+            shapes.append(u.shape)
+            return derivs(u, rho)
+
+        monkeypatch.setattr(inference, "kernel_log_derivs", recorded)
+        single = [inference._uf_pass(phi[i:i + 1], self.data) for i in range(3)]
+        for order in ([0, 1, 2], [2, 0, 1]):
+            shapes.clear()
+            chunked = inference._uf_pass(phi[order], self.data)
+            assert shapes == [(3, 9), (3, 9), (3, 2)]
+            for j, i in enumerate(order):
+                for got, want in zip(chunked, single[i]):
+                    assert np.array_equal(got[j], want[0]), (order, i)
+            for got, want in zip(chunked, whole):
+                assert_allclose(got, want[order], rtol=1e-12, atol=1e-12)
 
     def test_pass_overflow_is_quiet(self):
         from unitfrechet import inference
@@ -466,13 +483,13 @@ class TestFitUf:
         assert r.converged and r.loglik >= loglik - 1e-9
 
     def test_large_sample_report_loglik(self):
-        # past UF_PASS_ELEMENTS observations even a one-row pass sums
-        # over two chunks; on this sample a one-chunk sum at theta_hat
-        # differs in its last bit
+        # past BLOCK_ELEMENTS observations even a one-row pass sums over
+        # two chunks; on this sample a one-chunk sum at theta_hat differs
+        # in its last bit
         from unitfrechet import inference
 
         d = sample_series((1.0, 2.0, 0.5), 20_000, 4241)
-        assert d.n > inference.UF_PASS_ELEMENTS
+        assert d.n > inference.BLOCK_ELEMENTS
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = fit_uf(d)
@@ -483,12 +500,14 @@ class TestFitUf:
         # each _uf_pass call's sample size, under the stage that made it
         from unitfrechet import inference
 
-        seen = []
+        seen, profiled = [], []
         newton, verdict = inference._newton, inference._uf_verdict
         uf_pass = inference._uf_pass
 
         def staged_newton(phi, data, hold):
             seen.append("profile" if hold.all() else "refine")
+            if hold.all():
+                profiled.append(data)
             return newton(phi, data, hold)
 
         def staged_verdict(th, data):
@@ -514,6 +533,19 @@ class TestFitUf:
         w = uf_sample((1.0, 2.0, 0.5), m + 1, 2024)
         assert stages(w[:m]) == [{m}] * 3
         assert stages(w) == [{m}, {m + 1}, {m + 1}]
+        # the summary is an ordinary sample of m values
+        assert type(profiled[-1]) is DataSeries and len(profiled[-1].values) == m
+
+    def test_ascent_holds_rho_where_its_newton_step_points_out(self):
+        # at rho = 0 the gradient points into [0, 1] but the Newton step
+        # points out, so the direction is solved again with rho held
+        from unitfrechet.inference import _ascent
+
+        phi = np.array([[0.0, 0.0, 0.0]])
+        grad = np.array([[1.0, 0.0, 0.1]])
+        hess = -np.array([[[1.0, 0.0, 0.9], [0.0, 1.0, 0.0], [0.9, 0.0, 1.0]]])
+        d = _ascent(phi, grad, hess, np.zeros(1, dtype=bool))
+        assert np.array_equal(d, [[1.0, 0.0, 0.0]])
 
     def test_runtime(self, uefa):
         import time
