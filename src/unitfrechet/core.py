@@ -280,7 +280,10 @@ def _kernel_coeffs(rho):
 def _kernel_b(y, c1):
     """B at y, with ``c1 = 2 - rho`` from ``_kernel_coeffs(rho)``: the
     one polynomial the CDF needs, and ``_kernel_polys``'s third."""
-    return (y + c1) * y + 1.0
+    b = y + c1
+    b *= y
+    b += 1.0
+    return b
 
 
 def _kernel_polys(y, c0, c1, c2):
@@ -300,18 +303,37 @@ def _kernel_polys(y, c0, c1, c2):
     The density, the log density and the derivatives evaluate them,
     for y in (0, 1]; callers fold larger arguments first.
     """
-    p = ((c0 * y + 4.0) * y + c2) * y + 4.0
-    return p, p * y + c0, _kernel_b(y, c1)
+    p = c0 * y
+    p += 4.0
+    p *= y
+    p += c2
+    p *= y
+    p += 4.0
+    n = p * y
+    n += c0
+    return p, n, _kernel_b(y, c1)
 
 
 def _kernel_polys_dy(y, c0, c1, c2):
     """``(N', B')``, the y-derivatives of ``_kernel_polys``'s N and B."""
-    return ((4.0 * c0 * y + 12.0) * y + 2.0 * c2) * y + 4.0, 2.0 * y + c1
+    dn = 4.0 * c0 * y
+    dn += 12.0
+    dn *= y
+    dn += 2.0 * c2
+    dn *= y
+    dn += 4.0
+    db = 2.0 * y
+    db += c1
+    return dn, db
 
 
 def _kernel_n_drho(w, rho):
     """N_rho = dN/drho at y, from ``w = y^2`` (B_rho is -y)."""
-    return -((1.0 - w) ** 2 + 2.0 * rho * w)
+    t = 1.0 - w
+    t *= t
+    t += 2.0 * rho * w
+    t *= -1.0
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -418,76 +440,138 @@ def _kernel_cdf_folded(y, big, rho: float, upper: bool = False) -> np.ndarray:
     return np.where(big == upper, c, 1.0 - c)
 
 
-def _kernel_logpdf(u, y, big, c0, c1, c2):
-    """log g(x; rho) at ``x = exp(u)`` from the fold
-    ``(y, big) = _fold_log(u)`` and ``_kernel_coeffs(rho)``, with the
-    polynomials ``(P, N, B)`` at y and the mask ``deep`` where rho = 1
-    and y is subnormal or 0: the evaluation ``uf_logpdf`` and
-    ``kernel_log_derivs`` share. At rho = 1, N = y P ~ 4y has lost bits
-    at a subnormal y (and all of them at 0), so there log N is formed as
-    log P - |u|; the caller silences the divide warning of log 0.
+def _kernel_logpdf(u, y, c0, c1, c2, out):
+    """log g(y; rho) at the folded point ``y = exp(-|u|)``, from u (or
+    |u|), y and ``_kernel_coeffs(rho)``, written into ``out``:
+    the evaluation ``uf_logpdf`` and ``kernel_log_derivs`` share, each
+    reflecting it to x = e^u in its own form. Returns the polynomials
+    ``(P, N, B)`` at y, ``A = y + 1`` and the mask ``deep`` (None where
+    no rho is 1) of the points where rho = 1 and y is subnormal or 0.
+    There N = y P ~ 4y has lost bits (all of them at 0), so log N is
+    formed as log P - |u|; A and B are 1. The caller silences the
+    divide warning of log 0.
     """
     p, n, b = _kernel_polys(y, c0, c1, c2)
-    deep = (c0 == 0.0) & (y < np.finfo(float).tiny)
-    logn = np.log(n)
-    if deep.any():
-        logn = np.where(deep, np.log(p) - np.abs(u), logn)
-    logg = logn - 2.0 * np.log1p(y) - 2.0 * np.log(b)
-    return np.where(big, logg - 2.0 * u, logg), p, n, b, deep
+    a = y + 1.0
+    np.multiply(a, b, out=out)
+    out *= out
+    np.divide(n, out, out=out)
+    np.log(out, out=out)
+    deep = None
+    if not np.all(c0):
+        deep = (c0 == 0.0) & (y < np.finfo(float).tiny)
+        out[deep] = np.log(p[deep]) - np.abs(u[deep])
+    return p, n, b, a, deep
 
 
-def kernel_log_derivs(u: np.ndarray, rho) -> tuple[np.ndarray, ...]:
+def kernel_log_derivs(u: np.ndarray, rho) -> np.ndarray:
     """log g(x; rho) at ``x = exp(u)`` with its first and second
     derivatives in (u, rho): ``(log g, r, h, dr/du, dr/drho, dh/drho)``
     with ``r = d log g / du = x g'(x)/g(x)`` and
-    ``h = d log g / drho``.
+    ``h = d log g / drho``, returned as the rows of one array of shape
+    ``(6,) + u.shape``, so that they unpack in that order.
 
-    ``rho`` is a float or a column broadcasting against u. Everything
-    is formed at the folded point y = exp(-|u|) from
-    ``g = N / ((y+1)^2 B^2)`` and the polynomials of ``_kernel_polys``;
-    log g is ``uf_logpdf``'s, from ``_kernel_logpdf``, and x itself is
-    never formed, so it stays exact for any finite u. For u > 0 the
-    reflection gives ``log g = log g(y) - 2u``, ``r = -r(y) - 2``
-    and ``dr/drho = -dr/drho(y)``; dr/du, h and dh/drho are the same at
-    x and y. The one exception is rho = 1, where N = y P(y) ~ 4y and
-    y N' = y Q(y): log g and r stay exact, taking log N = log P - |u|
-    and y N'/N = Q/P where y is subnormal or 0, but h ~ -1/(4y) and
-    dh/drho overflow to -inf as y shrinks, and once y underflows to 0
-    (|u| > 745) the second derivatives read -inf or NaN. Those values
-    are returned as they come, without a warning.
+    ``rho`` is a float or a column with one entry per row of u.
+    Everything is formed at the folded point y = exp(-|u|) from
+    ``g = N / ((y+1)^2 B^2)`` and the polynomials of ``_kernel_polys``,
+    with one division each for log g, 1/(y+1), 1/B, y/N and N_rho/N,
+    and every value computed in place. log g(y) comes from
+    ``_kernel_logpdf``, the evaluation ``uf_logpdf`` reads too, and x
+    itself is never formed, so it stays exact for any finite u. For
+    u > 0 the reflection gives ``log g = log g(y) - 2u``,
+    ``r = -r(y) - 2`` and ``dr/drho = -dr/drho(y)``; dr/du, h and
+    dh/drho are the same at x and y. It is applied by exact sign
+    arithmetic: ``log g(y) - 2 max(u, 0)`` (u = -inf keeps log g(0)),
+    and with ``s = sign(u)`` and ``q = -r(y)``, ``r = s q - (s + 1)``
+    and ``dr/drho = -s dr/drho(y)``, which leave u < 0 untouched and
+    give r = -1 and dr/drho = 0 at u = 0, their values at x = 1. The
+    value form of the likelihood pass and ``uf_logpdf`` is
+    ``u + log g(e^u) = log g(y) - |u|``. The one exception is rho = 1,
+    where N = y P(y) ~ 4y and y N' = y Q(y): log g and r stay exact,
+    taking log N = log P - |u| and y/N = 1/P where y is subnormal or 0,
+    but h ~ -1/(4y) and dh/drho overflow to -inf as y shrinks, and once
+    y underflows to 0 (|u| > 745) the second derivatives read -inf or
+    NaN. Those values are returned as they come, without a warning.
     """
-    y, big = _fold_log(u)
     c0, c1, c2 = _kernel_coeffs(rho)
+    out = np.empty((6,) + u.shape)
+    logg, r, h, dr_du, dr_drho, dh_drho = out
+    y = np.abs(u)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
     w = y * y
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logg, p, n, b, deep = _kernel_logpdf(u, y, big, c0, c1, c2)
+        p, n, b, a, deep = _kernel_logpdf(u, y, c0, c1, c2, logg)
+        # log g(x) = log g(y) - 2 max(u, 0); s = sign(u) reflects r and
+        # dr/drho below
+        sign = np.sign(u)
+        np.maximum(u, 0.0, out=h)
+        h += h
+        logg -= h
         dn, db = _kernel_polys_dy(y, c0, c1, c2)
-        pn = dn * y / n
-        if deep.any():
-            pn = np.where(deep, dn / p, pn)
-        # y N'/N (pn), y B'/B and y/(y+1): r at y is their combination,
-        # and y d/dy of each ratio t = y f'/f is t + y^2 f''/f - t^2
-        pb = db * y / b
-        p1 = y / (1.0 + y)
-        r = pn - 2.0 * p1 - 2.0 * pb
-        dr_du = (
-            pn + ((12.0 * c0 * y + 24.0) * y + 2.0 * c2) * w / n - pn * pn
-            - 2.0 * p1 * (1.0 - p1)
-            - 2.0 * (pb + 2.0 * w / b - pb * pb)
-        )
-        # rho derivatives: N_rho / N and B_rho = -y
-        e = _kernel_n_drho(w, rho) / n
-        yb = y / b
-        dr_drho = 4.0 * w * (c0 - w) / n - pn * e + 2.0 * yb * (1.0 - pb)
-        dh_drho = -2.0 * w / n - e * e + 2.0 * yb * yb
-    return (
-        logg,
-        np.where(big, -r - 2.0, r),
-        e + 2.0 * yb,
-        dr_du,
-        np.where(big, -dr_drho, dr_drho),
-        dh_drho,
-    )
+        # r(y) is y N'/N - 2 y/A - 2 y B'/B with A = y + 1 (pn, p1, pb),
+        # and y d/dy of each ratio t = y f'/f is t + y^2 f''/f - t^2;
+        # for A that is p1 (1 - p1) = p1 / A, and 1 - pb = (1 - w) / B
+        np.reciprocal(a, out=a)
+        p1 = y * a
+        a *= p1
+        np.reciprocal(b, out=b)
+        yb = y * b
+        db *= yb
+        b *= 1.0 - w
+        # rho derivatives: e = N_rho / N, B_rho = -y
+        e = _kernel_n_drho(w, rho)
+        e /= n
+        np.divide(y, n, out=n)
+        if deep is not None:
+            n[deep] = 1.0 / p[deep]
+        dn *= n
+        # w/N, in P's buffer
+        wn = np.multiply(y, n, out=p)
+        pn, pb, omp = dn, db, b
+        # r = s q - (s + 1) with q = -r(y) = 2 (p1 + pb) - pn
+        np.add(p1, pb, out=r)
+        r += r
+        r -= pn
+        r *= sign
+        np.add(sign, 1.0, out=h)
+        r -= h
+        # dr/du = pn (1 - pn) + y^2 N''/N - 2 [p1 / A + pb (1 - pb) + 2 w/B]
+        np.subtract(1.0, pn, out=dr_du)
+        dr_du *= pn
+        np.multiply(y, 12.0 * c0, out=h)
+        h += 24.0
+        h *= y
+        h += 2.0 * c2
+        h *= wn
+        dr_du += h
+        np.multiply(pb, omp, out=h)
+        a += h
+        np.multiply(y, yb, out=h)
+        h += h
+        a += h
+        a += a
+        dr_du -= a
+        # dr/drho = -s dr/drho(y), where
+        # dr/drho(y) = 4 (c0 - w) w/N - pn e + 2 yb (1 - pb)
+        np.subtract(w, c0, out=dr_drho)
+        dr_drho *= wn
+        dr_drho *= 4.0
+        np.multiply(pn, e, out=a)
+        dr_drho += a
+        np.multiply(yb, omp, out=a)
+        a += a
+        dr_drho -= a
+        dr_drho *= sign
+        # dh/drho = 2 (yb^2 - w/N) - e^2 and h = e + 2 yb
+        np.multiply(yb, yb, out=dh_drho)
+        dh_drho -= wn
+        dh_drho += dh_drho
+        np.add(yb, yb, out=h)
+        h += e
+        e *= e
+        dh_drho -= e
+    return out
 
 
 def kernel_pdf(x: ArrayLike, rho: float):
@@ -672,37 +756,61 @@ def uf_cdf(w: ArrayLike, theta: UfParams | Sequence[float]):
 
 
 def _uf_cdf(w: np.ndarray, th: UfParams) -> np.ndarray:
-    # w <= 0 gives u = -inf and G = 0, w >= 1 gives u = inf and G = 1
-    with np.errstate(divide="ignore"):
+    # w <= 0 gives u = -inf and G = 0, w >= 1 gives u = inf and G = 1,
+    # as does a u that overflows under a large alpha
+    with np.errstate(divide="ignore", over="ignore"):
         u = th.alpha * (log_odds(np.clip(w, 0.0, 1.0)) - math.log(th.sigma))
     return _kernel_cdf_folded(*_fold_log(u), th.rho)
 
 
 def _uf_logpdf(w: np.ndarray, th: UfParams) -> np.ndarray:
-    logs = log_odds(w)
-    u = th.alpha * (logs - math.log(th.sigma))
-    with np.errstate(divide="ignore"):
-        logg = _kernel_logpdf(u, *_fold_log(u), *_kernel_coeffs(th.rho))[0]
-    logg += (
-        math.log(th.alpha)
-        - th.alpha * math.log(th.sigma)
-        + (th.alpha - 1.0) * logs
-        + 2.0 * np.log1p(np.exp(logs))
-    )
-    return logg
+    """``uf_logpdf`` on a validated block, in the likelihood pass's value
+    form ``log alpha + (log g(y) - |u|) - log(w (1 - w))``."""
+    c0, c1, c2 = _kernel_coeffs(th.rho)
+    with np.errstate(divide="ignore", over="ignore"):
+        logw = np.log(w)
+        out = np.negative(w)
+        np.log1p(out, out=out)
+        # log s, then |u|; log w + log(1 - w) = log s - 2 log(1 + s)
+        au = logw - out
+        au -= math.log(th.sigma)
+        au *= th.alpha
+        np.abs(au, out=au)
+        logw += out
+        y = np.negative(au)
+        np.exp(y, out=y)
+        _kernel_logpdf(au, y, c0, c1, c2, out)
+    out -= au
+    out -= logw
+    out += math.log(th.alpha)
+    return out
 
 
 def uf_logpdf(w: ArrayLike, theta: UfParams | Sequence[float]):
-    """Natural log of the UF density, finite for every w in (0, 1).
+    """Natural log of the UF density at w in (0, 1): finite wherever
+    it lies in the double range, and -inf beyond it (which only an
+    extreme alpha reaches).
 
-    The log of the Jacobian prefactor
-    ``(alpha / sigma**alpha) s**(alpha-1) (s+1)**2`` plus log g at the
-    log argument ``u = alpha (log s - log sigma)``, formed in log space
-    at the folded point ``exp(-|u|)`` by the code that gives
-    ``kernel_log_derivs`` its value, so it is exact for any finite u.
+    With s the odds of w, ``u = alpha (log s - log sigma)`` and
+    ``y = exp(-|u|)``, it is written in the likelihood pass's form
+
+        log alpha + (log g(y) - |u|) - log s + 2 log(1 + s),
+
+    where ``log g(y) - |u| = u + log g(e^u)`` exactly: the log kernel
+    density plus the log Jacobian of ``x = (s / sigma)^alpha``. The
+    last two terms are evaluated as ``-log(w (1 - w))``. log g(y) comes
+    from the code that gives ``kernel_log_derivs`` its value, so the
+    result is exact for any finite u. Neither (alpha - 1) log s nor e^u
+    is formed, so no term overflows against another: a u that
+    overflows under a huge alpha gives -inf, a density of 0.
     """
     th = UfParams.of(theta)
     return _evaluate(lambda b: _uf_logpdf(b, th), w, "w", UNIT_OPEN)
+
+
+def _uf_pdf(w: np.ndarray, th: UfParams) -> np.ndarray:
+    out = _uf_logpdf(w, th)
+    return np.exp(out, out=out)
 
 
 def uf_pdf(w: ArrayLike, theta: UfParams | Sequence[float]):
@@ -714,7 +822,7 @@ def uf_pdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     expanded closed form.
     """
     th = UfParams.of(theta)
-    return _evaluate(lambda b: np.exp(_uf_logpdf(b, th)), w, "w", UNIT_OPEN)
+    return _evaluate(lambda b: _uf_pdf(b, th), w, "w", UNIT_OPEN)
 
 
 def uf_quantile(p: ArrayLike, theta: UfParams | Sequence[float]):

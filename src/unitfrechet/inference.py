@@ -475,13 +475,16 @@ def _uf_pass(phi: np.ndarray, data: DataSeries):
     Writing u_i = alpha (log s_i - log sigma), the log-likelihood is
     n log alpha - sum log s_i + 2 sum log(1 + s_i)
     + sum [u_i + log g(e^u_i; rho)], so every derivative is a sum over
-    the data of the kernel_log_derivs terms times powers of u_i. The
-    sums run over column chunks of BLOCK_ELEMENTS whatever the row
-    count, so a row's summation order, and so its bits, do not depend
-    on the rows beside it. The value is formed in log space, so it is
-    exact for any finite u_i; a row whose point overflows gets a
-    non-finite value, not a warning. This is the package's one UF
-    log-likelihood, which loglik_uf, score_uf and the fit all read.
+    the data of the kernel_log_derivs terms times powers of u_i. Each
+    chunk turns the kernel's first two rows into u + log g and 1 + r in
+    place and sums them with the other four in one reduction, and the
+    four products with u in another. The sums run over column chunks
+    of BLOCK_ELEMENTS whatever the row count, so a row's summation
+    order, and so its bits, do not depend on the rows beside it. The
+    value is formed in log space, so it is exact for any finite u_i; a
+    row whose point overflows gets a non-finite value, not a warning.
+    This is the package's one UF log-likelihood, which loglik_uf,
+    score_uf and the fit all read.
     """
     rows = len(phi)
     rho = phi[:, 2:]
@@ -489,14 +492,20 @@ def _uf_pass(phi: np.ndarray, data: DataSeries):
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = np.exp(phi[:, 1:2])
         for lo in range(0, data.n, BLOCK_ELEMENTS):
-            u = alpha * (data.log_odds[lo:lo + BLOCK_ELEMENTS] - phi[:, :1])
-            logg, r, h, dr_du, dr_drho, dh_drho = kernel_log_derivs(u, rho)
-            p = 1.0 + r
-            ru = dr_du * u
-            sums += [t.sum(axis=-1) for t in (
-                u + logg, p, p * u, h, dr_du, ru, ru * u, dr_drho, dr_drho * u, dh_drho,
-            )]
-        s_val, s_p, s_pu, s_h, s_ru, s_ruu, s_ruuu, s_rr, s_rru, s_hr = sums
+            u = np.subtract(data.log_odds[lo:lo + BLOCK_ELEMENTS], phi[:, :1])
+            u *= alpha
+            # (u + log g, p = 1 + r, h, dr/du, dr/drho, dh/drho), then
+            # (p u, dr/du u, dr/drho u, dr/du u^2), each summed per row
+            terms = kernel_log_derivs(u, rho)
+            terms[0] += u
+            terms[1] += 1.0
+            times_u = np.empty((4,) + u.shape)
+            np.multiply(terms[1], u, out=times_u[0])
+            np.multiply(terms[3:5], u, out=times_u[1:3])
+            np.multiply(times_u[1], u, out=times_u[3])
+            sums[:6] += terms.sum(axis=-1)
+            sums[6:] += times_u.sum(axis=-1)
+        s_val, s_p, s_h, s_ru, s_rr, s_hr, s_pu, s_ruu, s_rru, s_ruuu = sums
         a = alpha[:, 0]
         n = data.n
         ll = n * phi[:, 1] - data.log_odds.sum() + 2.0 * data._sum_log1p_odds + s_val

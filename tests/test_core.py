@@ -413,6 +413,24 @@ class TestKernelDerivatives:
         assert_allclose(logg, want, rtol=1e-15)
         assert np.array_equal(r, np.where(u > 0.0, -3.0, 1.0))
 
+    def test_inputs_left_unchanged(self):
+        # the kernel and the log density work in place, in buffers of
+        # their own: u, the rho column and the caller's array come back
+        # as they went in, also through the rho = 1 branch where y is
+        # subnormal (|u| = 720) or 0 (|u| = 800)
+        u = np.array([[-800.0, -720.0, -1.0, 0.0, 2.5, 720.0, 800.0]] * 2)
+        rho = np.array([[0.3], [1.0]])
+        u0, rho0 = u.copy(), rho.copy()
+        kernel_log_derivs(u, rho)
+        kernel_log_derivs(u[1], 1.0)
+        assert np.array_equal(u, u0) and np.array_equal(rho, rho0)
+        w = np.array([1e-300, 0.3, 0.5, 0.9, 1.0 - 1e-16])
+        w0 = w.copy()
+        for th in ((1.0, 3.0, 1.0), (2.0, 0.5, 0.4)):
+            uf_logpdf(w, th)
+            uf_pdf(w, th)
+        assert np.array_equal(w, w0)
+
 
 class TestKernelQuantile:
     def test_median_is_one(self):
@@ -558,6 +576,24 @@ class TestUfPdf:
             # an ordinary point keeps its value in a mixed array
             assert uf_logpdf(np.array([w, 0.3]), th)[1] == uf_logpdf(0.3, th)
 
+    def test_extreme_alpha(self):
+        # at alpha = 1e308 the log kernel argument u = alpha (log s -
+        # log sigma) overflows to inf at w = 1 - 1e-16, where the density
+        # is 0; at w = 0.7 the log density, about -|u| (or -2|u| at
+        # rho = 1, where g ~ 4y), is still a double. (alpha - 1) log s
+        # overflowing against log g once gave NaN and -inf here, with
+        # overflow and invalid-value warnings
+        u = 1e308 * (math.log(0.7) - math.log1p(-0.7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rho in (0.0, 0.5, 1.0):
+                th = (1.0, 1e308, rho)
+                assert uf_logpdf(1.0 - 1e-16, th) == -math.inf
+                assert uf_pdf(1.0 - 1e-16, th) == 0.0
+                want = -2.0 * u if rho == 1.0 else -u
+                assert_allclose(uf_logpdf([0.3, 0.7], th), [want, want], rtol=1e-15)
+        assert_allclose(uf_logpdf(0.7, (1.0, 1e308, 1.0)), -1.6945957e308, rtol=1e-7)
+
     def test_bracketed_form_oracle(self):
         # independent route: the density written as a single bracket,
         # alpha sigma^alpha s^(alpha-1) (s+1)^2 *
@@ -615,6 +651,15 @@ class TestUfCdf:
         for w in np.linspace(0.1, 0.9, 9):
             fd = fd5(lambda t: uf_cdf(float(t), th), w, 1e-4)
             assert_allclose(uf_pdf(float(w), th), fd, rtol=1e-6)
+
+    def test_extreme_alpha_is_quiet(self):
+        # at alpha = 1e308, u overflows to -inf and inf at the outer
+        # points; the CDF takes its limits there, without a warning
+        w = [1e-300, 0.3, 0.5, 0.7, 1.0 - 1e-16]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = uf_cdf(w, (1.0, 1e308, 0.5))
+        assert np.array_equal(got, [0.0, 0.0, 0.5, 1.0, 1.0])
 
     def test_deep_lower_tail(self):
         # against the rho = 0 closed form w^a / (w^a + sigma^a (1-w)^a);

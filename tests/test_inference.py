@@ -330,6 +330,35 @@ class TestNewtonPass:
             for got, want in zip(chunked, whole):
                 assert_allclose(got, want[order], rtol=1e-12, atol=1e-12)
 
+    def test_pass_across_chunks(self, monkeypatch):
+        # a sample of two full chunks and a narrower third: the value is
+        # the sum of the log densities, the gradient score_uf's, the
+        # result that of one chunk over the whole sample, and each row of
+        # a 2-row pass its 1-row pass bit for bit; phi is left unchanged
+        from unitfrechet import inference
+
+        n = 2 * inference.BLOCK_ELEMENTS + 1234
+        data = sample_series((1.0, 2.0, 0.5), n, 11)
+        thetas = [(1.1, 1.8, rho) for rho in (0.0, 0.5, 1.0)]
+        phi = np.array([phi_of(th) for th in thetas])
+        phi0 = phi.copy()
+        chunked = inference._uf_pass(phi, data)
+        singles = [inference._uf_pass(phi[i:i + 1], data) for i in range(3)]
+        for i, th in enumerate(thetas):
+            ll, grad = chunked[0][i], chunked[1][i]
+            assert_allclose(ll, np.sum(uf_logpdf(data.array, th)), rtol=1e-12)
+            assert_allclose(grad / [th[0], th[1], 1.0], score_uf(th, data), rtol=1e-12)
+        for pair in ([0, 1], [2, 0], [1, 2]):
+            double = inference._uf_pass(phi[pair], data)
+            for j, i in enumerate(pair):
+                for got, want in zip(double, singles[i]):
+                    assert np.array_equal(got[j], want[0]), (pair, i)
+        monkeypatch.setattr(inference, "BLOCK_ELEMENTS", n)
+        whole = inference._uf_pass(phi, data)
+        for got, want in zip(chunked, whole):
+            assert_allclose(got, want, rtol=1e-12)
+        assert np.array_equal(phi, phi0)
+
     def test_pass_overflow_is_quiet(self):
         from unitfrechet import inference
 
