@@ -69,7 +69,7 @@ class BivParams:
 
     def __post_init__(self) -> None:
         check_positive(self, "sigma1", "sigma2", "alpha")
-        check_rho(self.rho)
+        object.__setattr__(self, "rho", check_rho(self.rho))
 
     of = classmethod(params_of)
 

@@ -380,21 +380,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     _write_csv(
         outdir / "simreport.csv",
-        "theta_index,n,param,rb,mse,rmse,failures",
+        ",".join(next(report.iter_rows())),
         (row.values() for row in report.iter_rows()),
     )
+    # CellResult's fields in order, the two counts under shorter keys
+    keys = {"failure_count": "failures", "boundary_count": "boundary"}
     cells_doc = [
-        {
-            "theta_index": c.theta_index,
-            "theta": list(c.theta),
-            "n": c.n,
-            "rb": list(c.rb),
-            "mse": list(c.mse),
-            "rmse": list(c.rmse),
-            "failures": c.failure_count,
-            "boundary": c.boundary_count,
-            "used": c.used,
-        }
+        {keys.get(k, k): v for k, v in dataclasses.asdict(c).items()}
         for c in report.cells
     ]
     (outdir / "cells.json").write_text(json.dumps(cells_doc, indent=2) + "\n")
@@ -433,6 +425,9 @@ def cmd_cdf(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
+    """E(W) and Var(W), and E(W^p) with -p, from the margins or from
+    direct inputs. ``approx_moment`` rejects inputs left incomplete,
+    saying why (a margin with alpha <= 2 has no variance)."""
     margins_given = args.sigma1 is not None or args.sigma2 is not None
     direct_given = args.mu1 is not None or args.mu2 is not None
     if margins_given and direct_given:
@@ -464,11 +459,6 @@ def cmd_moments(args: argparse.Namespace) -> int:
             inputs = inputs.with_cov(est.value)
             print(f"cov_estimate = {est.value:.12g} (se {est.se:.3g}, n={est.n})",
                   file=sys.stderr)
-    if not inputs.complete:
-        raise DomainError(
-            "moment approximation needs variances and a covariance; "
-            "margin shape alpha <= 2 has no finite variance"
-        )
     mean = approx_moment(1.0, inputs)
     var = approx_var(inputs)
     print(f"E(W) = {mean:.12g}")

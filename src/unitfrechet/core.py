@@ -39,9 +39,9 @@ subnormal range.
 
 Public functions validate their arguments once (NaN raises
 ``DomainError``), through the argument rules written once here and
-shared with the sibling modules: ``check_positive``, ``check_rho``,
-``params_of`` (every parameter record's ``of``), ``prepare`` and
-``finish`` for array arguments, and, for both samplers,
+shared with the sibling modules: ``as_float``, ``check_positive``,
+``check_rho``, ``params_of`` (every parameter record's ``of``),
+``prepare`` and ``finish`` for array arguments, and, for both samplers,
 ``sample_stream`` for n and the seed and ``uniforms`` for the clipped
 draws. Beneath them is an unvalidated array layer:
 ``inference`` builds its likelihood from ``log_odds`` and
@@ -106,18 +106,29 @@ ArrayLike = Union[float, Sequence[float], np.ndarray]
 # Argument rules: each written once here, for core and its siblings
 # ---------------------------------------------------------------------------
 
+def as_float(name: str, value) -> float:
+    """The one conversion of a parameter value: ``value`` as a float, or
+    ParameterError naming the field ``name`` where ``float`` fails."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        msg = f"{name} must be a number within the double range, got {value!r}"
+        raise ParameterError(msg) from None
+
+
 def check_positive(record, *names: str) -> None:
-    """Raise ParameterError unless each named field of ``record`` is
-    finite and > 0."""
+    """Hold each named field of ``record`` as a float (``as_float``);
+    ParameterError unless it is finite and > 0."""
     for name in names:
-        v = getattr(record, name)
+        v = as_float(name, getattr(record, name))
         if not (math.isfinite(v) and v > 0.0):
             raise ParameterError(f"{name} must be finite and > 0, got {v!r}")
+        object.__setattr__(record, name, v)
 
 
 def check_rho(rho: float) -> float:
-    """rho as a float; ParameterError unless it lies in [0, 1]."""
-    rho = float(rho)
+    """rho as a float (``as_float``); ParameterError unless in [0, 1]."""
+    rho = as_float("rho", rho)
     if not 0.0 <= rho <= 1.0:
         raise ParameterError(f"rho must lie in [0, 1], got {rho!r}")
     return rho
@@ -125,11 +136,11 @@ def check_rho(rho: float) -> float:
 
 def params_of(cls, value):
     """``value`` as the parameter record ``cls``: itself if it is one,
-    else ``cls`` of its entries as floats, which must number one per
-    field. Every parameter record's ``of``."""
+    else ``cls`` of its entries (a scalar is one entry), which must
+    number one per field. Every parameter record's ``of``."""
     if isinstance(value, cls):
         return value
-    vals = tuple(float(v) for v in value)
+    vals = tuple(value) if np.iterable(value) else (value,)
     names = [f.name for f in fields(cls)]
     if len(vals) != len(names):
         raise ParameterError(f"expected ({', '.join(names)}), got {len(vals)} values")
@@ -158,7 +169,7 @@ class UfParams:
 
     def __post_init__(self) -> None:
         check_positive(self, "sigma", "alpha")
-        check_rho(self.rho)
+        object.__setattr__(self, "rho", check_rho(self.rho))
 
     of = classmethod(params_of)
 
@@ -176,6 +187,7 @@ class FrechetParams:
 
     def __post_init__(self) -> None:
         check_positive(self, "sigma", "alpha")
+        object.__setattr__(self, "mu", as_float("mu", self.mu))
         if not math.isfinite(self.mu):
             raise ParameterError(f"mu must be finite, got {self.mu!r}")
 

@@ -449,8 +449,8 @@ def _uf_verdict(th: UfParams, data: DataSeries) -> tuple[float, bool]:
 
     Converged means the score in (log sigma, log alpha, logit rho) has
     infinity norm below UF_GRAD_TOL * max(1, |loglik|); on the rho
-    boundary the rho component need only point out of [0, 1] (a KKT
-    condition).
+    boundary, where the logit scaling zeroes the rho component, d/drho
+    must also point out of [0, 1] (a KKT condition).
     """
     rh = th.rho
     ll, grad, _ = _uf_pass(_phi(th), data)
@@ -459,12 +459,9 @@ def _uf_verdict(th: UfParams, data: DataSeries) -> tuple[float, bool]:
     # the attainable gradient floor scales with the likelihood magnitude
     # (each component sums n rounded terms), so the test is relative
     tol = UF_GRAD_TOL * max(1.0, abs(ll))
-    if rh in (0.0, 1.0):
-        free_grad = max(abs(d[0]), abs(d[1]))
-        kkt = d[2] <= tol if rh == 0.0 else d[2] >= -tol
-        return ll, bool(free_grad < tol and kkt and math.isfinite(ll))
     tgrad = d * [1.0, 1.0, rh * (1.0 - rh)]
-    return ll, bool(np.max(np.abs(tgrad)) < tol and math.isfinite(ll))
+    kkt = (rh > 0.0 or d[2] <= tol) and (rh < 1.0 or d[2] >= -tol)
+    return ll, bool(np.max(np.abs(tgrad)) < tol and kkt and math.isfinite(ll))
 
 
 def _uf_pass(phi: np.ndarray, data: DataSeries):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .bivariate import BivParams
-from .core import check_positive
+from .core import as_float, check_positive
 from .errors import DomainError, ParameterError
 
 __all__ = [
@@ -65,21 +65,21 @@ class MomentInputs:
 
     def __post_init__(self) -> None:
         check_positive(self, "mu1", "mu2")
-        for name in ("var1", "var2"):
+        for name in ("var1", "var2", "cov"):
             v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0.0):
-                raise ParameterError(f"{name} must be finite and >= 0, got {v!r}")
-        if self.cov is not None:
-            if not math.isfinite(self.cov):
-                raise ParameterError(f"cov must be finite, got {self.cov!r}")
-            if self.var1 is not None and self.var2 is not None:
-                # sqrt of each factor: the product underflows for tiny variances
-                bound = math.sqrt(self.var1) * math.sqrt(self.var2)
-                if abs(self.cov) > bound * (1.0 + 1e-12) + 1e-300:
-                    raise ParameterError(
-                        f"cov={self.cov!r} violates the Cauchy-Schwarz bound "
-                        f"{bound!r}"
-                    )
+            if v is not None:
+                v = as_float(name, v)
+                object.__setattr__(self, name, v)
+                if not (math.isfinite(v) and (v >= 0.0 or name == "cov")):
+                    rule = "finite" if name == "cov" else "finite and >= 0"
+                    raise ParameterError(f"{name} must be {rule}, got {v!r}")
+        if self.complete:
+            # sqrt of each factor: the product underflows for tiny variances
+            bound = math.sqrt(self.var1) * math.sqrt(self.var2)
+            if abs(self.cov) > bound * (1.0 + 1e-12) + 1e-300:
+                raise ParameterError(
+                    f"cov={self.cov!r} violates the Cauchy-Schwarz bound {bound!r}"
+                )
 
     @property
     def complete(self) -> bool:
@@ -87,7 +87,7 @@ class MomentInputs:
 
     def with_cov(self, cov: float) -> "MomentInputs":
         """Copy of these inputs with the covariance filled in."""
-        return replace(self, cov=float(cov))
+        return replace(self, cov=as_float("cov", cov))
 
 
 def frechet_moments(p: BivParams | Sequence[float]) -> MomentInputs:
@@ -124,13 +124,14 @@ def frechet_moments(p: BivParams | Sequence[float]) -> MomentInputs:
 
 
 def _require_complete(m: MomentInputs) -> None:
-    if not m.complete:
-        missing = [
-            name for name in ("var1", "var2", "cov") if getattr(m, name) is None
-        ]
+    """DomainError naming the unset inputs, and why a variance is unset."""
+    missing = [name for name in ("var1", "var2", "cov") if getattr(m, name) is None]
+    if missing:
         raise DomainError(
             "moment approximation needs fully populated inputs; missing: "
             + ", ".join(missing)
+            + ("" if missing == ["cov"] else
+               " (a Frechet margin with alpha <= 2 has no finite variance)")
         )
 
 
@@ -171,7 +172,7 @@ def approx_moment(p_exponent: float, m: MomentInputs) -> float:
     """
     _require_complete(m)
     _quality_guard(m)
-    p = float(p_exponent)
+    p = as_float("p_exponent", p_exponent)
     mu1, mu2, var1, var2, cov = _unit_scale(m)
     tot = mu1 + mu2
     lead = (mu1 / tot) ** p

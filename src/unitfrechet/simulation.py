@@ -11,7 +11,6 @@ makes the parallel path bit-identical to the serial one.
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from collections.abc import Mapping
@@ -20,8 +19,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import as_integer, uf_sample
-from .errors import DomainError, UnitFrechetError
+from .core import UfParams, as_integer, uf_sample
+from .errors import DomainError, ParameterError, UnitFrechetError
 from .inference import PARAM_NAMES, DataSeries, fit_uf
 
 __all__ = [
@@ -71,8 +70,8 @@ class SimConfig:
 
     This is the one validator of a study config. Construction checks
     every field and raises a single DomainError that lists each defect
-    on its own line with its field path, such as
-    ``thetas[1][0]: sigma must be finite and > 0`` or
+    on its own line with its field path: ``thetas[1][0]: `` followed by
+    ``UfParams``' complaint about that entry, or
     ``sample_sizes[1]: must be an integer >= 4``. The integer fields
     accept integral floats (30.0) but reject fractions and booleans.
     """
@@ -102,13 +101,11 @@ class SimConfig:
             if len(th) != 3 or not all(_is_number(v) for v in th):
                 problems.append(f"thetas[{i}]: expected an array of 3 numbers")
                 continue
-            sg, al, rh = (float(v) for v in th)
-            if not (math.isfinite(sg) and sg > 0.0):
-                problems.append(f"thetas[{i}][0]: sigma must be finite and > 0")
-            if not (math.isfinite(al) and al > 0.0):
-                problems.append(f"thetas[{i}][1]: alpha must be finite and > 0")
-            if not 0.0 <= rh <= 1.0:
-                problems.append(f"thetas[{i}][2]: rho must be in [0, 1]")
+            for j, v in enumerate(th):
+                try:  # UfParams' rule for field j; 0.5 is valid in every field
+                    UfParams.of((0.5,) * j + (v,) + (0.5,) * (2 - j))
+                except ParameterError as exc:
+                    problems.append(f"thetas[{i}][{j}]: {exc}")
         sizes = _entries(self.sample_sizes)
         if not sizes:
             problems.append("sample_sizes: expected a nonempty array")
@@ -211,12 +208,9 @@ def _run_replications(args) -> list:
         except UnitFrechetError:
             outcomes.append(None)
             continue
-        if not report.converged or not all(
-            math.isfinite(v) for v in report.theta_hat
-        ):
-            outcomes.append(None)
-            continue
-        outcomes.append((report.theta_hat, report.boundary_hit))
+        outcomes.append(
+            (report.theta_hat, report.boundary_hit) if report.converged else None
+        )
     return outcomes
 
 

@@ -228,6 +228,16 @@ class TestExitCodes:
         assert "master_seed: must be an integer" in err
         assert "parallelism: must be an integer" in err
 
+    def test_simulate_theta_past_the_double_range(self, tmp_path, capsys):
+        # JSON reads a 401-digit integer exactly; float() cannot hold it
+        cfg = write(tmp_path / "c.json", '{"thetas": [[1' + "0" * 400 + ", 2, 0.5]]}")
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--outdir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "thetas[0][0]: sigma must be a number within the double range" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPrintedValues:
     def test_quantile_median(self, capsys):
@@ -503,6 +513,25 @@ class TestSimulateCli:
         assert doc["input_digest"] == (
             "593e49a5277cd8fdc357fddbca4f8de16c448c41e7997c222acf27f750cfa057"
         )
+
+    def test_study_file_layouts(self, tmp_path, capsys):
+        # cells.json and the simreport.csv header are derived from
+        # CellResult and SimReport.iter_rows; their layouts are fixed here
+        cfg = write(
+            tmp_path / "c.json",
+            json.dumps({"thetas": [[1.0, 2.0, 0.5], [0.5, 1.0, 0.0]],
+                        "sample_sizes": [30, 31], "replications": 2}),
+        )
+        assert run("simulate", "--config", cfg, "--outdir", str(tmp_path)) == 0
+        header = (tmp_path / "simreport.csv").read_text().splitlines()[0]
+        assert header == "theta_index,n,param,rb,mse,rmse,failures"
+        cells = json.loads((tmp_path / "cells.json").read_text())
+        assert len(cells) == 4
+        for cell in cells:
+            assert list(cell) == [
+                "theta_index", "theta", "n", "rb", "mse", "rmse",
+                "failures", "boundary", "used",
+            ]
 
     def test_parallelism_does_not_change_results(self, tmp_path, capsys):
         base = {

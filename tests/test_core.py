@@ -1,6 +1,7 @@
 """Core distribution functions against hand values, high-precision
 oracles, finite differences and quadrature."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -16,10 +17,13 @@ from unitfrechet import (
     BivParams,
     DomainError,
     FrechetParams,
+    MomentInputs,
     ParameterError,
     UfParams,
+    approx_moment,
     biv_cdf,
     biv_pdf,
+    biv_sample,
     frechet_cdf,
     frechet_pdf,
     kernel_cdf,
@@ -193,6 +197,67 @@ class TestParams:
         assert th == UfParams(1.0, 2.0, 0.5)
         assert UfParams.of(th) is th
         assert th.astuple() == (1.0, 2.0, 0.5)
+
+    # records built from one value: (constructor, the field it lands in)
+    RECORD_FIELDS = {
+        "UfParams.of-sigma": (lambda v: UfParams.of((v, 2, 0.5)), "sigma"),
+        "UfParams-alpha": (lambda v: UfParams(1.0, v, 0.5), "alpha"),
+        "UfParams.of-rho": (lambda v: UfParams.of((1, 2, v)), "rho"),
+        "BivParams.of-sigma2": (lambda v: BivParams.of((1, v, 2, 0.5)), "sigma2"),
+        "BivParams-rho": (lambda v: BivParams(1.0, 1.0, 2.0, v), "rho"),
+        "FrechetParams-mu": (lambda v: FrechetParams(v, 1.0, 2.0), "mu"),
+        "FrechetParams.of-alpha": (lambda v: FrechetParams.of((0, 1, v)), "alpha"),
+        "MomentInputs-mu1": (lambda v: MomentInputs(mu1=v, mu2=1.0), "mu1"),
+        "MomentInputs-var2": (
+            lambda v: MomentInputs(mu1=1.0, mu2=1.0, var1=0.5, var2=v), "var2"
+        ),
+        "MomentInputs-cov": (lambda v: MomentInputs(mu1=1.0, mu2=1.0, cov=v), "cov"),
+        "MomentInputs.with_cov": (
+            lambda v: MomentInputs(mu1=1.0, mu2=1.0).with_cov(v), "cov"
+        ),
+    }
+
+    @pytest.mark.parametrize("record", RECORD_FIELDS)
+    @pytest.mark.parametrize(
+        "value", ["a", 10**400, [1.0, 2.0], 1j], ids=("text", "huge", "list", "complex")
+    )
+    def test_unconvertible_value_names_its_field(self, record, value):
+        # one conversion rule: a value float() cannot take, 10**400 past
+        # the double range included, is a ParameterError naming the field
+        build, field = self.RECORD_FIELDS[record]
+        with pytest.raises(ParameterError) as info:
+            build(value)
+        assert str(info.value) == (
+            f"{field} must be a number within the double range, got {value!r}"
+        )
+
+    def test_unconvertible_values_elsewhere(self):
+        huge = 10**400
+        for call in (
+            lambda: UfParams.of((None, 2, 0.5)),
+            lambda: FrechetParams(None, 1.0, 2.0),
+            lambda: UfParams.of(5),
+            lambda: uf_cdf(0.5, (huge, 2, 0.5)),
+            lambda: stress_strength((1, huge, 0.5)),
+            lambda: biv_sample((1, 1, huge, 0.5), 5, 1),
+            lambda: frechet_pdf(0.5, (0, huge, 2)),
+            lambda: kernel_pdf(0.5, "a"),
+            lambda: approx_moment(huge, MomentInputs(1.0, 1.0, 0.01, 0.01, 0.0)),
+        ):
+            with pytest.raises(ParameterError):
+                call()
+
+    def test_records_hold_floats(self):
+        # numeric strings stay accepted, and every record stores floats
+        assert UfParams.of(("1", "2", "0.5")) == UfParams(1.0, 2.0, 0.5)
+        for record in (
+            UfParams("1", 2, np.float64(0.5)),
+            BivParams(1, "2", 3, 0),
+            FrechetParams(0, 1, "2"),
+            MomentInputs(mu1=1, mu2="2", var1=0, var2=np.float32(1), cov=0),
+        ):
+            values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+            assert all(type(v) is float for v in values), record
 
 
 class TestFrechet:

@@ -180,7 +180,13 @@ def test_bivariate_independent_of_uf_kernel():
 
 @pytest.mark.parametrize(
     "text",
-    ("must be finite and > 0, got", "must lie in [0, 1], got", "1e-300, 1.0 - 1e-16"),
+    (
+        "must be finite and > 0",
+        "must lie in [0, 1], got",
+        "1e-300, 1.0 - 1e-16",
+        "has no finite variance",
+        "must be a number within the double range",
+    ),
 )
 def test_argument_rule_written_once(text):
     # each argument rule has one definition, in core, that every module calls

@@ -156,6 +156,19 @@ class TestApproxMoment:
         with pytest.raises(DomainError, match="cov"):
             approx_moment(1.0, m)
 
+    def test_incomplete_says_why(self):
+        m = MomentInputs(mu1=2.0, mu2=1.0, var1=0.1, var2=0.2)
+        with pytest.raises(DomainError) as info:
+            approx_moment(1.0, m)
+        assert str(info.value).endswith("missing: cov")
+        heavy = frechet_moments((1.0, 1.0, 1.5, 0.0)).with_cov(0.0)
+        with pytest.raises(DomainError) as info:
+            approx_var(heavy)
+        assert str(info.value).endswith(
+            "missing: var1, var2 (a Frechet margin with alpha <= 2 has no finite "
+            "variance)"
+        )
+
     @given(mu1=means, mu2=means, f1=fractions, f2=fractions, t=signed)
     @settings(max_examples=300)
     def test_mean_stays_in_unit_interval(self, mu1, mu2, f1, f2, t):

@@ -71,6 +71,27 @@ class TestSimConfig:
         for path in ("sample_sizes[0]", "replications", "master_seed", "parallelism"):
             assert f"{path}: must be an integer" in str(info.value)
 
+    def test_theta_rules_are_core_rules(self):
+        # each entry is checked by UfParams' rule for its field, under its path
+        with pytest.raises(DomainError) as info:
+            SimConfig(thetas=((0, -1, 2),))
+        assert str(info.value).splitlines() == [
+            "thetas[0][0]: sigma must be finite and > 0, got 0.0",
+            "thetas[0][1]: alpha must be finite and > 0, got -1.0",
+            "thetas[0][2]: rho must lie in [0, 1], got 2.0",
+        ]
+
+    @pytest.mark.parametrize("j, field", [(0, "sigma"), (1, "alpha"), (2, "rho")])
+    def test_theta_past_the_double_range(self, j, field):
+        theta = [1.0, 2.0, 0.5]
+        theta[j] = 10**400
+        with pytest.raises(DomainError) as info:
+            SimConfig(thetas=(theta,))
+        assert str(info.value) == (
+            f"thetas[0][{j}]: {field} must be a number within the double range, "
+            f"got {10**400!r}"
+        )
+
     def test_coercion(self):
         c = SimConfig(
             thetas=[[1, 2, 0.5]], sample_sizes=[30.0], replications=5.0
