@@ -210,7 +210,10 @@ UNIT_OPEN = Domain(lambda a: (a > 0.0) & (a < 1.0), "must lie strictly inside (0
 def prepare(x: ArrayLike, name: str, domain: Domain = REAL) -> tuple[np.ndarray, bool]:
     """x as a 1-d float array plus a was-scalar flag, checked against
     ``domain``; the shared check of every public array argument."""
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a double or a regular array of doubles") from None
     flat = np.atleast_1d(arr)
     if not np.all(domain.test(flat)):
         raise DomainError(f"{name} {domain.rule}")

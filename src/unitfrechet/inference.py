@@ -9,21 +9,22 @@ ranking.
 
 The UF log-likelihood, its gradient and its Hessian have one source,
 the batched log-space pass ``_uf_pass`` over ``core.kernel_log_derivs``:
-loglik_uf and score_uf are single-row passes, and the fit steps, picks
-its winner and judges convergence with the same pass. The UF fit works
-in (log sigma, log alpha, rho) with rho boxed to [0, 1], and it follows
-the shape of the likelihood in rho, whose profile is flat and often has
-two modes: projected Newton on the analytic Hessian first maximizes over
-(sigma, alpha) with rho held at each of the levels UF_RHO_LEVELS, all
-in lockstep, then runs again with rho free from the two highest local
-maxima of that profile. Past UF_SUMMARY_N observations the profile runs
-on the sample's UF_SUMMARY_N midpoint quantiles, itself a DataSeries,
-and only the refine and the verdict on the data. A rho estimate on 0 or
-1 sets ``boundary_hit``. A pass sums over column chunks of core's
+loglik_uf and score_uf are single-row passes, and the fit steps and
+picks its winner with the same pass. The UF fit works in (log sigma,
+log alpha, rho) with rho boxed to [0, 1], and it follows the shape of
+the likelihood in rho, whose profile is flat and often has two modes:
+projected Newton on the analytic Hessian first maximizes over (sigma,
+alpha) with rho held at each of the levels UF_RHO_LEVELS, all in
+lockstep, then runs again with rho free from the two highest local
+maxima of that profile. The winning refine run's own stopping state is
+the fit's one convergence rule. Past UF_SUMMARY_N observations the
+profile runs on the sample's UF_SUMMARY_N midpoint quantiles, itself a
+DataSeries, and only the refine on the data. A rho estimate on 0 or 1
+sets ``boundary_hit``. A pass sums over column chunks of core's
 BLOCK_ELEMENTS whatever its row count, so each row's value is the same
 bits whichever rows share its pass. The fit's settings are module
-constants (UF_RHO_LEVELS, UF_GRAD_TOL, the Newton settings UF_NEWTON_TOL
-through UF_EIG_FLOOR, and UF_SUMMARY_N); fit_uf takes no tuning options.
+constants (UF_RHO_LEVELS, the Newton settings UF_NEWTON_TOL through
+UF_EIG_FLOOR, and UF_SUMMARY_N); fit_uf takes no tuning options.
 There is no hidden randomness anywhere in the fit, so results are
 reproducible bit for bit.
 
@@ -34,7 +35,7 @@ and the Beta fit and model; no fit loads scipy.optimize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -44,9 +45,11 @@ from .core import (
     BLOCK_ELEMENTS,
     UNIT_OPEN,
     UfParams,
+    check_positive,
     kernel_log_derivs,
     kernel_quantile,
     log_odds,
+    params_of,
     uf_cdf,
     uf_pdf,
 )
@@ -80,12 +83,13 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
 
 # fit_uf's fixed settings. The rho profile is taken at UF_RHO_LEVELS:
 # six levels reach every maximum of the fit corpus, and eleven cost
-# about 1.4 times as much at n = 10^5. _uf_verdict's relative score
-# tolerance is UF_GRAD_TOL. The rest belong to _newton, and the next four
-# to fit_kumaraswamy too: a run settles at a gradient below UF_NEWTON_TOL
-# times max(1, |loglik|), takes its last step once the predicted rise
-# falls below UF_RISE_TOL times max(n, |loglik|), and stops after
-# UF_MAX_STEPS steps or once its step halves below UF_MIN_STEP.
+# about 1.4 times as much at n = 10^5. The rest belong to _newton, and
+# the next four to fit_kumaraswamy too: a run settles at a gradient below
+# UF_NEWTON_TOL times max(1, |loglik|), takes its last step once the
+# predicted rise falls below UF_RISE_TOL times max(n, |loglik|), and
+# stops after UF_MAX_STEPS steps or once its step halves below
+# UF_MIN_STEP. A UF run converged when it settled or took its last step,
+# at a finite point, without reaching either of those two limits.
 # UF_ARMIJO is the sufficient-increase fraction and UF_EIG_FLOOR the
 # relative floor on Hessian eigenvalue magnitudes. A pass sums over
 # column chunks of core's BLOCK_ELEMENTS, the block the array layer
@@ -100,7 +104,6 @@ UF_RHO_LEVELS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 UF_LEVEL_SPREADS = tuple(
     2.0 * math.log(kernel_quantile(0.75, rho)) for rho in UF_RHO_LEVELS
 )
-UF_GRAD_TOL = 1e-6
 UF_NEWTON_TOL = 1e-10
 UF_RISE_TOL = 1e-14
 UF_MAX_STEPS = 100
@@ -382,6 +385,20 @@ def _log1m_pow(logw, a):
                     np.log1p(-np.exp(np.minimum(z, cut))))[()]
 
 
+@dataclass(frozen=True)
+class _Shapes:
+    """The shapes (a, b) of the Beta and Kumaraswamy models, each finite
+    and > 0 by core's rule."""
+
+    a: float
+    b: float
+
+    def __post_init__(self) -> None:
+        check_positive(self, "a", "b")
+
+    of = classmethod(params_of)
+
+
 def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
     """Build the uniform (pdf, cdf) view for a named model.
 
@@ -401,7 +418,7 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
     elif model == "beta":
         from scipy.special import betainc, betaln
 
-        a, b = (float(v) for v in theta)
+        a, b = astuple(_Shapes.of(theta))
 
         def pdf(w):
             return np.exp(
@@ -414,7 +431,7 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
             return betainc(a, b, np.asarray(w, dtype=float))
 
     elif model == "kumaraswamy":
-        a, b = (float(v) for v in theta)
+        a, b = astuple(_Shapes.of(theta))
 
         def pdf(w):
             logw = np.log(np.asarray(w, dtype=float))
@@ -442,26 +459,6 @@ def _ill_posed_report(model: str, data: DataSeries, min_n: int) -> Optional[FitR
     theta_hat = (nan,) * len(PARAM_NAMES[model])
     message = "ill-posed: all observations are identical"
     return _build_report(model, data, theta_hat, nan, False, False, 0, message)
-
-
-def _uf_verdict(th: UfParams, data: DataSeries) -> tuple[float, bool]:
-    """(loglik_uf, converged) of a UF estimate, from one _uf_pass.
-
-    Converged means the score in (log sigma, log alpha, logit rho) has
-    infinity norm below UF_GRAD_TOL * max(1, |loglik|); on the rho
-    boundary, where the logit scaling zeroes the rho component, d/drho
-    must also point out of [0, 1] (a KKT condition).
-    """
-    rh = th.rho
-    ll, grad, _ = _uf_pass(_phi(th), data)
-    # the pass's gradient is already (sigma d/dsigma, alpha d/dalpha, d/drho)
-    ll, d = float(ll[0]), grad[0]
-    # the attainable gradient floor scales with the likelihood magnitude
-    # (each component sums n rounded terms), so the test is relative
-    tol = UF_GRAD_TOL * max(1.0, abs(ll))
-    tgrad = d * [1.0, 1.0, rh * (1.0 - rh)]
-    kkt = (rh > 0.0 or d[2] <= tol) and (rh < 1.0 or d[2] >= -tol)
-    return ll, bool(np.max(np.abs(tgrad)) < tol and kkt and math.isfinite(ll))
 
 
 def _uf_pass(phi: np.ndarray, data: DataSeries):
@@ -537,8 +534,9 @@ def _ascent(phi, grad, hess, fixed) -> np.ndarray:
     """Newton ascent directions: -hess with each eigenvalue replaced by
     its magnitude, floored at UF_EIG_FLOOR times the largest (and 1),
     solved against the gradient. rho gets a zero component, decoupled
-    from the other two, in the rows ``fixed`` and wherever it sits on a
-    bound with the gradient or the Newton step pointing out."""
+    from the other two, in the rows ``fixed`` (a mask, or one bool for
+    every row) and wherever it sits on a bound with the gradient or the Newton
+    step pointing out."""
     rho = phi[:, 2]
     fixed = fixed | _held(phi, grad)
     while True:
@@ -560,53 +558,53 @@ def _ascent(phi, grad, hess, fixed) -> np.ndarray:
 
 
 def _newton(
-    phi: np.ndarray, data: DataSeries, hold: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+    phi: np.ndarray, data: DataSeries, hold: bool
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Projected Newton ascent from every row of ``phi`` in lockstep:
-    one _uf_pass over the rows still running per iteration. In the rows
-    ``hold`` (a boolean mask) rho stays at its start and the run steps
-    in (log sigma, log alpha) alone: their rho derivatives, which may
+    one _uf_pass over the rows still running per iteration. With
+    ``hold`` rho stays at its start in every row and the runs step in
+    (log sigma, log alpha) alone: the rho derivatives, which may
     overflow (at rho = 1 past the double range), are set to zero, so
-    they neither steer nor settle the run. Returns the final rows, their
-    log-likelihoods and the number of Newton steps taken over all of
-    them.
+    they neither steer nor settle a run. Returns the final rows, their
+    log-likelihoods, the number of Newton steps taken over all of them
+    and whether each run converged.
 
-    A trial point is the current point plus the step times the
-    direction, with rho clipped to [0, 1]. It is accepted when it raises
-    the log-likelihood by at least UF_ARMIJO times the first-order gain,
-    and its pass then serves the next step; otherwise the step halves.
-    A step whose predicted rise is under the rounding of the
-    log-likelihood (UF_RISE_TOL times max(n, |loglik|)) is a run's
-    last, kept unless it lowers the log-likelihood by more than that. A
-    run also leaves when it settles (_settled), stalls (the step falls
-    below UF_MIN_STEP) or has taken UF_MAX_STEPS steps.
+    Each iteration takes every running row's ascent direction afresh;
+    _ascent treats each row on its own, so a run whose step has just
+    halved gets the same direction bit for bit. A trial point is the
+    current point plus the step times the direction, with rho clipped to
+    [0, 1]. It is accepted when it raises the log-likelihood by at least
+    UF_ARMIJO times the first-order gain, and its pass then serves the
+    next step; otherwise the step halves. A step whose predicted rise is
+    under the rounding of the log-likelihood (UF_RISE_TOL times max(n,
+    |loglik|)) is a run's last, kept unless it lowers the log-likelihood
+    by more than that. A run also leaves when it settles (_settled),
+    stalls (the step falls below UF_MIN_STEP) or has taken UF_MAX_STEPS
+    steps. A run converged unless it stalled, reached UF_MAX_STEPS or
+    ended where its log-likelihood, gradient or Hessian is not finite:
+    it then ended settled or on its last step.
     """
-    def evaluate(rows, held):
+    def evaluate(rows):
         ll, grad, hess = _uf_pass(rows, data)
-        grad[held, 2] = 0.0
-        hess[held, 2, :] = hess[held, :, 2] = 0.0
+        if hold:
+            grad[:, 2] = hess[:, 2, :] = hess[:, :, 2] = 0.0
         return ll, grad, hess
 
     phi = phi.copy()
-    ll, grad, hess = evaluate(phi, hold)
+    ll, grad, hess = evaluate(phi)
     live = ~_settled(phi, ll, grad, hess)
-    direction = np.zeros_like(phi)
-    rise = np.zeros(len(phi))
     step = np.ones(len(phi))
     taken = np.zeros(len(phi), dtype=int)
     while live.any():
         idx = np.flatnonzero(live)
-        # a fresh run, or one that has just stepped, takes a new direction
-        aim = idx[step[idx] == 1.0]
-        direction[aim] = _ascent(phi[aim], grad[aim], hess[aim], hold[aim])
-        rise[aim] = np.einsum("ij,ij->i", grad[aim], direction[aim])
-        trial = phi[idx] + step[idx, None] * direction[idx]
+        direction = _ascent(phi[idx], grad[idx], hess[idx], hold)
+        trial = phi[idx] + step[idx, None] * direction
         trial[:, 2] = np.clip(trial[:, 2], 0.0, 1.0)
-        t_ll, t_grad, t_hess = evaluate(trial, hold[idx])
+        t_ll, t_grad, t_hess = evaluate(trial)
         gain = np.einsum("ij,ij->i", grad[idx], trial - phi[idx])
         # ll sums n terms, so its rounding error grows like n at least
         noise = UF_RISE_TOL * np.maximum(data.n, np.abs(ll[idx]))
-        last = rise[idx] <= noise
+        last = np.einsum("ij,ij->i", grad[idx], direction) <= noise
         ok = np.where(
             last,
             t_ll >= ll[idx] - noise,
@@ -623,13 +621,9 @@ def _newton(
             & ~last[ok]
             & (taken[up] < UF_MAX_STEPS)
         )
-    return phi, ll, int(taken.sum())
-
-
-def _theta(phi: np.ndarray) -> UfParams:
-    """The parameters at a point (log sigma, log alpha, rho)."""
-    sg, al = np.exp(np.clip(phi[:2], -600.0, 600.0))
-    return UfParams(float(sg), float(al), min(max(float(phi[2]), 0.0), 1.0))
+    finite = np.isfinite(grad).all(axis=1) & np.isfinite(hess).all(axis=(1, 2))
+    converged = finite & np.isfinite(ll) & (step >= UF_MIN_STEP) & (taken < UF_MAX_STEPS)
+    return phi, ll, int(taken.sum()), converged
 
 
 def _profile_sample(data: DataSeries) -> DataSeries:
@@ -683,17 +677,18 @@ def fit_uf(data: DataSeries) -> FitReport:
     Past UF_SUMMARY_N = M observations the profile, starts included,
     runs on the sample's M midpoint quantiles at (i + 1/2)/M, a
     DataSeries of M values (_profile_sample), in place of the data,
-    since it only picks the refine's starts; the refine and the
-    convergence verdict run on the data. Up to M observations, or where
+    since it only picks the refine's starts; the refine and the last
+    pass at theta_hat run on the data. Up to M observations, or where
     those quantiles are all equal, the profile runs on the data. Every
     pass chunks its columns by BLOCK_ELEMENTS alone (_uf_pass), so a
     row's value does not depend on the rows run beside it.
 
-    ``converged`` means the reparameterized score has infinity norm
-    below UF_GRAD_TOL * max(1, |loglik|). ``boundary_hit`` is set when
-    the estimate of rho sits on 0 or 1; the convergence flag then checks
-    the two free gradient components plus the sign of the rho derivative
-    (a KKT condition) instead of all three.
+    ``converged`` is the verdict of the winning refine run, _newton's
+    one rule: the run ended settled or on its last step, it did not
+    stall below UF_MIN_STEP or reach UF_MAX_STEPS steps, and its
+    log-likelihood, gradient and Hessian are finite. ``loglik`` is loglik_uf at
+    theta_hat, bit for bit. ``boundary_hit`` is set when the estimate of
+    rho sits on 0 or 1.
 
     Never raises for non-convergence; the report says what happened.
     """
@@ -702,24 +697,24 @@ def fit_uf(data: DataSeries) -> FitReport:
         return ill_posed
 
     sample = _profile_sample(data)
-    phi = _level_starts(sample)
-    ends, profile, steps = _newton(phi, sample, np.ones(len(phi), dtype=bool))
+    ends, profile, steps, _ = _newton(_level_starts(sample), sample, True)
 
     # local maxima of the profile over the levels, highest first
     v = np.where(np.isnan(profile), -np.inf, profile)
     edged = np.concatenate([[-np.inf], v, [-np.inf]])
     peaks = np.flatnonzero((v >= edged[:-2]) & (v >= edged[2:]))
     peaks = peaks[np.argsort(-v[peaks], kind="stable")[:2]]
-    ends, values, refine_steps = _newton(ends[peaks], data, np.zeros(peaks.size, dtype=bool))
+    ends, values, refine_steps, converged = _newton(ends[peaks], data, False)
 
-    best = _theta(ends[int(np.argmax(values))])
-    ll, converged = _uf_verdict(best, data)
-    theta_hat = best.astuple()
+    # the first of the highest refined points wins, with its run's verdict
+    win = int(np.argmax(values))
+    sigma, alpha = np.exp(np.clip(ends[win, :2], -600.0, 600.0))
+    theta_hat = (float(sigma), float(alpha), float(ends[win, 2]))
     return _build_report(
-        "uf", data, theta_hat, ll, converged,
+        "uf", data, theta_hat, loglik_uf(theta_hat, data), bool(converged[win]),
         boundary_hit=theta_hat[2] in (0.0, 1.0),
         iterations=steps + refine_steps,
-        message="" if converged else "gradient tolerance not reached",
+        message="" if converged[win] else "Newton run stalled, hit its step cap or went non-finite",
     )
 
 

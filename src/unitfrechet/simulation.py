@@ -188,10 +188,11 @@ class SimReport:
 
 
 def replication_seed(master_seed: int, theta_index: int, n: int, j: int) -> int:
-    """Seed for replication j of cell (theta_index, n); entries are >= 0."""
-    key = (master_seed, theta_index, n, j)
-    if min(key) < 0:
-        raise DomainError(f"replication_seed entries must be >= 0, got {key}")
+    """Seed for replication j of cell (theta_index, n); entries are integers >= 0."""
+    entries = (master_seed, theta_index, n, j)
+    key = tuple(map(as_integer, entries))
+    if None in key or min(key) < 0:
+        raise DomainError(f"replication_seed entries must be >= 0 and integral, got {entries}")
     return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 

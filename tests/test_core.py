@@ -32,6 +32,7 @@ from unitfrechet import (
     kernel_pdf_dx,
     kernel_quantile,
     kernel_sf,
+    ratio_transform,
     stress_strength,
     uf_cdf,
     uf_logpdf,
@@ -246,6 +247,27 @@ class TestParams:
         ):
             with pytest.raises(ParameterError):
                 call()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: uf_pdf("a", (1, 2, 0.5)), "w"),
+            (lambda: kernel_cdf("x", 0.5), "x"),
+            (lambda: uf_pdf(10**400, (1, 2, 0.5)), "w"),
+            (lambda: uf_quantile(10**400, (1, 2, 0.5)), "p"),
+            (lambda: biv_cdf(10**400, 1, (1, 1, 2, 0.5)), "x1"),
+            (lambda: ratio_transform([[10**400, 1]]), "pair entries"),
+            (lambda: uf_cdf([[0.1, 0.2], [0.3]], (1, 2, 0.5)), "w"),
+        ],
+        ids=("text", "text-kernel", "huge", "huge-quantile", "huge-biv", "huge-pairs",
+             "ragged"),
+    )
+    def test_unconvertible_array_argument_names_it(self, call, name):
+        # prepare's one rule: an argument numpy cannot hold as an array of
+        # doubles is a DomainError naming the argument
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == f"{name} must be a double or a regular array of doubles"
 
     def test_records_hold_floats(self):
         # numeric strings stay accepted, and every record stores floats

@@ -186,6 +186,7 @@ def test_bivariate_independent_of_uf_kernel():
         "1e-300, 1.0 - 1e-16",
         "has no finite variance",
         "must be a number within the double range",
+        "must be a double or a regular array of doubles",
     ),
 )
 def test_argument_rule_written_once(text):

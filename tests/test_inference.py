@@ -12,7 +12,7 @@ from scipy import stats
 
 from unitfrechet.core import uf_logpdf, uf_quantile, uf_sample
 from unitfrechet.datasets import load_uefa
-from unitfrechet.errors import DataError, DomainError
+from unitfrechet.errors import DataError, DomainError, ParameterError
 from unitfrechet.inference import (
     UF_RHO_LEVELS,
     DataSeries,
@@ -526,36 +526,39 @@ class TestFitUf:
             assert r.loglik == loglik_uf(r.theta_hat, d)
 
     def test_profile_runs_on_a_summary_past_summary_n(self, monkeypatch):
-        # each _uf_pass call's sample size, under the stage that made it
+        # each _uf_pass call's sample size, under the stage that made it;
+        # the last stage is the one-row pass of loglik_uf at theta_hat
         from unitfrechet import inference
 
-        seen, profiled = [], []
-        newton, verdict = inference._newton, inference._uf_verdict
+        seen, profiled, rows = [], [], []
+        newton, loglik = inference._newton, inference.loglik_uf
         uf_pass = inference._uf_pass
 
         def staged_newton(phi, data, hold):
-            seen.append("profile" if hold.all() else "refine")
-            if hold.all():
+            seen.append("profile" if hold else "refine")
+            if hold:
                 profiled.append(data)
             return newton(phi, data, hold)
 
-        def staged_verdict(th, data):
-            seen.append("verdict")
-            return verdict(th, data)
+        def staged_loglik(theta, data):
+            seen.append("last")
+            return loglik(theta, data)
 
         def counted_pass(phi, data):
             seen.append(data.n)
+            rows.append(len(phi))
             return uf_pass(phi, data)
 
         monkeypatch.setattr(inference, "_newton", staged_newton)
-        monkeypatch.setattr(inference, "_uf_verdict", staged_verdict)
+        monkeypatch.setattr(inference, "loglik_uf", staged_loglik)
         monkeypatch.setattr(inference, "_uf_pass", counted_pass)
 
         def stages(values):
             seen.clear()
             fit_uf(series(values))
             marks = [i for i, v in enumerate(seen) if isinstance(v, str)]
-            assert [seen[i] for i in marks] == ["profile", "refine", "verdict"]
+            assert [seen[i] for i in marks] == ["profile", "refine", "last"]
+            assert len(seen) - marks[-1] == 2 and rows[-1] == 1  # one pass of one row
             return [set(seen[i + 1:j]) for i, j in zip(marks, marks[1:] + [len(seen)])]
 
         m = inference.UF_SUMMARY_N
@@ -564,6 +567,23 @@ class TestFitUf:
         assert stages(w) == [{m}, {m + 1}, {m + 1}]
         # the summary is an ordinary sample of m values
         assert type(profiled[-1]) is DataSeries and len(profiled[-1].values) == m
+
+    def test_report_that_did_not_converge(self, monkeypatch):
+        # with one Newton step allowed, every run reaches UF_MAX_STEPS, so
+        # the winning refine run's verdict is False; the report is still
+        # whole, and a study counts the fit as a failed replication
+        from unitfrechet import inference, simulation
+
+        theta = (1.0, 2.0, 0.5)
+        d = sample_series(theta, 50, 3)
+        assert fit_uf(d).converged
+        monkeypatch.setattr(inference, "UF_MAX_STEPS", 1)
+        r = fit_uf(d)
+        assert not r.converged and r.message
+        assert r.iterations == 8  # one step in each of 6 levels and 2 refines
+        assert r.loglik == loglik_uf(r.theta_hat, d)
+        monkeypatch.setattr(simulation, "replication_seed", lambda *key: 3)
+        assert simulation._run_replications((0, theta, 50, range(1), 0)) == [None]
 
     def test_ascent_holds_rho_where_its_newton_step_points_out(self):
         # at rho = 0 the gradient points into [0, 1] but the Newton step
@@ -806,6 +826,23 @@ class TestModelHandle:
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):
             model_handle("weibull", (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "model, theta, text",
+        [
+            ("beta", ("a", 2), "a must be a number within the double range, got 'a'"),
+            ("beta", (1,), "expected (a, b), got 1 values"),
+            ("kumaraswamy", (-1, 2), "a must be finite and > 0, got -1.0"),
+            ("kumaraswamy", (1, math.inf), "b must be finite and > 0, got inf"),
+        ],
+        ids=("text", "count", "negative", "infinite"),
+    )
+    def test_shapes_pass_core_rules(self, model, theta, text):
+        # (a, b) pass core's count, conversion and positivity rules, as
+        # the UF parameters do
+        with pytest.raises(ParameterError) as info:
+            model_handle(model, theta)
+        assert str(info.value) == text
 
     def test_beta_matches_scipy(self, uefa):
         h = model_handle("beta", (1.8, 2.2))

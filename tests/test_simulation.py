@@ -133,6 +133,18 @@ class TestReplicationSeed:
         with pytest.raises(DomainError, match="must be >= 0"):
             replication_seed(*key)
 
+    @pytest.mark.parametrize(
+        "key", [("a", 0, 30, 1), (1.5, 0, 30, 1), (7, math.nan, 30, 1), (0, 0, 30, True)],
+        ids=("text", "fraction", "nan", "bool"),
+    )
+    def test_entry_not_an_integer(self, key):
+        # each entry passes core's integer rule, as SimConfig's fields do
+        with pytest.raises(DomainError, match=r"must be >= 0 and integral, got \("):
+            replication_seed(*key)
+
+    def test_integral_float_entry(self):
+        assert replication_seed(7, 0, 30.0, 4) == replication_seed(7, 0, 30, 4)
+
 
 class TestRunStudy:
     CONFIG = dict(
