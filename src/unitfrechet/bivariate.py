@@ -39,7 +39,7 @@ from .core import (
     blockwise,
     check_positive,
     check_rho,
-    finish,
+    evaluate,
     params_of,
     prepare,
     sample_stream,
@@ -107,18 +107,6 @@ def _powers(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> tuple[np.ndarray, n
     return u, v
 
 
-def _coords(x1, x2, domain) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Both coordinates checked against ``domain`` by ``prepare`` and
-    broadcast together, plus a was-scalar flag."""
-    (x1, scalar1), (x2, scalar2) = prepare(x1, "x1", domain), prepare(x2, "x2", domain)
-    try:
-        return (*np.broadcast_arrays(x1, x2), scalar1 and scalar2)
-    except ValueError:
-        raise DomainError(
-            f"x1 of shape {x1.shape} and x2 of shape {x2.shape} do not broadcast"
-        ) from None
-
-
 def biv_cdf(x1, x2, p: BivParams | Sequence[float]):
     """Joint CDF of the bivariate extreme distribution.
 
@@ -126,8 +114,7 @@ def biv_cdf(x1, x2, p: BivParams | Sequence[float]):
     must be nonnegative.
     """
     p = BivParams.of(p)
-    x1, x2, scalar = _coords(x1, x2, NONNEGATIVE)
-    return finish(blockwise(lambda a, b: _biv_cdf(a, b, p), x1, x2), scalar)
+    return evaluate(lambda a, b: _biv_cdf(a, b, p), NONNEGATIVE, x1=x1, x2=x2)
 
 
 def _biv_cdf(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> np.ndarray:
@@ -152,8 +139,7 @@ def biv_pdf(x1, x2, p: BivParams | Sequence[float]):
     (u+v)^-2), so the density is nonnegative everywhere.
     """
     p = BivParams.of(p)
-    x1, x2, scalar = _coords(x1, x2, POSITIVE)
-    return finish(blockwise(lambda a, b: _biv_pdf(a, b, p), x1, x2), scalar)
+    return evaluate(lambda a, b: _biv_pdf(a, b, p), POSITIVE, x1=x1, x2=x2)
 
 
 def _biv_pdf(x1: np.ndarray, x2: np.ndarray, p: BivParams) -> np.ndarray:

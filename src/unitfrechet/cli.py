@@ -40,7 +40,7 @@ from .errors import (
     DataError,
     DomainError,
     NumericalError,
-    ParameterError,
+    UnitFrechetError,
 )
 from .inference import (
     DataSeries,
@@ -553,15 +553,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParameterError, DomainError) as exc:
+    except UnitFrechetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, DataError) else 4 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

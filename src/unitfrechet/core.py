@@ -41,15 +41,15 @@ Public functions validate their arguments once (NaN raises
 ``DomainError``), through the argument rules written once here and
 shared with the sibling modules: ``as_float``, ``check_positive``,
 ``check_rho``, ``params_of`` (every parameter record's ``of``),
-``prepare`` and ``finish`` for array arguments, and, for both samplers,
+``prepare`` and ``evaluate`` for array arguments, and, for both samplers,
 ``sample_stream`` for n and the seed and ``uniforms`` for the clipped
 draws. Beneath them is an unvalidated array layer:
 ``inference`` builds its likelihood from ``log_odds`` and
 ``kernel_log_derivs`` on data it has validated. The elementwise
-public functions, and both samplers' transforms, evaluate through
-``blockwise`` in blocks of BLOCK_ELEMENTS elements, so their temporaries
-stay in cache; every kernel treats each element on its own, so no
-output depends on the block size.
+public functions (through ``evaluate``) and both samplers' transforms
+run through ``blockwise`` in blocks of BLOCK_ELEMENTS elements, so
+their temporaries stay in cache; every kernel treats each element on
+its own, so no output depends on the block size.
 
 All public functions are pure and accept scalars or numpy arrays;
 scalar input yields a Python float.
@@ -220,15 +220,23 @@ def prepare(x: ArrayLike, name: str, domain: Domain = REAL) -> tuple[np.ndarray,
     return flat, arr.ndim == 0
 
 
-def finish(arr: np.ndarray, scalar: bool):
-    return float(arr[0]) if scalar else arr
-
-
-def _evaluate(kernel, x: ArrayLike, name: str, domain: Domain = REAL):
-    """An elementwise kernel over the array argument x: ``prepare``,
-    ``blockwise``, then ``finish``."""
-    x, scalar = prepare(x, name, domain)
-    return finish(blockwise(kernel, x), scalar)
+def evaluate(kernel, domain: Domain, **args: ArrayLike):
+    """``blockwise(kernel, ...)`` over the named array arguments, each
+    checked by ``prepare`` and, when there are two or more, broadcast
+    together; a float when every argument was a scalar."""
+    arrays, scalar = [], True
+    for name, x in args.items():
+        arr, was_scalar = prepare(x, name, domain)
+        arrays.append(arr)
+        scalar = scalar and was_scalar
+    if len(arrays) > 1:
+        try:
+            arrays = np.broadcast_arrays(*arrays)
+        except ValueError:
+            shapes = " and ".join(f"{n} of shape {a.shape}" for n, a in zip(args, arrays))
+            raise DomainError(f"{shapes} do not broadcast") from None
+    out = blockwise(kernel, *arrays)
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +254,7 @@ def frechet_pdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
     without a warning.
     """
     p = FrechetParams.of(p)
-    return _evaluate(lambda b: _frechet_pdf(b, p), x, "x")
+    return evaluate(lambda b: _frechet_pdf(b, p), REAL, x=x)
 
 
 def frechet_cdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
@@ -257,7 +265,7 @@ def frechet_cdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
     warning.
     """
     p = FrechetParams.of(p)
-    return _evaluate(lambda b: _frechet_cdf(b, p), x, "x")
+    return evaluate(lambda b: _frechet_cdf(b, p), REAL, x=x)
 
 
 def _frechet_logz(x: np.ndarray, p: FrechetParams) -> np.ndarray:
@@ -609,7 +617,7 @@ def kernel_pdf(x: ArrayLike, rho: float):
         Association parameter in [0, 1].
     """
     rho = check_rho(rho)
-    return _evaluate(lambda b: _kernel_pdf(b, rho), x, "x", POSITIVE)
+    return evaluate(lambda b: _kernel_pdf(b, rho), POSITIVE, x=x)
 
 
 def _kernel_pdf(x: np.ndarray, rho: float) -> np.ndarray:
@@ -628,7 +636,7 @@ def kernel_cdf(x: ArrayLike, rho: float):
     ``kernel_cdf(1.0, rho)`` is exactly 0.5 for every rho.
     """
     rho = check_rho(rho)
-    return _evaluate(lambda b: _kernel_cdf_folded(*_fold(b), rho), x, "x", POSITIVE)
+    return evaluate(lambda b: _kernel_cdf_folded(*_fold(b), rho), POSITIVE, x=x)
 
 
 def kernel_sf(x: ArrayLike, rho: float):
@@ -639,7 +647,7 @@ def kernel_sf(x: ArrayLike, rho: float):
     the underflow threshold.
     """
     rho = check_rho(rho)
-    return _evaluate(lambda b: _kernel_cdf_folded(*_fold(b), rho, upper=True), x, "x", POSITIVE)
+    return evaluate(lambda b: _kernel_cdf_folded(*_fold(b), rho, upper=True), POSITIVE, x=x)
 
 
 def kernel_pdf_dx(x: ArrayLike, rho: float):
@@ -653,7 +661,7 @@ def kernel_pdf_dx(x: ArrayLike, rho: float):
     subnormal x to the largest double.
     """
     rho = check_rho(rho)
-    return _evaluate(lambda b: _kernel_pdf_dx(b, rho), x, "x", POSITIVE)
+    return evaluate(lambda b: _kernel_pdf_dx(b, rho), POSITIVE, x=x)
 
 
 def _kernel_pdf_dx(x: np.ndarray, rho: float) -> np.ndarray:
@@ -676,7 +684,7 @@ def kernel_pdf_drho(x: ArrayLike, rho: float):
     reflection ``dg/drho(x) = dg/drho(1/x) / x^2``.
     """
     rho = check_rho(rho)
-    return _evaluate(lambda b: _kernel_pdf_drho(b, rho), x, "x", POSITIVE)
+    return evaluate(lambda b: _kernel_pdf_drho(b, rho), POSITIVE, x=x)
 
 
 def _kernel_pdf_drho(x: np.ndarray, rho: float) -> np.ndarray:
@@ -710,7 +718,7 @@ def kernel_quantile(p: ArrayLike, rho: float):
     ``NumericalError`` is raised past QUANTILE_MAX_ITER evaluations.
     """
     rho = check_rho(rho)
-    return _evaluate(lambda b: _kernel_quantile(b, rho), p, "p", UNIT_OPEN)
+    return evaluate(lambda b: _kernel_quantile(b, rho), UNIT_OPEN, p=p)
 
 
 def _kernel_quantile(p: np.ndarray, rho: float) -> np.ndarray:
@@ -767,7 +775,7 @@ def uf_cdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     ``w**alpha / (w**alpha + sigma**alpha (1-w)**alpha)``.
     """
     th = UfParams.of(theta)
-    return _evaluate(lambda b: _uf_cdf(b, th), w, "w")
+    return evaluate(lambda b: _uf_cdf(b, th), REAL, w=w)
 
 
 def _uf_cdf(w: np.ndarray, th: UfParams) -> np.ndarray:
@@ -820,7 +828,7 @@ def uf_logpdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     overflows under a huge alpha gives -inf, a density of 0.
     """
     th = UfParams.of(theta)
-    return _evaluate(lambda b: _uf_logpdf(b, th), w, "w", UNIT_OPEN)
+    return evaluate(lambda b: _uf_logpdf(b, th), UNIT_OPEN, w=w)
 
 
 def _uf_pdf(w: np.ndarray, th: UfParams) -> np.ndarray:
@@ -837,7 +845,7 @@ def uf_pdf(w: ArrayLike, theta: UfParams | Sequence[float]):
     expanded closed form.
     """
     th = UfParams.of(theta)
-    return _evaluate(lambda b: _uf_pdf(b, th), w, "w", UNIT_OPEN)
+    return evaluate(lambda b: _uf_pdf(b, th), UNIT_OPEN, w=w)
 
 
 def uf_quantile(p: ArrayLike, theta: UfParams | Sequence[float]):
@@ -857,7 +865,7 @@ def uf_quantile(p: ArrayLike, theta: UfParams | Sequence[float]):
     interior value is returned instead.
     """
     th = UfParams.of(theta)
-    return _evaluate(lambda b: _uf_quantile(b, th), p, "p", UNIT_OPEN)
+    return evaluate(lambda b: _uf_quantile(b, th), UNIT_OPEN, p=p)
 
 
 def _uf_quantile(p: np.ndarray, th: UfParams) -> np.ndarray:

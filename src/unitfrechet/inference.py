@@ -405,6 +405,8 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
     Supported names: "uf" (theta = (sigma, alpha, rho)), "beta"
     (theta = (a, b)) and "kumaraswamy" (theta = (a, b)).
     """
+    if not (isinstance(model, str) and model.lower() in PARAM_NAMES):
+        raise DomainError(f"unknown model {model!r}")
     model = model.lower()
     if model == "uf":
         th = UfParams.of(theta)
@@ -430,7 +432,7 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
         def cdf(w):
             return betainc(a, b, np.asarray(w, dtype=float))
 
-    elif model == "kumaraswamy":
+    else:
         a, b = astuple(_Shapes.of(theta))
 
         def pdf(w):
@@ -440,8 +442,6 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
         def cdf(w):
             return -np.expm1(b * _log1m_pow(np.log(np.asarray(w, dtype=float)), a))
 
-    else:
-        raise DomainError(f"unknown model {model!r}")
     return ModelHandle(name=model, k_params=len(PARAM_NAMES[model]), pdf=pdf, cdf=cdf)
 
 

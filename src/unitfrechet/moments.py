@@ -139,8 +139,10 @@ def _unit_scale(m: MomentInputs) -> tuple[float, float, float, float, float]:
     """(mu1, mu2, var1, var2, cov) of m with the margins divided by
     max(mu1, mu2). The expansions are scale free, and the powers of
     mu1 + mu2 they take would leave the double range for margins past
-    about 1e77."""
+    about 1e77. DomainError where mu1 / mu2 underflows to 0."""
     c = max(m.mu1, m.mu2)
+    if m.mu1 / c == 0.0:
+        raise DomainError(f"mu1 / mu2 leaves the double range at mu1={m.mu1!r}, mu2={m.mu2!r}")
     return m.mu1 / c, m.mu2 / c, m.var1 / c / c, m.var2 / c / c, m.cov / c / c
 
 
@@ -156,6 +158,13 @@ def _quality_guard(m: MomentInputs) -> None:
         )
 
 
+def _in_range(value: float, what: str) -> float:
+    """value, or DomainError where it is not finite."""
+    if not math.isfinite(value):
+        raise DomainError(f"the approximation of {what} leaves the double range")
+    return value
+
+
 def approx_moment(p_exponent: float, m: MomentInputs) -> float:
     """Second-order approximation of E(W^p).
 
@@ -168,21 +177,28 @@ def approx_moment(p_exponent: float, m: MomentInputs) -> float:
     factor p); equal to 1/2 at p = 1 for symmetric inputs, where the
     correction cancels. Every term is degree-0 homogeneous in
     (mu, sqrt(var), sqrt(cov)) scaling, so the value is scale free; it
-    is evaluated at margins rescaled to max(mu1, mu2) = 1.
+    is evaluated at margins rescaled to max(mu1, mu2) = 1. A p_exponent
+    that is not finite raises ParameterError, and a value that leaves
+    the double range (p = 1100 at equal means) DomainError.
     """
     _require_complete(m)
     _quality_guard(m)
     p = as_float("p_exponent", p_exponent)
+    if not math.isfinite(p):
+        raise ParameterError(f"p_exponent must be finite, got {p!r}")
     mu1, mu2, var1, var2, cov = _unit_scale(m)
     tot = mu1 + mu2
-    lead = (mu1 / tot) ** p
     inner = (
         (mu2 / mu1) * ((p - 1.0) * mu2 - 2.0 * mu1) * var1
         + 2.0 * (mu1 - p * mu2) * cov
         + (p + 1.0) * mu1 * var2
     )
-    corr = p * mu1 ** (p - 1.0) / (2.0 * tot ** (p + 2.0)) * inner
-    return lead + corr
+    try:
+        lead = (mu1 / tot) ** p
+        corr = p * mu1 ** (p - 1.0) / (2.0 * tot ** (p + 2.0)) * inner
+    except (OverflowError, ZeroDivisionError):  # a power past the double range
+        lead = corr = math.inf
+    return _in_range(lead + corr, f"E(W^{p!r})")
 
 
 def approx_var(m: MomentInputs) -> float:
@@ -198,7 +214,8 @@ def approx_var(m: MomentInputs) -> float:
     which is algebraically identical to
     ``approx_moment(2, m) - approx_moment(1, m)**2`` (the tests assert
     the two routes agree). Like ``approx_moment`` it is evaluated at
-    margins rescaled to max(mu1, mu2) = 1.
+    margins rescaled to max(mu1, mu2) = 1, and raises DomainError
+    where the value leaves the double range.
     """
     _require_complete(m)
     _quality_guard(m)
@@ -214,4 +231,4 @@ def approx_var(m: MomentInputs) -> float:
         )
     )
     b = mu2 * var1 + (mu2 - mu1) * cov - mu1 * var2
-    return t2 + 2.0 * mu1 * b / tot**4 - b * b / tot**6
+    return _in_range(t2 + 2.0 * mu1 * b / tot**4 - b * b / tot**6, "Var(W)")

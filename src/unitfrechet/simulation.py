@@ -6,7 +6,7 @@ coordinate. Seeding is derived, not sequential: replication j of cell
 (theta index i, size n) uses the seed spawned from the tuple
 (master_seed, i, n, j), so any cell or replication can be reproduced in
 isolation and results do not depend on execution order. That is what
-makes the parallel path bit-identical to the serial one.
+makes every parallelism give the same cells bit for bit.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ class SimConfig:
     ``parallelism`` > 1 splits every cell's replications into
     contiguous ranges and fits those (cell, range) shards on worker
     processes, at most ``min(parallelism, os.cpu_count())`` of them and
-    never more than there are shards; one worker means the serial path.
-    Results are identical either way because every replication seeds
-    itself from (master_seed, theta_index, n, j) and each cell is
-    summarised from its outcomes in replication order.
+    never more than there are shards; one worker fits one shard per cell
+    in the calling process. Results are identical either way: every
+    replication seeds itself from (master_seed, theta_index, n, j) and
+    each cell is summarised from its outcomes in replication order.
 
     This is the one validator of a study config. Construction checks
     every field and raises a single DomainError that lists each defect
@@ -196,9 +196,9 @@ def replication_seed(master_seed: int, theta_index: int, n: int, j: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 
-def _run_replications(args) -> list:
-    """Fit a range of one cell's replications: per replication,
-    (theta_hat, boundary_hit), or None when it failed."""
+def _run_cell(args) -> list:
+    """One shard: fit a range of one cell's replications. Per
+    replication, (theta_hat, boundary_hit), or None when it failed."""
     theta_index, theta, n, replications, master_seed = args
     outcomes = []
     for j in replications:
@@ -207,11 +207,9 @@ def _run_replications(args) -> list:
         try:
             report = fit_uf(DataSeries(sample))
         except UnitFrechetError:
-            outcomes.append(None)
-            continue
-        outcomes.append(
-            (report.theta_hat, report.boundary_hit) if report.converged else None
-        )
+            report = None
+        usable = report is not None and report.converged
+        outcomes.append((report.theta_hat, report.boundary_hit) if usable else None)
     return outcomes
 
 
@@ -245,11 +243,6 @@ def _summarise(theta_index, theta, n, outcomes) -> CellResult:
     )
 
 
-def _run_cell(args) -> CellResult:
-    """A whole cell: every replication fitted in order, then summarised."""
-    return _summarise(*args[:3], _run_replications(args))
-
-
 def run_study(config: SimConfig) -> SimReport:
     """Run the full study described by ``config``.
 
@@ -260,10 +253,10 @@ def run_study(config: SimConfig) -> SimReport:
     in ``failure_count``. Cells are processed in grid order (theta
     major, sample size minor).
 
-    The parallel path splits every cell's replications into contiguous
-    ranges, fits the (cell, range) shards on worker processes, and
-    merges each cell's outcomes back in replication order before
-    summarising it, so its cells equal the serial path's bit for bit.
+    Every cell's replications are split into contiguous ranges, and
+    ``_run_cell`` fits each (cell, range) shard: in this process, one
+    shard per cell, when one worker remains, and on worker processes
+    otherwise. Each cell's outcomes merge back in replication order.
     Workers start with numpy's default thread settings: a fit is numpy
     array passes plus 3 x 3 eigendecompositions, too small for a BLAS
     thread pool to contend over.
@@ -280,19 +273,17 @@ def run_study(config: SimConfig) -> SimReport:
         for lo in range(0, reps, size)
     ]
     workers = min(workers, len(shards))
+    jobs = [(*cells[k], js, seed) for k, js in shards]
     if workers == 1:
-        return SimReport(config=config, cells=tuple(
-            _run_cell((*cell, range(reps), seed)) for cell in cells
-        ))
-    from concurrent.futures import ProcessPoolExecutor
+        parts = map(_run_cell, jobs)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_cell, jobs))
     outcomes: list[list] = [[] for _ in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            _run_replications, [(*cells[k], js, seed) for k, js in shards]
-        )
-        for (k, _), part in zip(shards, parts):
-            outcomes[k].extend(part)
+    for (k, _), part in zip(shards, parts):
+        outcomes[k].extend(part)
     return SimReport(config=config, cells=tuple(
         _summarise(*cell, part) for cell, part in zip(cells, outcomes)
     ))

@@ -173,7 +173,7 @@ def test_bivariate_independent_of_uf_kernel():
             assert "unitfrechet.core" not in {alias.name for alias in node.names}
     # the array helpers and, beside them, only the argument rules
     assert from_core == {"LOG_GUARD", "UfParams", "blockwise", "sample_stream"} | {
-        "NONNEGATIVE", "POSITIVE", "check_positive", "check_rho", "finish",
+        "NONNEGATIVE", "POSITIVE", "check_positive", "check_rho", "evaluate",
         "params_of", "prepare", "uniforms",
     }
 
@@ -187,6 +187,7 @@ def test_bivariate_independent_of_uf_kernel():
         "has no finite variance",
         "must be a number within the double range",
         "must be a double or a regular array of doubles",
+        "do not broadcast",
     ),
 )
 def test_argument_rule_written_once(text):

@@ -583,7 +583,7 @@ class TestFitUf:
         assert r.iterations == 8  # one step in each of 6 levels and 2 refines
         assert r.loglik == loglik_uf(r.theta_hat, d)
         monkeypatch.setattr(simulation, "replication_seed", lambda *key: 3)
-        assert simulation._run_replications((0, theta, 50, range(1), 0)) == [None]
+        assert simulation._run_cell((0, theta, 50, range(1), 0)) == [None]
 
     def test_ascent_holds_rho_where_its_newton_step_points_out(self):
         # at rho = 0 the gradient points into [0, 1] but the Newton step
@@ -824,8 +824,10 @@ class TestDescribe:
 
 class TestModelHandle:
     def test_unknown_rejected(self):
-        with pytest.raises(DomainError):
-            model_handle("weibull", (1.0, 1.0))
+        # a name that is not a string is unknown too
+        for model, theta in (("weibull", (1.0, 1.0)), (None, (1, 2, 0.5)), (5, (1, 2))):
+            with pytest.raises(DomainError, match="unknown model"):
+                model_handle(model, theta)
 
     @pytest.mark.parametrize(
         "model, theta, text",

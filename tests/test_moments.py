@@ -232,6 +232,36 @@ class TestApproxVar:
             approx_var(m)
 
 
+ROUND = frechet_moments((1.0, 1.0, 6.0, 0.5)).with_cov(0.01)
+TINY = MomentInputs(1e-320, 1.0, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::unitfrechet.moments.ApproximationWarning")
+@pytest.mark.parametrize(
+    "fn, args, error, text",
+    [
+        (approx_moment, (math.nan, ROUND), ParameterError, "p_exponent must be finite"),
+        (approx_moment, (math.inf, ROUND), ParameterError, "p_exponent must be finite"),
+        (approx_moment, (-math.inf, ROUND), ParameterError, "p_exponent must be finite"),
+        (approx_moment, (1100, ROUND), DomainError, "leaves the double range"),
+        (approx_moment, (-2000, ROUND), DomainError, "leaves the double range"),
+        (approx_moment, (1e308, ROUND), DomainError, "leaves the double range"),
+        (approx_moment, (-1, TINY), DomainError, "leaves the double range"),
+        (approx_var, (MomentInputs(1, 1, 1e308, 1e308, 1e308),), DomainError,
+         r"Var\(W\) leaves the double range"),
+        (approx_var, (MomentInputs(5e-324, 1e300, 1, 1, 0),), DomainError,
+         "mu1 / mu2 leaves the double range"),
+    ],
+    ids=("nan", "inf", "-inf", "1100", "-2000", "1e308", "tiny-mean", "huge-var",
+         "mean-ratio-underflows"),
+)
+def test_unrepresentable_results_raise(fn, args, error, text):
+    # a non-finite exponent is a bad parameter; a finite one whose
+    # approximation no double can hold is outside the domain
+    with pytest.raises(error, match=text):
+        fn(*args)
+
+
 class TestAgainstSampling:
     def test_mean_matches_monte_carlo(self):
         # one cell of the acceptance-grid comparison, scaled down

@@ -181,6 +181,24 @@ class TestRunStudy:
         assert repr(serial.cells) == repr(parallel.cells)
         assert all(c.failure_count + c.used == 7 for c in parallel.cells)
 
+    def test_serial_runs_one_shard_per_cell(self, monkeypatch):
+        # one worker maps _run_cell over the cells in this process, one
+        # call per cell with the whole replication range
+        calls = []
+        run_cell = simulation._run_cell
+
+        def counting(args):
+            calls.append(args[:4])
+            return run_cell(args)
+
+        monkeypatch.setattr(simulation, "_run_cell", counting)
+        run_study(SimConfig(**self.CONFIG, parallelism=1))
+        assert calls == [
+            (i, th, n, range(4))
+            for i, th in enumerate(self.CONFIG["thetas"])
+            for n in self.CONFIG["sample_sizes"]
+        ]
+
     def test_cell_recomputation(self):
         # recompute one cell by hand from the published seeding rule;
         # the study must match to rounding
