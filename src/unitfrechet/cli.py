@@ -43,19 +43,17 @@ from .errors import (
     UnitFrechetError,
 )
 from .inference import (
+    MODELS,
     DataSeries,
     FitReport,
     describe,
-    fit_beta,
-    fit_kumaraswamy,
-    fit_uf,
     model_handle,
+    model_key,
     model_select,
 )
 from .moments import MomentInputs, approx_moment, approx_var, frechet_moments
 from .simulation import SimConfig, run_study
 
-FITTERS = {"uf": fit_uf, "beta": fit_beta, "kumaraswamy": fit_kumaraswamy}
 PDF_GRID_SIZE = 401
 
 
@@ -161,20 +159,12 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
 # ---------------------------------------------------------------------------
 
 def _parse_models(csv_arg: str) -> list[str]:
-    models = []
-    for name in csv_arg.split(","):
-        name = name.strip().lower()
-        if not name:
-            continue
-        if name not in FITTERS:
-            raise DomainError(
-                f"unknown model {name!r}; choose from {', '.join(FITTERS)}"
-            )
-        if name not in models:
-            models.append(name)
-    if not models:
+    """The requested model names, case folded, each once in first-mention
+    order; model_key rejects any other name."""
+    names = [model_key(name.strip().lower()) for name in csv_arg.split(",") if name.strip()]
+    if not names:
         raise DomainError("no models requested")
-    return models
+    return list(dict.fromkeys(names))
 
 
 def _write_report_file(outdir: Path, report: FitReport) -> None:
@@ -232,7 +222,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         shown = str(value) if key == "n" else f"{value:.6g}"
         print(f"  {key:<16} {shown}")
 
-    reports = [FITTERS[name](data) for name in models]
+    reports = [MODELS[name].fit(data) for name in models]
 
     w = data.array
     grid = _pdf_grid()
@@ -383,13 +373,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ",".join(next(report.iter_rows())),
         (row.values() for row in report.iter_rows()),
     )
-    # CellResult's fields in order, the two counts under shorter keys
-    keys = {"failure_count": "failures", "boundary_count": "boundary"}
-    cells_doc = [
-        {keys.get(k, k): v for k, v in dataclasses.asdict(c).items()}
-        for c in report.cells
-    ]
-    (outdir / "cells.json").write_text(json.dumps(cells_doc, indent=2) + "\n")
+    (outdir / "cells.json").write_text(json.dumps(list(report.iter_cells()), indent=2) + "\n")
 
     canonical = json.dumps(dataclasses.asdict(config), sort_keys=True)
     _write_manifest(
@@ -459,12 +443,12 @@ def cmd_moments(args: argparse.Namespace) -> int:
             inputs = inputs.with_cov(est.value)
             print(f"cov_estimate = {est.value:.12g} (se {est.se:.3g}, n={est.n})",
                   file=sys.stderr)
-    mean = approx_moment(1.0, inputs)
-    var = approx_var(inputs)
-    print(f"E(W) = {mean:.12g}")
-    print(f"Var(W) = {var:.12g}")
+    # every value is formed before any is printed, so an error prints none
+    lines = [f"E(W) = {approx_moment(1.0, inputs):.12g}",
+             f"Var(W) = {approx_var(inputs):.12g}"]
     if args.p is not None:
-        print(f"E(W^{args.p:g}) = {approx_moment(args.p, inputs):.12g}")
+        lines.append(f"E(W^{args.p:g}) = {approx_moment(args.p, inputs):.12g}")
+    print("\n".join(lines))
     return 0
 
 
@@ -485,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit models to a proportion sample")
     p_fit.add_argument("input", help='data file or "bundled:uefa"')
     p_fit.add_argument(
-        "--models", default="uf,beta,kumaraswamy",
-        help="comma-separated subset of uf,beta,kumaraswamy",
+        "--models", default=",".join(MODELS),
+        help=f"comma-separated subset of {','.join(MODELS)}",
     )
     p_fit.add_argument(
         "--ratio", action="store_true",

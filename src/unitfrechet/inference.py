@@ -73,14 +73,6 @@ __all__ = [
     "score_uf",
 ]
 
-# Parameter names of each fitted model, in theta order; every report and
-# model handle takes its parameter count from here.
-PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "uf": ("sigma", "alpha", "rho"),
-    "beta": ("a", "b"),
-    "kumaraswamy": ("a", "b"),
-}
-
 # fit_uf's fixed settings. The rho profile is taken at UF_RHO_LEVELS:
 # six levels reach every maximum of the fit corpus, and eleven cost
 # about 1.4 times as much at n = 10^5. The rest belong to _newton, and
@@ -344,7 +336,7 @@ def _build_report(
 ) -> FitReport:
     """The report of a fit; KS and residuals need a finite loglik."""
     n = data.n
-    k = len(PARAM_NAMES[model])
+    k = len(MODELS[model].param_names)
     if math.isfinite(loglik):
         # one CDF evaluation and one sort feed both; the CDFs act
         # elementwise, so permuting their values equals evaluating them
@@ -360,7 +352,7 @@ def _build_report(
     return FitReport(
         model=model,
         theta_hat=theta_hat,
-        param_names=PARAM_NAMES[model],
+        param_names=MODELS[model].param_names,
         loglik=loglik,
         aic=-2.0 * loglik + 2.0 * k,
         bic=-2.0 * loglik + k * math.log(n),
@@ -402,12 +394,11 @@ class _Shapes:
 def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
     """Build the uniform (pdf, cdf) view for a named model.
 
-    Supported names: "uf" (theta = (sigma, alpha, rho)), "beta"
-    (theta = (a, b)) and "kumaraswamy" (theta = (a, b)).
+    Supported names, in any case (model_key): "uf" (theta = (sigma,
+    alpha, rho)), "beta" (theta = (a, b)) and "kumaraswamy" (theta =
+    (a, b)).
     """
-    if not (isinstance(model, str) and model.lower() in PARAM_NAMES):
-        raise DomainError(f"unknown model {model!r}")
-    model = model.lower()
+    model = model_key(model)
     if model == "uf":
         th = UfParams.of(theta)
 
@@ -442,21 +433,23 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
         def cdf(w):
             return -np.expm1(b * _log1m_pow(np.log(np.asarray(w, dtype=float)), a))
 
-    return ModelHandle(name=model, k_params=len(PARAM_NAMES[model]), pdf=pdf, cdf=cdf)
+    return ModelHandle(name=model, k_params=len(MODELS[model].param_names), pdf=pdf, cdf=cdf)
 
 
 # ---------------------------------------------------------------------------
 # UF fit
 # ---------------------------------------------------------------------------
 
-def _ill_posed_report(model: str, data: DataSeries, min_n: int) -> Optional[FitReport]:
-    """An all-NaN report when every observation is the same, else None."""
-    if data.n < min_n:
-        raise DataError(f"fitting needs at least {min_n} observations, got {data.n}")
+def _ill_posed_report(model: str, data: DataSeries) -> Optional[FitReport]:
+    """A DataError below the model's min_n observations, an all-NaN
+    report when every observation is the same, else None."""
+    spec = MODELS[model]
+    if data.n < spec.min_n:
+        raise DataError(f"fitting needs at least {spec.min_n} observations, got {data.n}")
     if float(np.ptp(data.array)) > 0.0:
         return None
     nan = float("nan")
-    theta_hat = (nan,) * len(PARAM_NAMES[model])
+    theta_hat = (nan,) * len(spec.param_names)
     message = "ill-posed: all observations are identical"
     return _build_report(model, data, theta_hat, nan, False, False, 0, message)
 
@@ -692,7 +685,7 @@ def fit_uf(data: DataSeries) -> FitReport:
 
     Never raises for non-convergence; the report says what happened.
     """
-    ill_posed = _ill_posed_report("uf", data, 4)
+    ill_posed = _ill_posed_report("uf", data)
     if ill_posed is not None:
         return ill_posed
 
@@ -708,7 +701,7 @@ def fit_uf(data: DataSeries) -> FitReport:
 
     # the first of the highest refined points wins, with its run's verdict
     win = int(np.argmax(values))
-    sigma, alpha = np.exp(np.clip(ends[win, :2], -600.0, 600.0))
+    sigma, alpha = np.exp(ends[win, :2])
     theta_hat = (float(sigma), float(alpha), float(ends[win, 2]))
     return _build_report(
         "uf", data, theta_hat, loglik_uf(theta_hat, data), bool(converged[win]),
@@ -732,7 +725,7 @@ def fit_beta(data: DataSeries) -> FitReport:
     """
     from scipy.special import betaln, digamma, polygamma
 
-    ill_posed = _ill_posed_report("beta", data, 3)
+    ill_posed = _ill_posed_report("beta", data)
     if ill_posed is not None:
         return ill_posed
     w = data.array
@@ -784,7 +777,7 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
     (uphill where l is not concave), halves a step until l does not
     fall, and stops by the UF _newton's rules; ``iterations`` counts steps.
     """
-    ill_posed = _ill_posed_report("kumaraswamy", data, 3)
+    ill_posed = _ill_posed_report("kumaraswamy", data)
     if ill_posed is not None:
         return ill_posed
     n = data.n
@@ -828,6 +821,36 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
         iterations=steps,
         message="" if converged else "Newton iteration did not converge",
     )
+
+
+class _Model(NamedTuple):
+    """A fitted model's parameter names, in theta order, and its fitter."""
+
+    param_names: tuple[str, ...]
+    fit: Callable[[DataSeries], FitReport]
+
+    @property
+    def min_n(self) -> int:
+        """The fewest observations a fit takes: one more than the parameters."""
+        return len(self.param_names) + 1
+
+
+# The fitted models by name, in the CLI's default order: every report,
+# model handle, study and the CLI's fit command take a model's name,
+# parameter names, fitter and minimum sample size from here.
+MODELS: dict[str, _Model] = {
+    "uf": _Model(("sigma", "alpha", "rho"), fit_uf),
+    "beta": _Model(("a", "b"), fit_beta),
+    "kumaraswamy": _Model(("a", "b"), fit_kumaraswamy),
+}
+
+
+def model_key(model) -> str:
+    """The MODELS key ``model`` names, in lower case; a DomainError
+    naming the choices for anything else, a non-string included."""
+    if not (isinstance(model, str) and model.lower() in MODELS):
+        raise DomainError(f"unknown model {model!r}; choose from {', '.join(MODELS)}")
+    return model.lower()
 
 
 # ---------------------------------------------------------------------------

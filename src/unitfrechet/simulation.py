@@ -14,14 +14,14 @@ from __future__ import annotations
 import numbers
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .core import UfParams, as_integer, uf_sample
 from .errors import DomainError, ParameterError, UnitFrechetError
-from .inference import PARAM_NAMES, DataSeries, fit_uf
+from .inference import MODELS, DataSeries, fit_uf
 
 __all__ = [
     "CellResult",
@@ -111,7 +111,8 @@ class SimConfig:
             problems.append("sample_sizes: expected a nonempty array")
         clean = {
             "sample_sizes": tuple(
-                integer(f"sample_sizes[{j}]", n, 4) for j, n in enumerate(sizes)
+                integer(f"sample_sizes[{j}]", n, MODELS["uf"].min_n)
+                for j, n in enumerate(sizes)
             ),
             "replications": integer("replications", self.replications, 1),
             "master_seed": integer("master_seed", self.master_seed, 0),
@@ -175,7 +176,7 @@ class SimReport:
     def iter_rows(self) -> Iterator[dict]:
         """Long-format rows, one per (cell, parameter)."""
         for cell in self.cells:
-            for k, name in enumerate(PARAM_NAMES["uf"]):
+            for k, name in enumerate(MODELS["uf"].param_names):
                 yield {
                     "theta_index": cell.theta_index,
                     "n": cell.n,
@@ -185,6 +186,14 @@ class SimReport:
                     "rmse": cell.rmse[k],
                     "failures": cell.failure_count,
                 }
+
+    def iter_cells(self) -> Iterator[dict]:
+        """One cells.json record per cell: CellResult's fields in order,
+        with failure_count and boundary_count written as failures and
+        boundary."""
+        keys = {"failure_count": "failures", "boundary_count": "boundary"}
+        for cell in self.cells:
+            yield {keys.get(k, k): v for k, v in asdict(cell).items()}
 
 
 def replication_seed(master_seed: int, theta_index: int, n: int, j: int) -> int:

@@ -92,6 +92,13 @@ class TestExitCodes:
                 "--outdir", str(tmp_path)) == 2
         )
         assert "unknown model" in capsys.readouterr().err
+        # names are case folded before the check, and the first unknown
+        # one is named
+        assert run("fit", "bundled:uefa", "--models", "UF, Bogus,x",
+                   "--outdir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown model 'bogus'; choose from uf, beta, kumaraswamy\n"
+        )
 
     def test_sample_zero_n(self, tmp_path, capsys):
         assert (
@@ -158,6 +165,14 @@ class TestExitCodes:
                        "--rho", "0") == 0
         small, large = capsys.readouterr().out.split("E(W)")[1:]
         assert small == large
+
+    def test_moments_error_prints_no_result(self, capsys):
+        # every value is formed before any is printed
+        assert (
+            run("moments", "--sigma1", "1", "--sigma2", "1", "--alpha", "6",
+                "--rho", "0.5", "--cov", "0.01", "-p", "nan") == 2
+        )
+        assert capsys.readouterr().out == ""
 
     def test_moments_needs_seed_for_mc(self, capsys):
         assert (

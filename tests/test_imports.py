@@ -12,9 +12,10 @@ Newton loops need none of it. No fit loads ``scipy.optimize``. The
 bivariate sampler takes from ``core`` only what keeps it independent
 of the UF kernel, so the ratio cross-check stays a cross-check. Each
 argument rule (a positive parameter, rho in [0, 1], the sampler's
-uniform clip) is written once, in ``core``. Each public name is written
-once, in its module's ``__all__``: the package re-exports the modules
-by ``*`` and joins their lists.
+uniform clip) is written once, in ``core``, and each model rule (an
+unknown name, the minimum sample size) once, in ``inference``. Each
+public name is written once, in its module's ``__all__``: the package
+re-exports the modules by ``*`` and joins their lists.
 """
 
 import ast
@@ -188,9 +189,13 @@ def test_bivariate_independent_of_uf_kernel():
         "must be a number within the double range",
         "must be a double or a regular array of doubles",
         "do not broadcast",
+        "unknown model",
+        "fitting needs at least",
     ),
 )
 def test_argument_rule_written_once(text):
-    # each argument rule has one definition, in core, that every module calls
+    # each argument rule has one definition that every module calls: in
+    # core, or in inference's model table for a model's name and the
+    # fewest observations its fit takes
     count = sum(path.read_text().count(text) for path in PACKAGE.rglob("*.py"))
     assert count == 1

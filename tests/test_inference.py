@@ -498,6 +498,29 @@ class TestFitUf:
             fit_uf(series([0.2, 0.5, 0.8]))
 
     @pytest.mark.parametrize(
+        "values",
+        [
+            uf_sample((1e-290, 3.0, 0.5), 50, 1),
+            (1e-300, 2e-300, 3e-300, 5e-300, 7e-300, 1.1e-299),
+            (5e-324, 1e-323, 1.5e-323, 2e-323),
+        ],
+        ids=("sigma-1e-290", "sigma-1e-300", "subnormal"),
+    )
+    def test_reports_the_point_newton_found(self, values):
+        # log sigma-hat lies below -600 on these samples; the report names
+        # the point the winning Newton run ended at, which lies among the
+        # data and beats its neighbours along sigma
+        d = series(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = fit_uf(d)
+        sigma, alpha, rho = r.theta_hat
+        assert r.converged and math.log(sigma) < -600.0
+        assert d.array.min() <= sigma <= d.array.max()
+        for factor in (0.5, 2.0):
+            assert loglik_uf((sigma * factor, alpha, rho), d) < r.loglik
+
+    @pytest.mark.parametrize(
         "values, loglik",
         [([0.4] * 9 + [0.5], 25.89925859022763), ([0.4] * 3 + [0.5], 7.002516083713353)],
         ids=("tied-quartiles", "four-points"),
@@ -602,6 +625,20 @@ class TestFitUf:
         t0 = time.perf_counter()
         fit_uf(uefa)
         assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize(
+    "fit, k", [(fit_uf, 3), (fit_beta, 2), (fit_kumaraswamy, 2)],
+    ids=("uf", "beta", "kumaraswamy"),
+)
+def test_minimum_sample_size(fit, k):
+    # a fit takes one more observation than its model has parameters
+    values = [0.2, 0.5, 0.8, 0.35]
+    with pytest.raises(DataError, match=f"^fitting needs at least {k + 1} observations, got {k}$"):
+        fit(series(values[:k]))
+    r = fit(series(values[:k + 1]))
+    assert (r.n, r.k_params) == (k + 1, k)
+    assert r.converged and all(math.isfinite(v) for v in r.theta_hat)
 
 
 class TestFitBeta:
@@ -828,6 +865,11 @@ class TestModelHandle:
         for model, theta in (("weibull", (1.0, 1.0)), (None, (1, 2, 0.5)), (5, (1, 2))):
             with pytest.raises(DomainError, match="unknown model"):
                 model_handle(model, theta)
+        with pytest.raises(DomainError) as info:
+            model_handle("weibull", (1.0, 1.0))
+        assert str(info.value) == "unknown model 'weibull'; choose from uf, beta, kumaraswamy"
+        # the name's case is folded
+        assert model_handle("Kumaraswamy", (1.0, 2.0)).name == "kumaraswamy"
 
     @pytest.mark.parametrize(
         "model, theta, text",

@@ -71,6 +71,13 @@ class TestSimConfig:
         for path in ("sample_sizes[0]", "replications", "master_seed", "parallelism"):
             assert f"{path}: must be an integer" in str(info.value)
 
+    def test_sample_size_floor(self):
+        # the UF fit's minimum sample size: one more than its 3 parameters
+        with pytest.raises(DomainError) as info:
+            SimConfig(thetas=((1, 2, 0.5),), sample_sizes=(3,))
+        assert str(info.value) == "sample_sizes[0]: must be an integer >= 4"
+        assert SimConfig(thetas=((1, 2, 0.5),), sample_sizes=(4,)).sample_sizes == (4,)
+
     def test_theta_rules_are_core_rules(self):
         # each entry is checked by UfParams' rule for its field, under its path
         with pytest.raises(DomainError) as info:
