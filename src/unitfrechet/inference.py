@@ -28,8 +28,10 @@ UF_EIG_FLOOR, and UF_SUMMARY_N); fit_uf takes no tuning options.
 There is no hidden randomness anywhere in the fit, so results are
 reproducible bit for bit.
 
-scipy.special is imported where it is used, by the Kolmogorov p-value
-and the Beta fit and model; no fit loads scipy.optimize.
+The KS p-value's Kolmogorov law is the package's own (_kolmogorov_sf),
+so no UF evaluation, fit, report or study loads scipy. scipy.special is
+imported where it is used, by the Beta fit and the Beta model; no fit
+loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -278,27 +280,43 @@ def _as_cdf(cdf) -> Callable[[np.ndarray], np.ndarray]:
 def ks_test(data: DataSeries, cdf) -> KSResult:
     """Two-sided Kolmogorov-Smirnov test against a fully specified CDF.
 
-    The statistic is the larger of the two one-sided suprema over the
-    sample points; the p-value is the asymptotic Kolmogorov series
-    evaluated at sqrt(n) D. For small n the asymptotic p-value is
-    conservative relative to the exact distribution, and when the
-    reference CDF uses estimated parameters the usual caveat applies:
-    the p-value is then optimistic. Both caveats are the caller's to
-    weigh; the computation itself is exact for what it claims.
+    The statistic D is the larger of the two one-sided suprema over the
+    sample points; the p-value is the asymptotic Kolmogorov law Q at
+    sqrt(n) D, from seven terms of the Marsaglia-Tsang-Wang (2003)
+    series (_kolmogorov_sf), within 1e-14 of scipy.special.kolmogorov
+    on [0, 27] (a standing test). For small n the asymptotic p-value is
+    conservative relative to the exact distribution of D. When the CDF's
+    parameters were estimated from the same sample, as in every fit
+    report, the p-value comes out too large: for UF fits under the null
+    at n = 37-200 its median was 0.93-0.95 and it never fell below 0.10
+    in 1000 replicates per setting, so such a test cannot reject.
     """
     return _ks_sorted(np.asarray(_as_cdf(cdf)(np.sort(data.array)), dtype=float))
 
 
+def _kolmogorov_sf(x: float) -> float:
+    """Q(x) = P(K > x) of the Kolmogorov law, seven terms of one of two
+    series (Marsaglia, Tsang & Wang 2003): 2 sum (-1)^(k-1) e^(-2 k^2 x^2)
+    for x >= 1, else 1 - sqrt(2 pi)/x sum e^(-(2k-1)^2 pi^2/(8 x^2)).
+    Exactly 1 at x <= 0.1, where the second series' sum term is below
+    1e-52, and NaN for NaN."""
+    if x >= 1.0:
+        return 2.0 * sum((-1) ** (k - 1) * math.exp(-2 * k * k * x * x) for k in range(1, 8))
+    if not x > 0.1:
+        return x if math.isnan(x) else 1.0
+    t = math.pi ** 2 / (8.0 * x * x)
+    return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(
+        math.exp(-(2 * k - 1) ** 2 * t) for k in range(1, 8))
+
+
 def _ks_sorted(fv: np.ndarray) -> KSResult:
     """ks_test from the CDF at the sorted sample."""
-    from scipy.special import kolmogorov
-
     n = fv.size
     i = np.arange(1, n + 1, dtype=float)
     d_plus = float(np.max(i / n - fv))
     d_minus = float(np.max(fv - (i - 1.0) / n))
     d = max(d_plus, d_minus)
-    p = float(kolmogorov(math.sqrt(n) * d))
+    p = _kolmogorov_sf(math.sqrt(n) * d)
     return KSResult(statistic=d, pvalue=min(max(p, 0.0), 1.0))
 
 

@@ -5,10 +5,12 @@ one should call the owner's public (or array-level) entry point instead.
 Every exported name resolves, and so does every module attribute the
 traced benchmark run (``perfbench/traced.py``) swaps from outside. The
 package and its CLI import without scipy or the process-pool machinery,
-which would take most of the import time: the KS p-value, the Beta fit
-and the Beta model load ``scipy.special`` on first use, and the UF
-evaluations, the samplers, the moments and the UF and Kumaraswamy fits'
-Newton loops need none of it. No fit loads ``scipy.optimize``. The
+which would take most of the import time. Only the Beta fit and the
+Beta model load ``scipy.special``, on first use, and a source-level test
+keeps every scipy import there: the UF evaluations, the samplers, the
+moments, the UF and Kumaraswamy fits, their KS p-values and residuals,
+a study on one or more workers and ``fit --models uf`` load no scipy.
+No fit loads ``scipy.optimize``. The
 bivariate sampler takes from ``core`` only what keeps it independent
 of the UF kernel, so the ratio cross-check stays a cross-check. Each
 argument rule (a positive parameter, rho in [0, 1], the sampler's
@@ -114,48 +116,95 @@ def test_traced_attributes_exist():
     assert not missing, f"perfbench/traced.py swaps missing attributes: {missing}"
 
 
-def test_import_leaves_out_scipy_stats():
-    # a fresh interpreter: this one has imported scipy.stats elsewhere
+def fresh_interpreter(code: str, *args: str) -> list[str]:
+    """The lines a fresh interpreter prints running ``code``: this one
+    has imported scipy elsewhere."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
     )
-    code = "import sys, unitfrechet; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.splitlines()
+
+
+def test_import_leaves_out_scipy_stats():
+    code = "import sys, unitfrechet; print('scipy.stats' in sys.modules)"
+    assert fresh_interpreter(code) == ["False"]
 
 
 def test_import_leaves_out_scipy():
-    # a fresh interpreter, as above; scipy.special may load with a fit
-    # report's KS p-value and with the Beta fit, scipy.optimize never
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
-    )
+    # no UF evaluation, fit, report or study loads scipy; the Beta fit
+    # loads scipy.special, and nothing loads scipy.optimize
     code = """
 import sys
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import unitfrechet, unitfrechet.cli
-print(loaded())
+print(loaded(), "concurrent.futures.process" in sys.modules)
 unitfrechet.frechet_moments((1, 1, 6, 0.5))
 w = unitfrechet.uf_sample((1, 2, 0.5), 30, 1)
 unitfrechet.uf_cdf(w, (1, 2, 0.5))
 print(loaded())
-unitfrechet.fit_uf(unitfrechet.DataSeries(tuple(w)))
-print("scipy.optimize" in sys.modules)
+d = unitfrechet.DataSeries(w)
+uf = unitfrechet.model_handle("uf", unitfrechet.fit_uf(d).theta_hat)
+unitfrechet.ks_test(d, uf)
+unitfrechet.residuals(d, uf)
+config = dict(thetas=((1, 2, 0.5),), sample_sizes=(30, 50), replications=4)
+unitfrechet.run_study(unitfrechet.SimConfig(**config))
+# forked workers inherit the block: one that imports scipy fails the study
+sys.modules["scipy"] = None
+unitfrechet.run_study(unitfrechet.SimConfig(**config, parallelism=2))
+del sys.modules["scipy"]
+print(loaded())
 uefa = unitfrechet.load_uefa()
 unitfrechet.fit_beta(uefa)
 unitfrechet.fit_kumaraswamy(uefa)
-print("scipy.optimize" in sys.modules)
+print("scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
 """
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.splitlines() == ["[]", "[]", "False", "False"]
+    assert fresh_interpreter(code) == ["[] False", "[]", "[]", "True False"]
+
+
+def test_uf_fit_command_leaves_out_scipy(tmp_path):
+    code = """
+import sys
+from unitfrechet import cli
+status = cli.main(["fit", "bundled:uefa", "--models", "uf", "--outdir", sys.argv[1]])
+print(status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    # the command prints its report first
+    assert fresh_interpreter(code, str(tmp_path))[-1] == "0 []"
+    assert (tmp_path / "manifest.json").is_file()
+
+
+def imported_modules(node) -> list[str]:
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+
+
+def test_scipy_imported_only_by_the_beta_model():
+    # every scipy import under src/ sits inside fit_beta or inside
+    # model_handle's Beta branch, so no other path can load scipy
+    trees = {path: ast.parse(path.read_text()) for path in PACKAGE.parent.rglob("*.py")}
+    defs = {node.name: node for node in trees[PACKAGE / "inference.py"].body
+            if isinstance(node, ast.FunctionDef)}
+    (beta,) = [
+        node for node in ast.walk(defs["model_handle"])
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+        and [getattr(c, "value", None) for c in node.test.comparators] == ["beta"]
+    ]
+    allowed = {id(node) for node in ast.walk(defs["fit_beta"])}
+    allowed |= {id(node) for stmt in beta.body for node in ast.walk(stmt)}
+    found = [
+        (path.name, node.lineno, id(node) in allowed)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if any(m.split(".")[0] == "scipy" for m in imported_modules(node))
+    ]
+    assert found and all(ok for *_, ok in found), found
 
 
 def test_bivariate_independent_of_uf_kernel():

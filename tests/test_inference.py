@@ -755,6 +755,48 @@ class TestKsTest:
         assert ours.statistic == pytest.approx(sp.statistic, abs=1e-14)
         assert ours.pvalue == pytest.approx(sp.pvalue, abs=1e-12)
 
+    def test_kolmogorov_law_matches_scipy(self):
+        # the two seven-term series against scipy's kolmogorov on a dense
+        # grid of [0, 27], past where Q underflows to 0 (x ~ 19.4)
+        from scipy.special import kolmogorov
+
+        from unitfrechet.inference import _kolmogorov_sf
+
+        x = np.linspace(0.0, 27.0, 270_001)
+        want = kolmogorov(x)
+        got = np.array([_kolmogorov_sf(v) for v in x.tolist()])
+        err = np.abs(got - want)
+        assert err.max() <= 1e-14
+        positive = want > 0.0
+        assert (err[positive] / want[positive]).max() <= 1e-13
+        assert not got[~positive].any()
+
+    @pytest.mark.parametrize(
+        "x", [0.0, 1e-300, 5e-324, 0.1, 0.2, np.nextafter(1.0, 0.0), 1.0,
+              np.nextafter(1.0, 2.0), -1.0, np.inf, -np.inf],
+    )
+    def test_kolmogorov_law_at_its_edges(self, x):
+        # at 1e-300 a naive theta series divides by 8 x^2 = 0; at and
+        # below 0.1 the law is 1 in double precision, at inf it is 0
+        from scipy.special import kolmogorov
+
+        from unitfrechet.inference import _kolmogorov_sf
+
+        got = _kolmogorov_sf(float(x))
+        assert type(got) is float
+        assert got == pytest.approx(float(kolmogorov(x)), rel=1e-13, abs=1e-14)
+        if x <= 0.1:
+            assert got == 1.0
+
+    def test_kolmogorov_law_of_nan(self):
+        from unitfrechet.inference import _kolmogorov_sf
+
+        assert math.isnan(_kolmogorov_sf(math.nan))
+
+    def test_uefa_pvalue_unchanged(self, uefa):
+        # criterion 3's value, which the in-package law keeps bit for bit
+        assert fit_uf(uefa).ks_pvalue == 0.9405159158897634
+
     def test_null_calibration(self):
         # p-values under the null are asymptotically uniform; check the
         # 5% rejection rate over 500 independent draws
