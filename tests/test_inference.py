@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
@@ -497,6 +497,43 @@ class TestFitUf:
         with pytest.raises(DataError):
             fit_uf(series([0.2, 0.5, 0.8]))
 
+    @given(ws=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.9]) | unit_open,
+                       min_size=4, max_size=60))
+    @settings(max_examples=200)
+    def test_level_starts_take_numpy_quantiles(self, ws):
+        # one sort and numpy's linear rule give np.quantile's bits
+        from unitfrechet import inference
+
+        d = series(ws)
+        assume(np.ptp(d.log_odds) > 0.0)
+        q1, med, q3 = np.quantile(d.log_odds, [0.25, 0.5, 0.75])
+        spread = (q3 - q1) or np.ptp(d.log_odds)
+        alphas = np.array(inference.UF_LEVEL_SPREADS) / spread
+        want = [np.full(alphas.size, med), np.log(alphas), UF_RHO_LEVELS]
+        assert np.array_equal(inference._level_starts(d), np.column_stack(want))
+
+    def test_refine_reuses_the_profiles_last_pass(self, monkeypatch):
+        # the profile's pass at its peaks, handed to the refine, saves
+        # one pass and changes no bit of the report
+        from unitfrechet import inference
+
+        d = sample_series((1.0, 2.0, 0.5), 50, 3)
+        passes = []
+        uf_pass, newton = inference._uf_pass, inference._newton
+
+        def counted_pass(phi, data):
+            passes.append(len(phi))
+            return uf_pass(phi, data)
+
+        monkeypatch.setattr(inference, "_uf_pass", counted_pass)
+        reused, with_reuse = fit_uf(d), len(passes)
+        monkeypatch.setattr(
+            inference, "_newton", lambda phi, data, hold, first=None: newton(phi, data, hold)
+        )
+        passes.clear()
+        assert fit_uf(d) == reused
+        assert len(passes) == with_reuse + 1
+
     @pytest.mark.parametrize(
         "values",
         [
@@ -557,11 +594,11 @@ class TestFitUf:
         newton, loglik = inference._newton, inference.loglik_uf
         uf_pass = inference._uf_pass
 
-        def staged_newton(phi, data, hold):
+        def staged_newton(phi, data, hold, first=None):
             seen.append("profile" if hold else "refine")
             if hold:
                 profiled.append(data)
-            return newton(phi, data, hold)
+            return newton(phi, data, hold, first)
 
         def staged_loglik(theta, data):
             seen.append("last")
