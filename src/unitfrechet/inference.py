@@ -152,9 +152,9 @@ class DataSeries:
         return arr
 
     @cached_property
-    def _sum_log1p_odds(self) -> float:
-        # sum of log(1 + s_i), computed as a softplus for stability
-        return float(np.logaddexp(0.0, self.log_odds).sum())
+    def _sum_log_w1w(self) -> float:
+        # sum of log(w_i (1 - w_i)), the log-likelihood's Jacobian part
+        return float((np.log(self.array) + np.log1p(-self.array)).sum())
 
 
 class KSResult(NamedTuple):
@@ -213,7 +213,9 @@ def loglik_uf(theta: UfParams | Sequence[float], data: DataSeries) -> float:
 
     n log alpha - n alpha log sigma + (alpha-1) sum log s_i
     + 2 sum log(s_i + 1) + sum log g(x_i; rho), with
-    x_i = (s_i/sigma)^alpha. It is the value of a single-row _uf_pass,
+    x_i = (s_i/sigma)^alpha and s_i = w_i/(1 - w_i), whose Jacobian
+    terms -sum log s_i + 2 sum log(s_i + 1) are the one cached sum
+    -sum log(w_i (1 - w_i)). It is the value of a single-row _uf_pass,
     the fit's own evaluation, so a report's loglik is loglik_uf at its
     theta_hat bit for bit. Formed in log space, it is exact for any
     finite u_i = alpha (log s_i - log sigma), including where x_i or
@@ -478,9 +480,9 @@ def _uf_pass(phi: np.ndarray, data: DataSeries):
     over (rows x n).
 
     Writing u_i = alpha (log s_i - log sigma), the log-likelihood is
-    n log alpha - sum log s_i + 2 sum log(1 + s_i)
-    + sum [u_i + log g(e^u_i; rho)], so every derivative is a sum over
-    the data of the kernel_log_derivs terms times powers of u_i. Each
+    n log alpha - sum log(w_i (1 - w_i)) + sum [u_i + log g(e^u_i; rho)],
+    so every derivative is a sum over the data of the kernel_log_derivs
+    terms times powers of u_i. Each
     chunk turns the kernel's first two rows into u + log g and 1 + r in
     place and sums them with the other four in one reduction, and the
     four products with u in another. The sums run over column chunks
@@ -513,7 +515,7 @@ def _uf_pass(phi: np.ndarray, data: DataSeries):
         s_val, s_p, s_h, s_ru, s_rr, s_hr, s_pu, s_ruu, s_rru, s_ruuu = sums
         a = alpha[:, 0]
         n = data.n
-        ll = n * phi[:, 1] - data.log_odds.sum() + 2.0 * data._sum_log1p_odds + s_val
+        ll = n * phi[:, 1] - data._sum_log_w1w + s_val
         grad = np.column_stack([-a * s_p, n + s_pu, s_h])
         hess = np.empty((rows, 3, 3))
         hess[:, 0, 0] = a * a * s_ru
