@@ -300,8 +300,8 @@ def _kolmogorov_sf(x: float) -> float:
     """Q(x) = P(K > x) of the Kolmogorov law, seven terms of one of two
     series (Marsaglia, Tsang & Wang 2003): 2 sum (-1)^(k-1) e^(-2 k^2 x^2)
     for x >= 1, else 1 - sqrt(2 pi)/x sum e^(-(2k-1)^2 pi^2/(8 x^2)).
-    Exactly 1 at x <= 0.1, where the second series' sum term is below
-    1e-52, and NaN for NaN."""
+    Exactly 1 at x <= 0.1, where the second series subtracts less than
+    1e-52 from 1, and NaN for NaN."""
     if x >= 1.0:
         return 2.0 * sum((-1) ** (k - 1) * math.exp(-2 * k * k * x * x) for k in range(1, 8))
     if not x > 0.1:
@@ -482,16 +482,15 @@ def _uf_pass(phi: np.ndarray, data: DataSeries):
     Writing u_i = alpha (log s_i - log sigma), the log-likelihood is
     n log alpha - sum log(w_i (1 - w_i)) + sum [u_i + log g(e^u_i; rho)],
     so every derivative is a sum over the data of the kernel_log_derivs
-    terms times powers of u_i. Each
-    chunk turns the kernel's first two rows into u + log g and 1 + r in
-    place and sums them with the other four in one reduction, and the
-    four products with u in another. The sums run over column chunks
-    of BLOCK_ELEMENTS whatever the row count, so a row's summation
-    order, and so its bits, do not depend on the rows beside it. The
-    value is formed in log space, so it is exact for any finite u_i; a
-    row whose point overflows gets a non-finite value, not a warning.
-    This is the package's one UF log-likelihood, which loglik_uf,
-    score_uf and the fit all read.
+    terms times powers of u_i. Each chunk turns the kernel's first two
+    rows into u + log g and 1 + r in place and sums them with the other
+    four in one reduction, and the four products with u in another. The
+    sums run over column chunks of BLOCK_ELEMENTS whatever the row
+    count, so a row's summation order, and so its bits, do not depend
+    on the rows beside it. The value is formed in log space, so it is
+    exact for any finite u_i; a row whose point overflows gets a
+    non-finite value, not a warning. This is the package's one UF
+    log-likelihood, which loglik_uf, score_uf and the fit all read.
     """
     rows = len(phi)
     rho = phi[:, 2:]

@@ -813,25 +813,20 @@ class TestKsTest:
 
     @pytest.mark.parametrize(
         "x", [0.0, 1e-300, 5e-324, 0.1, 0.2, np.nextafter(1.0, 0.0), 1.0,
-              np.nextafter(1.0, 2.0), -1.0, np.inf, -np.inf],
+              np.nextafter(1.0, 2.0), -1.0, np.inf, -np.inf, np.nan],
     )
     def test_kolmogorov_law_at_its_edges(self, x):
         # at 1e-300 a naive theta series divides by 8 x^2 = 0; at and
-        # below 0.1 the law is 1 in double precision, at inf it is 0
+        # below 0.1 the law is 1 in double precision, at inf it is 0, and
+        # NaN stays NaN
         from scipy.special import kolmogorov
 
         from unitfrechet.inference import _kolmogorov_sf
 
         got = _kolmogorov_sf(float(x))
         assert type(got) is float
-        assert got == pytest.approx(float(kolmogorov(x)), rel=1e-13, abs=1e-14)
-        if x <= 0.1:
-            assert got == 1.0
-
-    def test_kolmogorov_law_of_nan(self):
-        from unitfrechet.inference import _kolmogorov_sf
-
-        assert math.isnan(_kolmogorov_sf(math.nan))
+        assert_allclose(got, kolmogorov(x), rtol=1e-13, atol=1e-14)
+        assert got == 1.0 or not x <= 0.1
 
     def test_uefa_pvalue_unchanged(self, uefa):
         # criterion 3's value, which the in-package law keeps bit for bit
