@@ -570,18 +570,16 @@ def _ascent(phi, grad, hess, fixed) -> np.ndarray:
 
 
 def _newton(
-    phi: np.ndarray, data: DataSeries, hold: bool, first: Optional[tuple] = None
-) -> tuple[np.ndarray, tuple, int, np.ndarray]:
+    phi: np.ndarray, data: DataSeries, hold: bool
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Projected Newton ascent from every row of ``phi`` in lockstep:
-    one _uf_pass over the rows still running per iteration, the first
-    of them skipped when the caller hands in that pass at ``phi`` as
-    ``first``. With ``hold`` rho stays at its start in every row and the
-    runs step in (log sigma, log alpha) alone: the rho derivatives,
-    which may overflow (at rho = 1 past the double range), read as
-    zero, so they neither steer nor settle a run. Returns the final
-    rows, the _uf_pass (ll, grad, hess) at them with the rho derivatives
-    as the pass formed them, the number of Newton steps taken over all
-    of them and whether each run converged.
+    one _uf_pass over the rows still running per iteration. With
+    ``hold`` rho stays at its start in every row and the runs step in
+    (log sigma, log alpha) alone: the rho derivatives, which may
+    overflow (at rho = 1 past the double range), are set to zero, so
+    they neither steer nor settle a run. Returns the final rows, their
+    log-likelihoods, the number of Newton steps taken over all of them
+    and whether each run converged.
 
     Each iteration takes every running row's ascent direction afresh;
     _ascent treats each row on its own, so a run whose step has just
@@ -598,30 +596,27 @@ def _newton(
     ended where its log-likelihood, gradient or Hessian is not finite:
     it then ended settled or on its last step.
     """
-    def steer(grad, hess):
-        # the derivatives a run steps and settles by: with hold, copies
-        # whose rho derivatives read as zero
+    def evaluate(rows):
+        ll, grad, hess = _uf_pass(rows, data)
         if hold:
-            grad, hess = grad.copy(), hess.copy()
             grad[:, 2] = hess[:, 2, :] = hess[:, :, 2] = 0.0
-        return grad, hess
+        return ll, grad, hess
 
     phi = phi.copy()
-    ll, grad, hess = _uf_pass(phi, data) if first is None else first
-    live = ~_settled(phi, ll, *steer(grad, hess))
+    ll, grad, hess = evaluate(phi)
+    live = ~_settled(phi, ll, grad, hess)
     step = np.ones(len(phi))
     taken = np.zeros(len(phi), dtype=int)
     while live.any():
         idx = np.flatnonzero(live)
-        g, h = steer(grad[idx], hess[idx])
-        direction = _ascent(phi[idx], g, h, hold)
+        direction = _ascent(phi[idx], grad[idx], hess[idx], hold)
         trial = phi[idx] + step[idx, None] * direction
         trial[:, 2] = np.clip(trial[:, 2], 0.0, 1.0)
-        t_ll, t_grad, t_hess = _uf_pass(trial, data)
-        gain = np.einsum("ij,ij->i", g, trial - phi[idx])
+        t_ll, t_grad, t_hess = evaluate(trial)
+        gain = np.einsum("ij,ij->i", grad[idx], trial - phi[idx])
         # ll sums n terms, so its rounding error grows like n at least
         noise = UF_RISE_TOL * np.maximum(data.n, np.abs(ll[idx]))
-        last = np.einsum("ij,ij->i", g, direction) <= noise
+        last = np.einsum("ij,ij->i", grad[idx], direction) <= noise
         ok = np.where(
             last,
             t_ll >= ll[idx] - noise,
@@ -634,14 +629,13 @@ def _newton(
         step[back] *= 0.5
         live[back] = (step[back] >= UF_MIN_STEP) & ~last[~ok]
         live[up] = (
-            ~_settled(phi[up], ll[up], *steer(grad[up], hess[up]))
+            ~_settled(phi[up], ll[up], grad[up], hess[up])
             & ~last[ok]
             & (taken[up] < UF_MAX_STEPS)
         )
-    g, h = steer(grad, hess)
-    finite = np.isfinite(g).all(axis=1) & np.isfinite(h).all(axis=(1, 2))
+    finite = np.isfinite(grad).all(axis=1) & np.isfinite(hess).all(axis=(1, 2))
     converged = finite & np.isfinite(ll) & (step >= UF_MIN_STEP) & (taken < UF_MAX_STEPS)
-    return phi, (ll, grad, hess), int(taken.sum()), converged
+    return phi, ll, int(taken.sum()), converged
 
 
 def _profile_sample(data: DataSeries) -> DataSeries:
@@ -666,16 +660,9 @@ def _level_starts(data: DataSeries) -> np.ndarray:
     """fit_uf's start at each rho level, as rows (log sigma, log alpha,
     rho): the UF law whose median and quartiles at that rho match the
     data's, on the log-odds scale (see fit_uf)."""
-    # np.quantile's linear rule on one sort, to the bit: a + (b - a) t,
-    # or b - (b - a)(1 - t) from t = 1/2 on
-    s = np.sort(data.log_odds)
-    h = (data.n - 1) * np.array([0.25, 0.5, 0.75])
-    lo = h.astype(int)
-    t = h - lo
-    a, b = s[lo], s[np.minimum(lo + 1, data.n - 1)]
-    q1, med, q3 = np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t)
+    q1, med, q3 = np.quantile(data.log_odds, [0.25, 0.5, 0.75])
     # positive, since the data are not all equal
-    spread = (q3 - q1) or s[-1] - s[0]
+    spread = (q3 - q1) or np.ptp(data.log_odds)
     alphas = [c / spread for c in UF_LEVEL_SPREADS]
     return np.column_stack([np.full(len(alphas), med), np.log(alphas), UF_RHO_LEVELS])
 
@@ -704,10 +691,9 @@ def fit_uf(data: DataSeries) -> FitReport:
     DataSeries of M values (_profile_sample), in place of the data,
     since it only picks the refine's starts; the refine and the last
     pass at theta_hat run on the data. Up to M observations, or where
-    those quantiles are all equal, the profile runs on the data, and the
-    refine takes its first pass from the profile's last. Every pass
-    chunks its columns by BLOCK_ELEMENTS alone (_uf_pass), so a row's
-    value does not depend on the rows run beside it.
+    those quantiles are all equal, the profile runs on the data. Every
+    pass chunks its columns by BLOCK_ELEMENTS alone (_uf_pass), so a
+    row's value does not depend on the rows run beside it.
 
     ``converged`` is the verdict of the winning refine run, _newton's
     one rule: the run ended settled or on its last step, it did not
@@ -723,18 +709,14 @@ def fit_uf(data: DataSeries) -> FitReport:
         return ill_posed
 
     sample = _profile_sample(data)
-    ends, (profile, grad, hess), steps, _ = _newton(_level_starts(sample), sample, True)
+    ends, profile, steps, _ = _newton(_level_starts(sample), sample, True)
 
     # local maxima of the profile over the levels, highest first
     v = np.where(np.isnan(profile), -np.inf, profile)
     edged = np.concatenate([[-np.inf], v, [-np.inf]])
     peaks = np.flatnonzero((v >= edged[:-2]) & (v >= edged[2:]))
     peaks = peaks[np.argsort(-v[peaks], kind="stable")[:2]]
-    # on the data themselves the profile's last pass at the peaks is the
-    # refine's first, bit for bit, since a row's value does not depend
-    # on the rows beside it
-    first = (profile[peaks], grad[peaks], hess[peaks]) if sample is data else None
-    ends, (values, *_), refine_steps, converged = _newton(ends[peaks], data, False, first)
+    ends, values, refine_steps, converged = _newton(ends[peaks], data, False)
 
     # the first of the highest refined points wins, with its run's verdict
     win = int(np.argmax(values))

@@ -22,6 +22,7 @@ re-exports the modules by ``*`` and joins their lists.
 
 import ast
 import importlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -135,36 +136,55 @@ def test_import_leaves_out_scipy_stats():
     assert fresh_interpreter(code) == ["False"]
 
 
-def test_import_leaves_out_scipy():
-    # no UF evaluation, fit, report or study loads scipy; the Beta fit
-    # loads scipy.special, and nothing loads scipy.optimize
-    code = """
+LOADED = """
 import sys
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def pool():
+    return "concurrent.futures.process" in sys.modules
 import unitfrechet, unitfrechet.cli
-print(loaded(), "concurrent.futures.process" in sys.modules)
+config = dict(thetas=((1, 2, 0.5),), sample_sizes=(30, 50), replications=4)
+"""
+
+
+def test_import_leaves_out_scipy():
+    # no UF evaluation, fit, report or serial study loads scipy or the
+    # process pool; the Beta fit loads scipy.special, and nothing loads
+    # scipy.optimize
+    code = LOADED + """
+print(loaded(), pool())
 unitfrechet.frechet_moments((1, 1, 6, 0.5))
 w = unitfrechet.uf_sample((1, 2, 0.5), 30, 1)
 unitfrechet.uf_cdf(w, (1, 2, 0.5))
-print(loaded())
+print(loaded(), pool())
 d = unitfrechet.DataSeries(w)
 uf = unitfrechet.model_handle("uf", unitfrechet.fit_uf(d).theta_hat)
 unitfrechet.ks_test(d, uf)
 unitfrechet.residuals(d, uf)
-config = dict(thetas=((1, 2, 0.5),), sample_sizes=(30, 50), replications=4)
 unitfrechet.run_study(unitfrechet.SimConfig(**config))
-# forked workers inherit the block: one that imports scipy fails the study
-sys.modules["scipy"] = None
-unitfrechet.run_study(unitfrechet.SimConfig(**config, parallelism=2))
-del sys.modules["scipy"]
-print(loaded())
+print(loaded(), pool())
 uefa = unitfrechet.load_uefa()
 unitfrechet.fit_beta(uefa)
 unitfrechet.fit_kumaraswamy(uefa)
 print("scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
 """
-    assert fresh_interpreter(code) == ["[] False", "[]", "[]", "True False"]
+    assert fresh_interpreter(code) == ["[] False", "[] False", "[] False", "True False"]
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or multiprocessing.get_all_start_methods()[0] != "fork",
+    reason="needs two CPUs and forked workers, which inherit the parent's modules",
+)
+def test_study_workers_leave_out_scipy():
+    # forked workers inherit the block, so a worker that imports scipy
+    # fails the study; the pool must really have run
+    code = LOADED + """
+sys.modules["scipy"] = None
+unitfrechet.run_study(unitfrechet.SimConfig(**config, parallelism=2))
+del sys.modules["scipy"]
+print(loaded(), pool())
+"""
+    assert fresh_interpreter(code) == ["[] True"]
 
 
 def test_uf_fit_command_leaves_out_scipy(tmp_path):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
@@ -387,6 +387,8 @@ class TestFitUf:
         assert r.boundary_hit and r.converged
         assert_allclose(r.loglik, UEFA_UF_LOGLIK, rtol=1e-10)
         assert_allclose(r.ks_pvalue, UEFA_UF_KS_PVALUE, rtol=1e-8)
+        # and bit for bit, which the in-package Kolmogorov law keeps
+        assert r.ks_pvalue == 0.9405159158897634
         assert r.n == 37 and r.k_params == 3
         assert r.iterations > 0
 
@@ -500,43 +502,6 @@ class TestFitUf:
         with pytest.raises(DataError):
             fit_uf(series([0.2, 0.5, 0.8]))
 
-    @given(ws=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.9]) | unit_open,
-                       min_size=4, max_size=60))
-    @settings(max_examples=200)
-    def test_level_starts_take_numpy_quantiles(self, ws):
-        # one sort and numpy's linear rule give np.quantile's bits
-        from unitfrechet import inference
-
-        d = series(ws)
-        assume(np.ptp(d.log_odds) > 0.0)
-        q1, med, q3 = np.quantile(d.log_odds, [0.25, 0.5, 0.75])
-        spread = (q3 - q1) or np.ptp(d.log_odds)
-        alphas = np.array(inference.UF_LEVEL_SPREADS) / spread
-        want = [np.full(alphas.size, med), np.log(alphas), UF_RHO_LEVELS]
-        assert np.array_equal(inference._level_starts(d), np.column_stack(want))
-
-    def test_refine_reuses_the_profiles_last_pass(self, monkeypatch):
-        # the profile's pass at its peaks, handed to the refine, saves
-        # one pass and changes no bit of the report
-        from unitfrechet import inference
-
-        d = sample_series((1.0, 2.0, 0.5), 50, 3)
-        passes = []
-        uf_pass, newton = inference._uf_pass, inference._newton
-
-        def counted_pass(phi, data):
-            passes.append(len(phi))
-            return uf_pass(phi, data)
-
-        monkeypatch.setattr(inference, "_uf_pass", counted_pass)
-        reused, with_reuse = fit_uf(d), len(passes)
-        monkeypatch.setattr(
-            inference, "_newton", lambda phi, data, hold, first=None: newton(phi, data, hold)
-        )
-        passes.clear()
-        assert fit_uf(d) == reused
-        assert len(passes) == with_reuse + 1
-
     @pytest.mark.parametrize(
         "values",
         [
@@ -597,11 +562,11 @@ class TestFitUf:
         newton, loglik = inference._newton, inference.loglik_uf
         uf_pass = inference._uf_pass
 
-        def staged_newton(phi, data, hold, first=None):
+        def staged_newton(phi, data, hold):
             seen.append("profile" if hold else "refine")
             if hold:
                 profiled.append(data)
-            return newton(phi, data, hold, first)
+            return newton(phi, data, hold)
 
         def staged_loglik(theta, data):
             seen.append("last")
@@ -827,10 +792,6 @@ class TestKsTest:
         assert type(got) is float
         assert_allclose(got, kolmogorov(x), rtol=1e-13, atol=1e-14)
         assert got == 1.0 or not x <= 0.1
-
-    def test_uefa_pvalue_unchanged(self, uefa):
-        # criterion 3's value, which the in-package law keeps bit for bit
-        assert fit_uf(uefa).ks_pvalue == 0.9405159158897634
 
     def test_null_calibration(self):
         # p-values under the null are asymptotically uniform; check the
