@@ -9,7 +9,9 @@ checked bit for bit. The manifest carries no timestamp on purpose.
 Exit codes:
 
     0   success
-    2   usage error (bad flags, invalid parameter values, n <= 0)
+    2   usage error (bad flags, a missing flag or one of another input
+        mode, invalid parameter values, n <= 0, an output directory
+        that cannot be made)
     3   ingestion error (unreadable file, non-numeric rows, values
         outside (0, 1), empty input, invalid simulate config)
     4   numerical failure
@@ -62,32 +64,69 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _resolve_outdir(flag_value: Optional[str]) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get("UNITFRECHET_OUTDIR")
-    return Path(env) if env else Path(".")
+def _outdir(flag_value: Optional[str]) -> Path:
+    """The output directory, made if missing; one that cannot be made is
+    a usage error naming the path."""
+    outdir = Path(flag_value or os.environ.get("UNITFRECHET_OUTDIR") or ".")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(
+            f"cannot make output directory {outdir}: {exc.strerror or exc}"
+        ) from None
+    return outdir
 
 
-def _digest_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+# The law's flags, each declared once: the input modes that need the
+# flag, then those that may leave it out. A parser takes the flags of
+# its modes, and _law_input checks a call against one mode.
+_LAW_FLAGS = {
+    "--sigma": ("UF", ""),
+    "--sigma1": ("bivariate margin", ""),
+    "--sigma2": ("bivariate margin", ""),
+    "--alpha": ("UF bivariate margin", ""),
+    "--rho": ("UF bivariate", "margin"),
+    "--mu1": ("direct", ""),
+    "--mu2": ("direct", ""),
+    "--var1": ("", "direct"),
+    "--var2": ("", "direct"),
+}
 
 
-def _digest_values(values) -> str:
-    return _digest_text("\n".join(_fmt(float(v)) for v in values))
+def _add_law_flags(parser: argparse.ArgumentParser, *modes: str) -> None:
+    for flag, (needs, takes) in _LAW_FLAGS.items():
+        if set(modes) & set(f"{needs} {takes}".split()):
+            parser.add_argument(flag, type=float)
 
 
-def _write_manifest(
-    outdir: Path,
-    command: str,
-    options: dict,
-    input_digest: str,
-    master_seed: Optional[int] = None,
-) -> None:
+def _law_input(args: argparse.Namespace, mode: str) -> tuple:
+    """The values of ``mode``'s flags in table order, None where left
+    out. One error names every flag the mode needs and lacks and every
+    law flag given that it does not read."""
+    values, missing, stray = [], [], []
+    for flag, (needs, takes) in _LAW_FLAGS.items():
+        value = getattr(args, flag[2:], None)
+        if mode in f"{needs} {takes}".split():
+            values.append(value)
+            if value is None and mode in needs.split():
+                missing.append(flag)
+        elif value is not None:
+            stray.append(flag)
+    clauses = [f"{verb} {', '.join(flags)}"
+               for verb, flags in (("needs", missing), ("does not take", stray)) if flags]
+    if clauses:
+        raise DomainError(f"{mode} input " + " and ".join(clauses))
+    return tuple(values)
+
+
+def _write_manifest(outdir: Path, command: str, options: dict, digested: str,
+                    master_seed: Optional[int] = None) -> None:
+    """Write manifest.json: the command, its options, the SHA-256 of
+    ``digested`` (the ingested input), the tool version and the seed."""
     doc = {
         "command": command,
         "options": options,
-        "input_digest": input_digest,
+        "input_digest": hashlib.sha256(digested.encode("utf-8")).hexdigest(),
         "tool_version": __version__,
         "master_seed": master_seed,
     }
@@ -204,17 +243,10 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _pdf_grid() -> np.ndarray:
-    # 401 interior points; endpoints excluded because several densities
-    # here are unbounded at 0 or 1
-    return np.arange(1, PDF_GRID_SIZE + 1) / (PDF_GRID_SIZE + 1.0)
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     data = _read_series(args.input, args.ratio)
     models = _parse_models(args.models)
-    outdir = _resolve_outdir(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.outdir)
 
     desc = describe(data)
     print("descriptives")
@@ -224,50 +256,36 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     reports = [MODELS[name].fit(data) for name in models]
 
-    w = data.array
-    grid = _pdf_grid()
+    sorted_w = np.sort(data.array)
+    # interior points only: several densities here are unbounded at 0 or 1
+    grid = np.arange(1, PDF_GRID_SIZE + 1) / (PDF_GRID_SIZE + 1.0)
+    theo = (np.arange(1, data.n + 1) - 0.5) / data.n
     for report in reports:
         _write_report_file(outdir, report)
         _write_csv(
             outdir / f"residuals_{report.model}.csv",
             "index,w,residual",
-            zip(range(1, data.n + 1), w, report.residuals),
+            zip(range(1, data.n + 1), data.array, report.residuals),
         )
         if all(math.isfinite(v) for v in report.theta_hat):
             handle = model_handle(report.model, report.theta_hat)
-            pdf_vals = np.asarray(handle.pdf(grid), dtype=float)
-            cdf_vals = np.asarray(handle.cdf(grid), dtype=float)
-            _write_csv(
-                outdir / f"plot_pdf_{report.model}.csv",
-                "w,pdf",
-                zip(grid, pdf_vals),
-            )
-            _write_csv(
-                outdir / f"plot_cdf_{report.model}.csv",
-                "w,cdf",
-                zip(grid, cdf_vals),
-            )
-            pit = np.sort(np.asarray(handle.cdf(np.sort(w)), dtype=float))
-            theo = (np.arange(1, data.n + 1) - 0.5) / data.n
-            _write_csv(
-                outdir / f"plot_qq_{report.model}.csv",
-                "theoretical,sample",
-                zip(theo, pit),
-            )
+            for kind, header, x, y in (
+                ("pdf", "w,pdf", grid, handle.pdf(grid)),
+                ("cdf", "w,cdf", grid, handle.cdf(grid)),
+                ("qq", "theoretical,sample", theo, np.sort(handle.cdf(sorted_w))),
+            ):
+                _write_csv(outdir / f"plot_{kind}_{report.model}.csv", header,
+                           zip(x, np.asarray(y, dtype=float)))
 
     nbins = int(np.ceil(np.log2(data.n))) + 1 if data.n > 1 else 1
-    hist, edges = np.histogram(w, bins=nbins, density=True)
+    hist, edges = np.histogram(sorted_w, bins=nbins, density=True)
     _write_csv(
         outdir / "plot_hist.csv",
         "bin_left,bin_right,density",
         zip(edges[:-1], edges[1:], hist),
     )
     ecdf = np.arange(1, data.n + 1) / data.n
-    _write_csv(
-        outdir / "plot_ecdf.csv",
-        "w,ecdf",
-        zip(np.sort(w), ecdf),
-    )
+    _write_csv(outdir / "plot_ecdf.csv", "w,ecdf", zip(sorted_w, ecdf))
 
     if len(reports) >= 2:
         ranked = model_select(reports).ranked
@@ -290,16 +308,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             f"aic={r.aic:.6g}  bic={r.bic:.6g}"
         )
 
-    _write_manifest(
-        outdir,
-        command="fit",
-        options={
-            "input": args.input,
-            "models": ",".join(models),
-            "ratio": bool(args.ratio),
-        },
-        input_digest=_digest_values(data.values),
-    )
+    options = {"input": args.input, "models": ",".join(models), "ratio": bool(args.ratio)}
+    _write_manifest(outdir, "fit", options, "\n".join(_fmt(v) for v in data.values))
     print(f"wrote reports to {outdir}")
     return 0
 
@@ -310,20 +320,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     # draw before touching the disk, so a rejected call leaves no --outdir
+    values = _law_input(args, "bivariate" if args.bivariate else "UF")
     if args.bivariate:
-        if args.sigma1 is None or args.sigma2 is None:
-            raise DomainError("--bivariate needs --sigma1 and --sigma2")
-        if args.alpha is None or args.rho is None:
-            raise DomainError("--bivariate needs --alpha and --rho")
-        params = BivParams.of((args.sigma1, args.sigma2, args.alpha, args.rho))
+        params = BivParams.of(values)
         header, rows = "x1,x2", biv_sample(params, args.n, args.seed)
     else:
-        if args.sigma is None or args.alpha is None or args.rho is None:
-            raise DomainError("sample needs --sigma, --alpha and --rho")
-        params = UfParams.of((args.sigma, args.alpha, args.rho))
+        params = UfParams.of(values)
         header, rows = "w", zip(uf_sample(params, args.n, args.seed))
-    outdir = _resolve_outdir(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.outdir)
     path = outdir / "sample.csv"
     _write_csv(path, header, rows)
     options = {
@@ -332,14 +336,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "n": args.n,
         "seed": args.seed,
     }
-    digest_src = json.dumps(options, sort_keys=True)
-    _write_manifest(
-        outdir,
-        command="sample",
-        options=options,
-        input_digest=_digest_text(digest_src),
-        master_seed=args.seed,
-    )
+    _write_manifest(outdir, "sample", options, json.dumps(options, sort_keys=True),
+                    master_seed=args.seed)
     print(f"wrote {path} (n={args.n})")
     return 0
 
@@ -350,23 +348,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.config).read_text()
+        config = SimConfig.of(json.loads(Path(args.config).read_text()))
     except OSError as exc:
-        raise DataError(
-            f"cannot read {args.config}: {exc.strerror or exc}"
-        ) from None
-    try:
-        raw = json.loads(text)
+        raise DataError(f"cannot read {args.config}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"config: invalid JSON: {exc}") from None
-    try:
-        config = SimConfig.of(raw)
     except DomainError as exc:
         raise DataError(str(exc)) from None
 
+    outdir = _outdir(args.outdir)  # before the study, which can run for hours
     report = run_study(config)
-    outdir = _resolve_outdir(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     _write_csv(
         outdir / "simreport.csv",
@@ -376,13 +367,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     (outdir / "cells.json").write_text(json.dumps(list(report.iter_cells()), indent=2) + "\n")
 
     canonical = json.dumps(dataclasses.asdict(config), sort_keys=True)
-    _write_manifest(
-        outdir,
-        command="simulate",
-        options={"config": args.config},
-        input_digest=_digest_text(canonical),
-        master_seed=config.master_seed,
-    )
+    _write_manifest(outdir, "simulate", {"config": args.config}, canonical,
+                    master_seed=config.master_seed)
     print(
         f"wrote {outdir / 'simreport.csv'} "
         f"({len(report.cells)} cells, {config.replications} replications each)"
@@ -394,40 +380,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # quantile / cdf / moments
 # ---------------------------------------------------------------------------
 
-def _theta_from_args(args: argparse.Namespace) -> UfParams:
-    return UfParams.of((args.sigma, args.alpha, args.rho))
-
-
 def cmd_quantile(args: argparse.Namespace) -> int:
-    print(f"{uf_quantile(args.p, _theta_from_args(args)):.12g}")
+    print(f"{uf_quantile(args.p, _law_input(args, 'UF')):.12g}")
     return 0
 
 
 def cmd_cdf(args: argparse.Namespace) -> int:
-    print(f"{uf_cdf(args.w, _theta_from_args(args)):.12g}")
+    print(f"{uf_cdf(args.w, _law_input(args, 'UF')):.12g}")
     return 0
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    """E(W) and Var(W), and E(W^p) with -p, from the margins or from
-    direct inputs. ``approx_moment`` rejects inputs left incomplete,
-    saying why (a margin with alpha <= 2 has no variance)."""
-    margins_given = args.sigma1 is not None or args.sigma2 is not None
-    direct_given = args.mu1 is not None or args.mu2 is not None
-    if margins_given and direct_given:
-        raise DomainError("give either --sigma1/--sigma2/--alpha/--rho or --mu1/--mu2, not both")
-    if direct_given:
-        if args.mu1 is None or args.mu2 is None:
-            raise DomainError("direct input needs both --mu1 and --mu2")
-        inputs = MomentInputs(
-            mu1=args.mu1, mu2=args.mu2,
-            var1=args.var1, var2=args.var2, cov=args.cov,
-        )
+    """E(W) and Var(W), and E(W^p) with -p, from the margins or, when
+    --mu1 or --mu2 is given, from direct inputs. ``approx_moment``
+    rejects inputs left incomplete, saying why (a margin with
+    alpha <= 2 has no variance)."""
+    if args.mu1 is not None or args.mu2 is not None:
+        inputs = MomentInputs(*_law_input(args, "direct"), cov=args.cov)
     else:
-        if args.sigma1 is None or args.sigma2 is None or args.alpha is None:
-            raise DomainError("margin input needs --sigma1, --sigma2 and --alpha")
-        rho = args.rho if args.rho is not None else 0.0
-        params = BivParams.of((args.sigma1, args.sigma2, args.alpha, rho))
+        sigma1, sigma2, alpha, rho = _law_input(args, "margin")
+        rho = 0.0 if rho is None else rho
+        params = BivParams.of((sigma1, sigma2, alpha, rho))
         inputs = frechet_moments(params)
         if args.cov is not None:
             inputs = inputs.with_cov(args.cov)
@@ -476,55 +449,40 @@ def build_parser() -> argparse.ArgumentParser:
         "--ratio", action="store_true",
         help="input has two positive columns; analyze first/(first+second)",
     )
-    p_fit.add_argument("--outdir", default=None)
     p_fit.set_defaults(func=cmd_fit)
 
     p_sample = sub.add_parser("sample", help="draw a reproducible sample")
-    p_sample.add_argument("--sigma", type=float, default=None)
-    p_sample.add_argument("--alpha", type=float, default=None)
-    p_sample.add_argument("--rho", type=float, default=None)
     p_sample.add_argument("--bivariate", action="store_true")
-    p_sample.add_argument("--sigma1", type=float, default=None)
-    p_sample.add_argument("--sigma2", type=float, default=None)
+    _add_law_flags(p_sample, "UF", "bivariate")
     p_sample.add_argument("-n", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--outdir", default=None)
     p_sample.set_defaults(func=cmd_sample)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo estimator study")
     p_sim.add_argument("--config", required=True, help="JSON config file")
-    p_sim.add_argument("--outdir", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_q = sub.add_parser("quantile", help="evaluate the quantile function")
     p_q.add_argument("-p", type=float, required=True)
-    p_q.add_argument("--sigma", type=float, required=True)
-    p_q.add_argument("--alpha", type=float, required=True)
-    p_q.add_argument("--rho", type=float, required=True)
+    _add_law_flags(p_q, "UF")
     p_q.set_defaults(func=cmd_quantile)
 
     p_c = sub.add_parser("cdf", help="evaluate the CDF")
     p_c.add_argument("-w", type=float, required=True)
-    p_c.add_argument("--sigma", type=float, required=True)
-    p_c.add_argument("--alpha", type=float, required=True)
-    p_c.add_argument("--rho", type=float, required=True)
+    _add_law_flags(p_c, "UF")
     p_c.set_defaults(func=cmd_cdf)
 
     p_m = sub.add_parser("moments", help="approximate E(W) and Var(W)")
-    p_m.add_argument("--sigma1", type=float, default=None)
-    p_m.add_argument("--sigma2", type=float, default=None)
-    p_m.add_argument("--alpha", type=float, default=None)
-    p_m.add_argument("--rho", type=float, default=None)
-    p_m.add_argument("--mu1", type=float, default=None)
-    p_m.add_argument("--mu2", type=float, default=None)
-    p_m.add_argument("--var1", type=float, default=None)
-    p_m.add_argument("--var2", type=float, default=None)
-    p_m.add_argument("--cov", type=float, default=None)
-    p_m.add_argument("--mc-n", type=int, default=100000, dest="mc_n")
-    p_m.add_argument("--seed", type=int, default=None)
-    p_m.add_argument("-p", type=float, default=None,
-                     help="also print the approximate p-th moment")
+    _add_law_flags(p_m, "margin", "direct")
+    p_m.add_argument("--cov", type=float)
+    p_m.add_argument("--mc-n", type=int, default=100000)
+    p_m.add_argument("-p", type=float, help="also print the approximate p-th moment")
     p_m.set_defaults(func=cmd_moments)
+
+    # flags that several commands take, declared once
+    for p, seed_required in ((p_sample, True), (p_m, False)):
+        p.add_argument("--seed", type=int, required=seed_required)
+    for p in (p_fit, p_sample, p_sim):
+        p.add_argument("--outdir")
 
     return parser
 

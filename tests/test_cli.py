@@ -141,6 +141,96 @@ class TestExitCodes:
                 "--mu1", "1") == 2
         )
 
+    @pytest.mark.parametrize(
+        "argv, stray",
+        [(("--alpha", "4", "--mu1", "1", "--mu2", "1"), "--alpha"),
+         (("--sigma1", "1", "--sigma2", "1", "--alpha", "4", "--rho", "0",
+           "--var1", "5"), "--var1"),
+         (("--mu1", "1", "--mu2", "1", "--var1", "1", "--var2", "1", "--cov", "0",
+           "--rho", "0.5"), "--rho")],
+        ids=["alpha-with-direct", "var1-with-margins", "rho-with-direct"],
+    )
+    def test_moments_other_family_rejected(self, capsys, argv, stray):
+        # each input style rejects every flag of the other one, not only
+        # the scales and the means
+        assert run("moments", *argv) == 2
+        captured = capsys.readouterr()
+        assert stray in captured.err and captured.out == ""
+
+    def test_moments_shared_flags(self, capsys):
+        # --cov, --seed, --mc-n and -p belong to neither input style
+        assert run("moments", "--mu1", "1", "--mu2", "2", "--var1", "0.1",
+                   "--var2", "0.2", "--cov", "0.01", "--seed", "1",
+                   "--mc-n", "5", "-p", "3") == 0
+        assert "E(W^3) = " in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, stray",
+        [(("--sigma", "1", "--alpha", "2", "--rho", "0.5", "--sigma1", "3"),
+          "--sigma1"),
+         (("--bivariate", "--sigma", "9", "--sigma1", "1", "--sigma2", "1",
+           "--alpha", "2", "--rho", "0.5"), "--sigma")],
+        ids=["uf", "bivariate"],
+    )
+    def test_sample_other_family_rejected(self, tmp_path, capsys, argv, stray):
+        out = tmp_path / "out"
+        assert run("sample", *argv, "-n", "3", "--seed", "1",
+                   "--outdir", str(out)) == 2
+        assert f"does not take {stray}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_error_names_every_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("sample", "--bivariate", "--sigma", "9", "--alpha", "2",
+                   "-n", "3", "--seed", "1", "--outdir", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: bivariate input needs --sigma1, --sigma2, --rho "
+            "and does not take --sigma\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [("quantile", "-p", "0.5"), ("cdf", "-w", "0.5")],
+                             ids=["quantile", "cdf"])
+    def test_uf_evaluation_missing_flags(self, capsys, command):
+        assert run(*command, "--alpha", "2") == 2
+        assert capsys.readouterr().err == "error: UF input needs --sigma, --rho\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [("sample", "--sigma", "1", "--alpha", "2", "--rho", "0.5", "-n", "3",
+          "--seed", "1"),
+         ("fit", "bundled:uefa", "--models", "uf")],
+        ids=["sample", "fit"],
+    )
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_outdir_on_a_file(self, tmp_path, capsys, command, below):
+        # an --outdir that cannot be a directory is a usage error naming
+        # the path, not a traceback
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        outdir = blocker / below if below else blocker
+        assert run(*command, "--outdir", str(outdir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot make output directory {outdir}: ")
+        assert blocker.read_text() == "x"
+
+    def test_simulate_outdir_checked_before_the_study(self, tmp_path, monkeypatch,
+                                                      capsys):
+        cfg = write(tmp_path / "c.json", json.dumps({"thetas": [[1.0, 2.0, 0.5]]}))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        monkeypatch.setattr(cli, "run_study", lambda config: pytest.fail("study ran"))
+        assert run("simulate", "--config", cfg, "--outdir", str(blocker)) == 2
+        assert f"output directory {blocker}" in capsys.readouterr().err
+
+    def test_outdir_from_environment_on_a_file(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        monkeypatch.setenv("UNITFRECHET_OUTDIR", str(blocker))
+        assert run("sample", "--sigma", "1", "--alpha", "2", "--rho", "0.5",
+                   "-n", "3", "--seed", "1") == 2
+        assert str(blocker) in capsys.readouterr().err
+
     def test_moments_heavy_tail(self, capsys):
         assert (
             run("moments", "--sigma1", "1", "--sigma2", "1", "--alpha", "1.5",

@@ -17,7 +17,8 @@ argument rule (a positive parameter, rho in [0, 1], the sampler's
 uniform clip) is written once, in ``core``, and each model rule (an
 unknown name, the minimum sample size) once, in ``inference``. Each
 public name is written once, in its module's ``__all__``: the package
-re-exports the modules by ``*`` and joins their lists.
+re-exports the modules by ``*`` and joins their lists. Each long flag of
+the CLI is written once, where it is declared.
 """
 
 import ast
@@ -268,3 +269,17 @@ def test_argument_rule_written_once(text):
     # fewest observations its fit takes
     count = sum(path.read_text().count(text) for path in PACKAGE.rglob("*.py"))
     assert count == 1
+
+
+def test_cli_flag_declared_once():
+    # each long flag of the CLI is written once, where it is declared;
+    # the commands that share a flag, and the check of each input mode's
+    # flags, read that one declaration
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    flags = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("--") and " " not in node.value
+    ]
+    assert {"--alpha", "--rho", "--sigma1", "--seed", "--outdir"} <= set(flags)
+    assert sorted(flags) == sorted(set(flags))
