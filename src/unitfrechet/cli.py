@@ -9,12 +9,12 @@ checked bit for bit. The manifest carries no timestamp on purpose.
 Exit codes:
 
     0   success
-    2   usage error (bad flags, a missing flag or one of another input
-        mode, invalid parameter values, n <= 0, an output directory
-        that cannot be made)
-    3   ingestion error (unreadable file, non-numeric rows, values
-        outside (0, 1), empty input, invalid simulate config)
-    4   numerical failure
+    2   usage error: bad flags, a missing flag or one of the other input
+        mode, invalid parameter values, n <= 0, an output directory that
+        cannot be made, an output file that cannot be written
+    3   input error: unreadable, empty or malformed data (non-numeric
+        rows, values outside (0, 1)), an invalid simulate config
+    4   numerical failure during evaluation
 
 Output directory resolution: ``--outdir`` flag, else the
 ``UNITFRECHET_OUTDIR`` environment variable, else the current directory.
@@ -77,6 +77,15 @@ def _outdir(flag_value: Optional[str]) -> Path:
     return outdir
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one output file; one that cannot be written is a usage
+    error naming the path."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 # The law's flags, each declared once: the input modes that need the
 # flag, then those that may leave it out. A parser takes the flags of
 # its modes, and _law_input checks a call against one mode.
@@ -130,8 +139,7 @@ def _write_manifest(outdir: Path, command: str, options: dict, digested: str,
         "tool_version": __version__,
         "master_seed": master_seed,
     }
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(outdir / "manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +238,7 @@ def _write_report_file(outdir: Path, report: FitReport) -> None:
     lines.append("")
     lines.append("--- machine readable ---")
     lines.append(json.dumps(doc, indent=2))
-    (outdir / f"report_{report.model}.txt").write_text("\n".join(lines) + "\n")
+    _write(outdir / f"report_{report.model}.txt", "\n".join(lines) + "\n")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -240,7 +248,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
     lines.extend(
         ",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows
     )
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -278,7 +286,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
                            zip(x, np.asarray(y, dtype=float)))
 
     nbins = int(np.ceil(np.log2(data.n))) + 1 if data.n > 1 else 1
-    hist, edges = np.histogram(sorted_w, bins=nbins, density=True)
+    # a range a few doubles wide holds fewer finite-sized bins; one
+    # always fits
+    for bins in range(nbins, 0, -1):
+        try:
+            hist, edges = np.histogram(sorted_w, bins=bins, density=True)
+            break
+        except ValueError:
+            continue
     _write_csv(
         outdir / "plot_hist.csv",
         "bin_left,bin_right,density",
@@ -364,7 +379,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ",".join(next(report.iter_rows())),
         (row.values() for row in report.iter_rows()),
     )
-    (outdir / "cells.json").write_text(json.dumps(list(report.iter_cells()), indent=2) + "\n")
+    _write(outdir / "cells.json", json.dumps(list(report.iter_cells()), indent=2) + "\n")
 
     canonical = json.dumps(dataclasses.asdict(config), sort_keys=True)
     _write_manifest(outdir, "simulate", {"config": args.config}, canonical,

@@ -28,6 +28,11 @@ UF_EIG_FLOOR, and UF_SUMMARY_N); fit_uf takes no tuning options.
 There is no hidden randomness anywhere in the fit, so results are
 reproducible bit for bit.
 
+Each fitter's body is its model's estimator alone; _fitter wraps it
+and is the one owner of every report: the minimum sample size, the
+ill-posed report of identical data, the one text of a fit that did not
+converge, and the KS test and residuals.
+
 The KS p-value's Kolmogorov law is the package's own (_kolmogorov_sf),
 so no UF evaluation, fit, report or study loads scipy. scipy.special is
 imported where it is used, by the Beta fit and the Beta model; no fit
@@ -38,8 +43,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field
-from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from functools import cached_property, wraps
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -344,48 +349,62 @@ def _residuals(w: np.ndarray, order: np.ndarray, fv: np.ndarray) -> np.ndarray:
     return ranks / w.size - fv
 
 
-def _build_report(
-    model: str,
-    data: DataSeries,
-    theta_hat: tuple[float, ...],
-    loglik: float,
-    converged: bool,
-    boundary_hit: bool,
-    iterations: int,
-    message: str,
-) -> FitReport:
-    """The report of a fit; KS and residuals need a finite loglik."""
-    n = data.n
-    k = len(MODELS[model].param_names)
-    if math.isfinite(loglik):
-        # one CDF evaluation and one sort feed both; the CDFs act
-        # elementwise, so permuting their values equals evaluating them
-        # at the sorted sample
-        w = data.array
-        order = np.argsort(w)
-        fv = np.asarray(model_handle(model, theta_hat).cdf(w), dtype=float)
-        ks = _ks_sorted(fv[order])
-        res = tuple(_residuals(w, order, fv).tolist())
-    else:
-        ks = KSResult(float("nan"), float("nan"))
-        res = tuple([float("nan")] * n)
-    return FitReport(
-        model=model,
-        theta_hat=theta_hat,
-        param_names=MODELS[model].param_names,
-        loglik=loglik,
-        aic=-2.0 * loglik + 2.0 * k,
-        bic=-2.0 * loglik + k * math.log(n),
-        k_params=k,
-        ks_stat=ks.statistic,
-        ks_pvalue=ks.pvalue,
-        residuals=res,
-        converged=converged,
-        boundary_hit=boundary_hit,
-        iterations=iterations,
-        n=n,
-        message=message,
-    )
+def _fitter(model: str):
+    """Make a model's estimator the model's fitter, the one owner of its
+    report. The estimator takes a sample of at least the model's min_n
+    observations, not all equal, and returns (theta_hat, loglik,
+    converged, iterations, boundary_hit). The fitter raises a DataError
+    below min_n, reports identical observations as ill-posed with NaN
+    estimates, gives every fit that did not converge one message, and
+    takes KS and residuals from the fitted CDF where theta_hat and
+    loglik are finite, NaN elsewhere. So no fit raises for
+    non-convergence."""
+    def fitter(estimate: Callable[[DataSeries], tuple]) -> Callable[[DataSeries], FitReport]:
+        @wraps(estimate)
+        def fit(data: DataSeries) -> FitReport:
+            spec = MODELS[model]
+            n, k = data.n, len(spec.param_names)
+            if n < spec.min_n:
+                raise DataError(f"fitting needs at least {spec.min_n} observations, got {n}")
+            if float(np.ptp(data.array)) > 0.0:
+                theta_hat, loglik, converged, iterations, boundary_hit = estimate(data)
+                message = "" if converged else (
+                    "Newton run stalled, hit its step cap or went non-finite")
+            else:
+                theta_hat, loglik = (math.nan,) * k, math.nan
+                converged, iterations, boundary_hit = False, 0, False
+                message = "ill-posed: all observations are identical"
+            if math.isfinite(loglik) and all(map(math.isfinite, theta_hat)):
+                # one CDF evaluation and one sort feed both; the CDFs act
+                # elementwise, so permuting their values equals evaluating
+                # them at the sorted sample
+                w = data.array
+                order = np.argsort(w)
+                fv = np.asarray(model_handle(model, theta_hat).cdf(w), dtype=float)
+                ks = _ks_sorted(fv[order])
+                res = tuple(_residuals(w, order, fv).tolist())
+            else:
+                ks = KSResult(math.nan, math.nan)
+                res = (math.nan,) * n
+            return FitReport(
+                model=model,
+                theta_hat=theta_hat,
+                param_names=spec.param_names,
+                loglik=loglik,
+                aic=-2.0 * loglik + 2.0 * k,
+                bic=-2.0 * loglik + k * math.log(n),
+                k_params=k,
+                ks_stat=ks.statistic,
+                ks_pvalue=ks.pvalue,
+                residuals=res,
+                converged=converged,
+                boundary_hit=boundary_hit,
+                iterations=iterations,
+                n=n,
+                message=message,
+            )
+        return fit
+    return fitter
 
 
 def _log1m_pow(logw, a):
@@ -459,20 +478,6 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
 # ---------------------------------------------------------------------------
 # UF fit
 # ---------------------------------------------------------------------------
-
-def _ill_posed_report(model: str, data: DataSeries) -> Optional[FitReport]:
-    """A DataError below the model's min_n observations, an all-NaN
-    report when every observation is the same, else None."""
-    spec = MODELS[model]
-    if data.n < spec.min_n:
-        raise DataError(f"fitting needs at least {spec.min_n} observations, got {data.n}")
-    if float(np.ptp(data.array)) > 0.0:
-        return None
-    nan = float("nan")
-    theta_hat = (nan,) * len(spec.param_names)
-    message = "ill-posed: all observations are identical"
-    return _build_report(model, data, theta_hat, nan, False, False, 0, message)
-
 
 def _uf_pass(phi: np.ndarray, data: DataSeries):
     """Log-likelihood, gradient and Hessian in (log sigma, log alpha,
@@ -549,7 +554,6 @@ def _ascent(phi, grad, hess, fixed) -> np.ndarray:
     from the other two, in the rows ``fixed`` (a mask, or one bool for
     every row) and wherever it sits on a bound with the gradient or the Newton
     step pointing out."""
-    rho = phi[:, 2]
     fixed = fixed | _held(phi, grad)
     while True:
         m = -hess
@@ -563,7 +567,7 @@ def _ascent(phi, grad, hess, fixed) -> np.ndarray:
         lam = np.maximum(lam, floor)
         d = np.einsum("rij,rj->ri", vec, np.einsum("rji,rj->ri", vec, g) / lam)
         d[fixed, 2] = 0.0
-        out = ((rho <= 0.0) & (d[:, 2] < 0.0)) | ((rho >= 1.0) & (d[:, 2] > 0.0))
+        out = _held(phi, d)
         if not out.any():
             return d
         fixed = fixed | out
@@ -667,7 +671,8 @@ def _level_starts(data: DataSeries) -> np.ndarray:
     return np.column_stack([np.full(len(alphas), med), np.log(alphas), UF_RHO_LEVELS])
 
 
-def fit_uf(data: DataSeries) -> FitReport:
+@_fitter("uf")
+def fit_uf(data: DataSeries) -> tuple:
     """Maximum-likelihood fit of the UF distribution.
 
     A rho profile, then a free refine. Projected Newton on the analytic
@@ -702,12 +707,9 @@ def fit_uf(data: DataSeries) -> FitReport:
     theta_hat, bit for bit. ``boundary_hit`` is set when the estimate of
     rho sits on 0 or 1.
 
-    Never raises for non-convergence; the report says what happened.
+    Never raises for non-convergence, which _fitter guarantees for all
+    three models; the report says what happened.
     """
-    ill_posed = _ill_posed_report("uf", data)
-    if ill_posed is not None:
-        return ill_posed
-
     sample = _profile_sample(data)
     ends, profile, steps, _ = _newton(_level_starts(sample), sample, True)
 
@@ -722,11 +724,9 @@ def fit_uf(data: DataSeries) -> FitReport:
     win = int(np.argmax(values))
     sigma, alpha = np.exp(ends[win, :2])
     theta_hat = (float(sigma), float(alpha), float(ends[win, 2]))
-    return _build_report(
-        "uf", data, theta_hat, loglik_uf(theta_hat, data), bool(converged[win]),
-        boundary_hit=theta_hat[2] in (0.0, 1.0),
-        iterations=steps + refine_steps,
-        message="" if converged[win] else "Newton run stalled, hit its step cap or went non-finite",
+    return (
+        theta_hat, loglik_uf(theta_hat, data), bool(converged[win]),
+        steps + refine_steps, theta_hat[2] in (0.0, 1.0),
     )
 
 
@@ -734,7 +734,8 @@ def fit_uf(data: DataSeries) -> FitReport:
 # Comparison models
 # ---------------------------------------------------------------------------
 
-def fit_beta(data: DataSeries) -> FitReport:
+@_fitter("beta")
+def fit_beta(data: DataSeries) -> tuple:
     """Beta MLE via Newton iteration on the digamma equations.
 
     Solves psi(a) - psi(a+b) = mean log w and
@@ -744,9 +745,6 @@ def fit_beta(data: DataSeries) -> FitReport:
     """
     from scipy.special import betaln, digamma, polygamma
 
-    ill_posed = _ill_posed_report("beta", data)
-    if ill_posed is not None:
-        return ill_posed
     w = data.array
     n = data.n
     mean_lw = float(np.mean(np.log(w)))
@@ -778,15 +776,11 @@ def fit_beta(data: DataSeries) -> FitReport:
     ll = float(
         n * ((a - 1.0) * mean_lw + (b - 1.0) * mean_l1w - betaln(a, b))
     )
-    return _build_report(
-        "beta", data, (a, b), ll, converged,
-        boundary_hit=False,
-        iterations=it,
-        message="" if converged else "Newton iteration did not converge",
-    )
+    return (a, b), ll, converged, it, False
 
 
-def fit_kumaraswamy(data: DataSeries) -> FitReport:
+@_fitter("kumaraswamy")
+def fit_kumaraswamy(data: DataSeries) -> tuple:
     """Kumaraswamy MLE by Newton iteration in t = log a on the profile.
 
     For fixed a the second shape has the closed-form maximizer b(a) = -n/s,
@@ -796,9 +790,6 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
     (uphill where l is not concave), halves a step until l does not
     fall, and stops by the UF _newton's rules; ``iterations`` counts steps.
     """
-    ill_posed = _ill_posed_report("kumaraswamy", data)
-    if ill_posed is not None:
-        return ill_posed
     n = data.n
     logw = np.log(data.array)
     sum_logw = float(logw.sum())
@@ -834,12 +825,7 @@ def fit_kumaraswamy(data: DataSeries) -> FitReport:
             step *= 0.5
         converged = last or abs(score) <= UF_NEWTON_TOL * max(1.0, abs(ll))
     a = math.exp(t)
-    return _build_report(
-        "kumaraswamy", data, (a, -n / float(_log1m_pow(logw, a).sum())), ll, converged,
-        boundary_hit=False,
-        iterations=steps,
-        message="" if converged else "Newton iteration did not converge",
-    )
+    return (a, -n / float(_log1m_pow(logw, a).sum())), ll, converged, steps, False
 
 
 class _Model(NamedTuple):

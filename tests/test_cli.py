@@ -214,6 +214,21 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot make output directory {outdir}: ")
         assert blocker.read_text() == "x"
 
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [(("sample", "--sigma", "1", "--alpha", "2", "--rho", "0.5", "-n", "3",
+           "--seed", "1"), "sample.csv"),
+         (("fit", "bundled:uefa", "--models", "uf"), "report_uf.txt")],
+        ids=["sample", "fit"],
+    )
+    def test_output_file_not_writable(self, tmp_path, capsys, command, blocked):
+        # an output file that cannot be written is a usage error naming
+        # the file, not a traceback
+        (tmp_path / blocked).mkdir()
+        assert run(*command, "--outdir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / blocked}: ")
+
     def test_simulate_outdir_checked_before_the_study(self, tmp_path, monkeypatch,
                                                       capsys):
         cfg = write(tmp_path / "c.json", json.dumps({"thetas": [[1.0, 2.0, 0.5]]}))
@@ -584,6 +599,17 @@ class TestFit:
                    "--outdir", str(tmp_path / "out")) == 0
         report = (tmp_path / "out" / "report_kumaraswamy.txt").read_text()
         assert '"converged": true' in report
+
+    def test_near_constant_data(self, tmp_path, capsys):
+        # a range one double wide holds one histogram bin, and a
+        # Kumaraswamy fit whose b overflows is reported, not raised
+        src = write(tmp_path / "w.csv", "0.5\n0.5\n0.5\n0.5000000000000001\n")
+        out = tmp_path / "out"
+        assert run("fit", src, "--models", "uf,kumaraswamy", "--outdir", str(out)) == 0
+        assert (out / "plot_hist.csv").read_text().splitlines() == [
+            "bin_left,bin_right,density", "0.5,0.50000000000000011,9007199254740992"]
+        report = (out / "report_kumaraswamy.txt").read_text()
+        assert '"converged": false' in report and '"ks_stat": NaN' in report
 
     def test_outdir_from_environment(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "envout"

@@ -15,10 +15,12 @@ bivariate sampler takes from ``core`` only what keeps it independent
 of the UF kernel, so the ratio cross-check stays a cross-check. Each
 argument rule (a positive parameter, rho in [0, 1], the sampler's
 uniform clip) is written once, in ``core``, and each model rule (an
-unknown name, the minimum sample size) once, in ``inference``. Each
+unknown name, the minimum sample size) once, in ``inference``, as is
+each fit-report text (an ill-posed fit, one that did not converge). Each
 public name is written once, in its module's ``__all__``: the package
 re-exports the modules by ``*`` and joins their lists. Each long flag of
-the CLI is written once, where it is declared.
+the CLI is written once, where it is declared, and the CLI writes every
+output file through one writer.
 """
 
 import ast
@@ -261,12 +263,15 @@ def test_bivariate_independent_of_uf_kernel():
         "do not broadcast",
         "unknown model",
         "fitting needs at least",
+        "ill-posed: all observations are identical",
+        "Newton run stalled, hit its step cap or went non-finite",
     ),
 )
 def test_argument_rule_written_once(text):
     # each argument rule has one definition that every module calls: in
     # core, or in inference's model table for a model's name and the
-    # fewest observations its fit takes
+    # fewest observations its fit takes, or in inference's report owner
+    # for the texts of an ill-posed fit and of one that did not converge
     count = sum(path.read_text().count(text) for path in PACKAGE.rglob("*.py"))
     assert count == 1
 
@@ -283,3 +288,9 @@ def test_cli_flag_declared_once():
     ]
     assert {"--alpha", "--rho", "--sigma1", "--seed", "--outdir"} <= set(flags)
     assert sorted(flags) == sorted(set(flags))
+
+
+def test_cli_writes_files_in_one_place():
+    # every output file goes through one writer, which makes a file that
+    # cannot be written a usage error naming the file
+    assert (PACKAGE / "cli.py").read_text().count("write_text") == 1

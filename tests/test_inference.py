@@ -14,6 +14,7 @@ from unitfrechet.core import uf_logpdf, uf_quantile, uf_sample
 from unitfrechet.datasets import load_uefa
 from unitfrechet.errors import DataError, DomainError, ParameterError
 from unitfrechet.inference import (
+    MODELS,
     UF_RHO_LEVELS,
     DataSeries,
     FitReport,
@@ -646,6 +647,18 @@ def test_minimum_sample_size(fit, k):
     assert r.converged and all(math.isfinite(v) for v in r.theta_hat)
 
 
+def test_fitters_keep_their_public_face():
+    # the report owner wraps each estimator under the estimator's own
+    # name and docstring, and the model table holds the wrapped fitter
+    assert [f.__name__ for f in (fit_uf, fit_beta, fit_kumaraswamy)] == [
+        "fit_uf", "fit_beta", "fit_kumaraswamy"]
+    assert fit_uf.__doc__.startswith("Maximum-likelihood fit of the UF distribution.")
+    assert fit_beta.__doc__.startswith("Beta MLE via Newton iteration on the digamma equations.")
+    assert fit_kumaraswamy.__doc__.startswith(
+        "Kumaraswamy MLE by Newton iteration in t = log a on the profile.")
+    assert [m.fit for m in MODELS.values()] == [fit_uf, fit_beta, fit_kumaraswamy]
+
+
 class TestFitBeta:
     def test_bundled_data_values(self, uefa):
         r = fit_beta(uefa)
@@ -704,6 +717,16 @@ class TestFitKumaraswamy:
         assert 1.0 < math.log(r.theta_hat[0]) < 2.0
         h = model_handle("kumaraswamy", r.theta_hat)
         assert_allclose(r.loglik, np.sum(np.log(h.pdf(d.array))), rtol=1e-12)
+
+    def test_near_constant_data_reports(self):
+        # the profile climbs in a until b(a) = -n/s overflows; the report
+        # says the fit did not converge and has no KS test or residuals
+        # at an infinite b, where no model handle can be built
+        r = fit_kumaraswamy(series([0.5, 0.5, 0.5, 0.5000000000000001]))
+        assert not r.converged and r.message
+        assert r.theta_hat[1] == math.inf
+        assert math.isnan(r.ks_stat) and math.isnan(r.ks_pvalue)
+        assert len(r.residuals) == 4 and all(math.isnan(v) for v in r.residuals)
 
     def test_value_next_to_one_is_quiet(self):
         # at the fitted a < 1/2, w^a rounds to 1 for w = 1 - 2^-53; the
