@@ -198,7 +198,7 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
         raise DataError(
             f"row {rows[i]}: value {float(w[i])!r} outside the open interval (0, 1)"
         )
-    return DataSeries(tuple(w.tolist()))
+    return DataSeries(w)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "index,w,residual",
             zip(range(1, data.n + 1), data.array, report.residuals),
         )
-        if all(math.isfinite(v) for v in report.theta_hat):
+        if math.isfinite(report.loglik) and all(map(math.isfinite, report.theta_hat)):
             handle = model_handle(report.model, report.theta_hat)
             for kind, header, x, y in (
                 ("pdf", "w,pdf", grid, handle.pdf(grid)),
@@ -324,7 +324,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         )
 
     options = {"input": args.input, "models": ",".join(models), "ratio": bool(args.ratio)}
-    _write_manifest(outdir, "fit", options, "\n".join(_fmt(v) for v in data.values))
+    _write_manifest(outdir, "fit", options, "\n".join(_fmt(v) for v in data.array))
     print(f"wrote reports to {outdir}")
     return 0
 

@@ -112,7 +112,7 @@ UF_EIG_FLOOR = 1e-8
 UF_SUMMARY_N = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DataSeries:
     """An ordered sample of proportions strictly inside (0, 1).
 
@@ -120,18 +120,25 @@ class DataSeries:
     every value must be a finite float in the open unit interval.
     Exact 0 and 1 are rejected because the UF log-likelihood diverges
     there. Ingestion order is preserved.
+
+    The series holds one thing, ``array``: its own read-only float64
+    copy of the values. A one-dimensional float array is copied by
+    numpy in one call, with no walk through Python floats; any other
+    input is converted value by value with ``float``, so numeric
+    strings and generators are accepted and None is not. ``values``,
+    the same numbers as a tuple of Python floats, is derived from the
+    array on each read. Two series are equal when their arrays are; a
+    series is not hashable.
     """
 
-    values: tuple[float, ...]
-    # the validated values, read-only
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    array: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, values: Sequence[float] | np.ndarray) -> None:
+        flat = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "f"
         try:
-            vals = tuple(map(float, self.values))
+            arr = np.array(values, float) if flat else np.fromiter(map(float, values), float)
         except (TypeError, ValueError, OverflowError):
             raise DataError("data series must be a flat sequence of numbers") from None
-        arr = np.array(vals)
         if not arr.size:
             raise DataError("data series is empty")
         bad = ~UNIT_OPEN.test(arr)
@@ -142,12 +149,18 @@ class DataSeries:
                 raise DataError(f"value {i + 1} is not finite: {v!r}")
             raise DataError(f"value {i + 1} is outside the open interval (0, 1): {v!r}")
         arr.setflags(write=False)
-        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "array", arr)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DataSeries) and np.array_equal(self.array, other.array)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.array.size
 
     @cached_property
     def log_odds(self) -> np.ndarray:
@@ -741,7 +754,12 @@ def fit_beta(data: DataSeries) -> tuple:
     Solves psi(a) - psi(a+b) = mean log w and
     psi(b) - psi(a+b) = mean log(1-w) with the exact 2x2 Jacobian of
     trigamma values, damped to keep (a, b) positive, starting from the
-    method-of-moments point.
+    method-of-moments point. The log-likelihood is n((a-1) mean log w +
+    (b-1) mean log(1-w) - ln B(a, b)); where that sum's rounding error,
+    about eps n times the sum of its terms' magnitudes, exceeds one, as
+    at the shapes near 1e31 that near-constant data reach, it is
+    cancellation, and the fit reports a NaN log-likelihood and does not
+    converge.
     """
     from scipy.special import betaln, digamma, polygamma
 
@@ -773,10 +791,9 @@ def fit_beta(data: DataSeries) -> tuple:
             scale *= 0.5
         a -= scale * da
         b -= scale * db
-    ll = float(
-        n * ((a - 1.0) * mean_lw + (b - 1.0) * mean_l1w - betaln(a, b))
-    )
-    return (a, b), ll, converged, it, False
+    terms = ((a - 1.0) * mean_lw, (b - 1.0) * mean_l1w, -float(betaln(a, b)))
+    usable = math.ulp(1.0) * n * sum(map(abs, terms)) <= 1.0
+    return (a, b), n * sum(terms) if usable else math.nan, converged and usable, it, False
 
 
 @_fitter("kumaraswamy")

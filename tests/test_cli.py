@@ -611,6 +611,19 @@ class TestFit:
         report = (out / "report_kumaraswamy.txt").read_text()
         assert '"converged": false' in report and '"ks_stat": NaN' in report
 
+    def test_near_constant_beta_is_not_ranked_or_plotted(self, tmp_path, capsys):
+        # the Beta fit's shapes near 3e31 leave its log-likelihood as
+        # rounding error: the fit reports none, so it ranks last and gets
+        # no plots, whose density would overflow to inf (and warn)
+        src = write(tmp_path / "w.csv", "0.5\n0.5\n0.5\n0.5000000000000001\n")
+        out = tmp_path / "out"
+        assert run("fit", src, "--outdir", str(out)) == 0
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["uf", "kumaraswamy", "beta"]
+        assert not list(out.glob("plot_*_beta.csv"))
+        for path in out.glob("*.csv"):
+            assert "inf" not in path.read_text(), path.name
+
     def test_outdir_from_environment(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "envout"
         monkeypatch.setenv("UNITFRECHET_OUTDIR", str(target))

@@ -16,7 +16,9 @@ of the UF kernel, so the ratio cross-check stays a cross-check. Each
 argument rule (a positive parameter, rho in [0, 1], the sampler's
 uniform clip) is written once, in ``core``, and each model rule (an
 unknown name, the minimum sample size) once, in ``inference``, as is
-each fit-report text (an ill-posed fit, one that did not converge). Each
+each fit-report text (an ill-posed fit, one that did not converge), and
+each sample rule (a flat, nonempty sequence of numbers), in
+``DataSeries``. Each
 public name is written once, in its module's ``__all__``: the package
 re-exports the modules by ``*`` and joins their lists. Each long flag of
 the CLI is written once, where it is declared, and the CLI writes every
@@ -265,13 +267,16 @@ def test_bivariate_independent_of_uf_kernel():
         "fitting needs at least",
         "ill-posed: all observations are identical",
         "Newton run stalled, hit its step cap or went non-finite",
+        "data series must be a flat sequence of numbers",
+        "data series is empty",
     ),
 )
 def test_argument_rule_written_once(text):
     # each argument rule has one definition that every module calls: in
     # core, or in inference's model table for a model's name and the
     # fewest observations its fit takes, or in inference's report owner
-    # for the texts of an ill-posed fit and of one that did not converge
+    # for the texts of an ill-posed fit and of one that did not converge,
+    # or in DataSeries for what a sample must be
     count = sum(path.read_text().count(text) for path in PACKAGE.rglob("*.py"))
     assert count == 1
 

@@ -1,6 +1,8 @@
 """Tests for likelihood, fitting, goodness of fit, and model comparison."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,6 +127,25 @@ class TestDataSeries:
         with pytest.raises(ValueError):
             d.array[0] = 0.5
 
+    def test_array_cannot_be_rebound(self):
+        d = series([0.2, 0.8])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.array = np.array([0.5, 0.5])
+
+    def test_array_input_is_stored_once(self):
+        # a float64 array is copied once, with no tuple of Python floats
+        # beside it: 0.8 MB for the copy against 4.3 MB with the tuple
+        w = np.random.default_rng(7).uniform(0.01, 0.99, 100_000)
+        tracemalloc.start()
+        try:
+            d = DataSeries(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert len(d.values) == d.n == w.size
+        assert type(d.values) is tuple and all(type(v) is float for v in d.values)
+
     def test_messages_name_the_first_bad_value(self):
         # also from a numpy array, whose np.float64 values repr differently
         for values, message in (
@@ -132,13 +153,18 @@ class TestDataSeries:
             ([0.5, -0.0, math.nan], "value 2 is outside the open interval (0, 1): -0.0"),
             ([0.5, 0.25, 1.5], "value 3 is outside the open interval (0, 1): 1.5"),
         ):
-            for data in (values, np.array(values)):
+            for data in (values, np.array(values), np.array(values, dtype=np.float32)):
                 with pytest.raises(DataError) as info:
                     DataSeries(data)
                 assert str(info.value) == message
 
     @pytest.mark.parametrize(
-        "values", [(0.5, "abc"), (0.5, None), ((0.1, 0.2),), [[0.1], [0.2]], (0.5, [0.2])],
+        "values",
+        [(0.5, "abc"), (0.5, None), ((0.1, 0.2),), [[0.1], [0.2]], (0.5, [0.2]),
+         # numpy alone would turn None into NaN, and take the 2-D array whole
+         pytest.param(np.array([0.5, None], dtype=object), id="object array with None"),
+         pytest.param(np.array([[0.1], [0.2]]), id="2-D array"),
+         pytest.param(np.array(0.5), id="0-d array")],
         ids=str,
     )
     def test_non_numbers_rejected(self, values):
@@ -154,6 +180,12 @@ class TestDataSeries:
         # the series holds its own read-only copy
         w[0] = 0.3
         assert d.array[0] == 0.9 and not d.array.flags.writeable
+        # a generator and numeric strings (what load_uefa reads) go value
+        # by value; a float32 array keeps its float32 values
+        for values in ((v for v in (0.9, 0.1, 0.5)), ["0.9", "0.1", "0.5"]):
+            assert DataSeries(values) == d
+        w32 = np.array([0.9, 0.1, 0.5], dtype=np.float32)
+        assert DataSeries(w32).values == tuple(float(v) for v in w32)
 
     def test_log_odds(self):
         d = series([0.2, 0.8])
@@ -679,6 +711,18 @@ class TestFitBeta:
         r = fit_beta(d)
         assert abs(r.theta_hat[0] - 1.0) < 0.08
         assert abs(r.theta_hat[1] - 1.0) < 0.08
+
+    def test_near_constant_data_reports_no_loglik(self):
+        # a = b near 3e31: the log-likelihood's three terms are near 1e31,
+        # so their sum is rounding error, not a likelihood, and the fit
+        # must not win a ranking with it
+        d = series([0.5, 0.5, 0.5, 0.5000000000000001])
+        r = fit_beta(d)
+        assert not r.converged and r.message
+        assert all(math.isfinite(v) and v > 1e30 for v in r.theta_hat)
+        assert math.isnan(r.loglik) and math.isnan(r.aic) and math.isnan(r.bic)
+        assert math.isnan(r.ks_stat) and all(math.isnan(v) for v in r.residuals)
+        assert model_select([r, fit_uf(d)]).best.model == "uf"
 
     def test_stationarity(self, uefa):
         # the digamma first-order conditions hold at the optimum
