@@ -26,7 +26,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .bivariate import BivParams, biv_sample, estimate_cov, ratio_transform
-from .core import UNIT_OPEN, UfParams, uf_cdf, uf_quantile, uf_sample
+from .core import UfParams, uf_cdf, uf_quantile, uf_sample
 from .datasets import load_uefa
 from .errors import (
     DataError,
@@ -49,6 +48,7 @@ from .inference import (
     DataSeries,
     FitReport,
     describe,
+    has_model,
     model_handle,
     model_key,
     model_select,
@@ -190,15 +190,12 @@ def _read_series(source: str, ratio: bool) -> DataSeries:
         rows.append(rowno)
     if not values:
         raise DataError(f"no data in {source}")
-    # x2/x1 can underflow to 0 or overflow, rounding a ratio to 1 or 0
-    w = ratio_transform(values) if ratio else np.array(values)
-    bad = ~UNIT_OPEN.test(w)
-    if bad.any():
-        i = int(bad.argmax())
-        raise DataError(
-            f"row {rows[i]}: value {float(w[i])!r} outside the open interval (0, 1)"
-        )
-    return DataSeries(w)
+    # x2/x1 can underflow to 0 or overflow, rounding a ratio to 1 or 0,
+    # which DataSeries' range rule rejects
+    try:
+        return DataSeries(ratio_transform(values) if ratio else np.array(values))
+    except DataError as exc:
+        raise DataError(f"row {rows[exc.index]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +272,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "index,w,residual",
             zip(range(1, data.n + 1), data.array, report.residuals),
         )
-        if math.isfinite(report.loglik) and all(map(math.isfinite, report.theta_hat)):
+        if has_model(report.theta_hat, report.loglik):
             handle = model_handle(report.model, report.theta_hat)
             for kind, header, x, y in (
                 ("pdf", "w,pdf", grid, handle.pdf(grid)),

@@ -68,12 +68,8 @@ from .errors import DomainError, NumericalError, ParameterError
 
 __all__ = [
     "UfParams",
-    "FrechetParams",
-    "frechet_pdf",
-    "frechet_cdf",
     "kernel_pdf",
     "kernel_cdf",
-    "kernel_sf",
     "kernel_quantile",
     "kernel_pdf_dx",
     "kernel_pdf_drho",
@@ -177,23 +173,6 @@ class UfParams:
         return (self.sigma, self.alpha, self.rho)
 
 
-@dataclass(frozen=True)
-class FrechetParams:
-    """Location, scale and shape of a univariate Frechet distribution."""
-
-    mu: float
-    sigma: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        check_positive(self, "sigma", "alpha")
-        object.__setattr__(self, "mu", as_float("mu", self.mu))
-        if not math.isfinite(self.mu):
-            raise ParameterError(f"mu must be finite, got {self.mu!r}")
-
-    of = classmethod(params_of)
-
-
 # Argument domains for prepare: an elementwise test and the complaint
 # when it fails. NaN fails every test.
 class Domain(NamedTuple):
@@ -237,56 +216,6 @@ def evaluate(kernel, domain: Domain, **args: ArrayLike):
             raise DomainError(f"{shapes} do not broadcast") from None
     out = blockwise(kernel, *arrays)
     return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# Univariate Frechet helpers
-# ---------------------------------------------------------------------------
-
-def frechet_pdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
-    """Density of the Frechet(mu, sigma, alpha) distribution.
-
-    Returns 0 at and below the location ``mu``; elsewhere
-    ``(alpha/sigma) * z**(-alpha-1) * exp(-z**(-alpha))`` with
-    ``z = (x - mu) / sigma``. Where z underflows to 0, z**(-alpha)
-    overflows or z reads inf past the largest double, the density is 0;
-    a density beyond the double range reads inf. These values come
-    without a warning.
-    """
-    p = FrechetParams.of(p)
-    return evaluate(lambda b: _frechet_pdf(b, p), REAL, x=x)
-
-
-def frechet_cdf(x: ArrayLike, p: FrechetParams | Sequence[float]):
-    """CDF of the Frechet(mu, sigma, alpha) distribution.
-
-    A z = (x - mu) / sigma that underflows to 0 or reads inf past the
-    largest double gives the CDF's limit there, 0 or 1, without a
-    warning.
-    """
-    p = FrechetParams.of(p)
-    return evaluate(lambda b: _frechet_cdf(b, p), REAL, x=x)
-
-
-def _frechet_logz(x: np.ndarray, p: FrechetParams) -> np.ndarray:
-    """log z for ``z = max((x - mu) / sigma, 0)``: -inf at and below mu."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.log(np.maximum((x - p.mu) / p.sigma, 0.0))
-
-
-def _frechet_pdf(x: np.ndarray, p: FrechetParams) -> np.ndarray:
-    logz = _frechet_logz(x, p)
-    # where t = z**-alpha overflows, z = 0 included, the density is 0 and
-    # the exponent may read inf - inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.exp(-p.alpha * logz)
-        f = np.exp(np.log(p.alpha) - np.log(p.sigma) - (p.alpha + 1.0) * logz - t)
-    return np.where(t < np.inf, f, 0.0)
-
-
-def _frechet_cdf(x: np.ndarray, p: FrechetParams) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.exp(-np.exp(-p.alpha * _frechet_logz(x, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +380,16 @@ def log_odds(w: np.ndarray) -> np.ndarray:
     return np.log(w) - np.log1p(-w)
 
 
-def _kernel_cdf_folded(y, big, rho: float, upper: bool = False) -> np.ndarray:
-    """G(x; rho), or 1 - G(x; rho) when ``upper``, from the fold
-    ``(y, big)`` of x that ``_fold`` or ``_fold_log`` returns.
+def _kernel_cdf_folded(y, big, rho: float) -> np.ndarray:
+    """G(x; rho) from the fold ``(y, big)`` of x that ``_fold`` or
+    ``_fold_log`` returns.
 
-    Uses ``1 - G(x) = G(1/x)``: whichever tail the folded point lands in
-    is evaluated directly, the other as its complement.
+    Uses ``1 - G(x) = G(1/x)``: G is evaluated at the folded point y,
+    and for x > 1 as the complement of that value.
     """
     b = _kernel_b(y, _kernel_coeffs(rho)[1])
     c = y * ((y + 2.0) * y + (1.0 - rho)) / ((y + 1.0) * b)
-    return np.where(big == upper, c, 1.0 - c)
+    return np.where(big, 1.0 - c, c)
 
 
 def _kernel_logpdf(u, y, c0, c1, c2, out):
@@ -637,17 +566,6 @@ def kernel_cdf(x: ArrayLike, rho: float):
     """
     rho = check_rho(rho)
     return evaluate(lambda b: _kernel_cdf_folded(*_fold(b), rho), POSITIVE, x=x)
-
-
-def kernel_sf(x: ArrayLike, rho: float):
-    """Survival function 1 - G(x; rho), computed without cancellation.
-
-    Uses the reflection identity directly: the survival probability at x
-    equals the CDF at 1/x, so right-tail values stay accurate down to
-    the underflow threshold.
-    """
-    rho = check_rho(rho)
-    return evaluate(lambda b: _kernel_cdf_folded(*_fold(b), rho, upper=True), POSITIVE, x=x)
 
 
 def kernel_pdf_dx(x: ArrayLike, rho: float):

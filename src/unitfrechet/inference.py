@@ -119,7 +119,10 @@ class DataSeries:
     Validation happens at construction: the series must be nonempty and
     every value must be a finite float in the open unit interval.
     Exact 0 and 1 are rejected because the UF log-likelihood diverges
-    there. Ingestion order is preserved.
+    there. The range rule is this class's alone: its DataError names
+    the first failing value by its 1-based position and carries the
+    0-based one as ``index``, which the CLI maps to a file row.
+    Ingestion order is preserved.
 
     The series holds one thing, ``array``: its own read-only float64
     copy of the values. A one-dimensional float array is copied by
@@ -145,9 +148,10 @@ class DataSeries:
         if bad.any():
             i = int(bad.argmax())
             v = float(arr[i])
-            if not math.isfinite(v):
-                raise DataError(f"value {i + 1} is not finite: {v!r}")
-            raise DataError(f"value {i + 1} is outside the open interval (0, 1): {v!r}")
+            rule = "is outside the open interval (0, 1)" if math.isfinite(v) else "is not finite"
+            exc = DataError(f"value {i + 1} {rule}: {v!r}")
+            exc.index = i
+            raise exc
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
 
@@ -362,6 +366,15 @@ def _residuals(w: np.ndarray, order: np.ndarray, fv: np.ndarray) -> np.ndarray:
     return ranks / w.size - fv
 
 
+def has_model(theta_hat: Sequence[float], loglik: float) -> bool:
+    """Whether a fit has a model: its estimate and log-likelihood are
+    all finite. Only such a fit gets a model handle, and with it a KS
+    test and residuals (_fitter), a rank by AIC (model_select) and plots
+    (the CLI's fit command); a finite fit that did not converge keeps
+    all three."""
+    return math.isfinite(loglik) and all(map(math.isfinite, theta_hat))
+
+
 def _fitter(model: str):
     """Make a model's estimator the model's fitter, the one owner of its
     report. The estimator takes a sample of at least the model's min_n
@@ -369,8 +382,8 @@ def _fitter(model: str):
     converged, iterations, boundary_hit). The fitter raises a DataError
     below min_n, reports identical observations as ill-posed with NaN
     estimates, gives every fit that did not converge one message, and
-    takes KS and residuals from the fitted CDF where theta_hat and
-    loglik are finite, NaN elsewhere. So no fit raises for
+    takes KS and residuals from the fitted CDF where the fit has a
+    model (has_model), NaN elsewhere. So no fit raises for
     non-convergence."""
     def fitter(estimate: Callable[[DataSeries], tuple]) -> Callable[[DataSeries], FitReport]:
         @wraps(estimate)
@@ -387,7 +400,7 @@ def _fitter(model: str):
                 theta_hat, loglik = (math.nan,) * k, math.nan
                 converged, iterations, boundary_hit = False, 0, False
                 message = "ill-posed: all observations are identical"
-            if math.isfinite(loglik) and all(map(math.isfinite, theta_hat)):
+            if has_model(theta_hat, loglik):
                 # one CDF evaluation and one sort feed both; the CDFs act
                 # elementwise, so permuting their values equals evaluating
                 # them at the sorted sample
@@ -893,7 +906,9 @@ class ModelComparison:
 def model_select(reports: Sequence[FitReport]) -> ModelComparison:
     """Rank fitted models on the same data by AIC, then BIC.
 
-    Reports with undefined criteria (failed fits) sink to the end.
+    Reports without a model (``has_model``: a non-finite estimate or
+    log-likelihood) sink to the end in their given order; a finite fit
+    that did not converge keeps its rank.
     All reports must describe samples of the same size; mixing data of
     different lengths is an error because the criteria would not be
     comparable.
@@ -909,7 +924,7 @@ def model_select(reports: Sequence[FitReport]) -> ModelComparison:
         )
 
     def key(r: FitReport):
-        bad = not math.isfinite(r.aic)
+        bad = not has_model(r.theta_hat, r.loglik)
         return (bad, r.aic if not bad else 0.0, r.bic if not bad else 0.0)
 
     return ModelComparison(ranked=tuple(sorted(reports, key=key)))

@@ -23,7 +23,7 @@ from unitfrechet.bivariate import (
     estimate_cov,
     ratio_transform,
 )
-from unitfrechet.core import UfParams, frechet_cdf, frechet_pdf, uf_cdf
+from unitfrechet.core import UfParams, uf_cdf
 from unitfrechet.errors import DomainError, ParameterError
 
 # mpmath oracles, frozen
@@ -106,13 +106,14 @@ class TestBivCdf:
         assert abs(got - math.exp(-1.0)) < 1e-6
 
     def test_margin_against_frechet(self):
+        # scipy's invweibull(alpha, scale=sigma) is the Frechet law
         p = (0.7, 1.3, 2.5, 0.8)
         for x in (0.2, 0.9, 3.0):
             assert_allclose(
-                biv_cdf(x, 1e9, p), frechet_cdf(x, (0.0, 0.7, 2.5)), rtol=1e-9
+                biv_cdf(x, 1e9, p), stats.invweibull.cdf(x, 2.5, scale=0.7), rtol=1e-9
             )
             assert_allclose(
-                biv_cdf(1e9, x, p), frechet_cdf(x, (0.0, 1.3, 2.5)), rtol=1e-9
+                biv_cdf(1e9, x, p), stats.invweibull.cdf(x, 2.5, scale=1.3), rtol=1e-9
             )
 
     def test_zero_coordinate(self):
@@ -159,7 +160,7 @@ class TestBivPdf:
         xs = np.array([0.3, 0.8, 1.0, 2.4, 7.0])
         for x1 in xs:
             got = biv_pdf(x1, xs, p)
-            want = frechet_pdf(x1, (0.0, 1.0, 1.5)) * frechet_pdf(xs, (0.0, 2.0, 1.5))
+            want = stats.invweibull.pdf(x1, 1.5) * stats.invweibull.pdf(xs, 1.5, scale=2.0)
             assert_allclose(got, want, rtol=1e-12)
 
     def test_cross_finite_difference(self):
@@ -274,7 +275,7 @@ class TestBivSample:
         xy = biv_sample((1.0, 1.0, 2.0, 0.0), 100_000, 901)
         crit = 1.63 / math.sqrt(100_000)
         for j, sig in ((0, 1.0), (1, 1.0)):
-            d = stats.kstest(xy[:, j], lambda x: frechet_cdf(x, (0.0, sig, 2.0))).statistic
+            d = stats.kstest(xy[:, j], stats.invweibull(2.0, scale=sig).cdf).statistic
             assert d < crit
 
     def test_exceedance_probability(self):

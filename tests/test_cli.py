@@ -55,6 +55,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "row 2" in err and "open interval" in err
 
+    def test_non_finite_value(self, tmp_path, capsys):
+        # DataSeries' range rule, its position mapped to the file row
+        src = write(tmp_path / "nan.csv", "w\n0.5\n\nnan\n")
+        assert run("fit", src, "--outdir", str(tmp_path)) == 3
+        assert capsys.readouterr().err == "error: row 4: value 2 is not finite: nan\n"
+
     def test_ratio_column_count(self, tmp_path, capsys):
         src = write(tmp_path / "r.csv", "1.0\n")
         assert run("fit", src, "--ratio", "--outdir", str(tmp_path)) == 3
@@ -613,14 +619,17 @@ class TestFit:
 
     def test_near_constant_beta_is_not_ranked_or_plotted(self, tmp_path, capsys):
         # the Beta fit's shapes near 3e31 leave its log-likelihood as
-        # rounding error: the fit reports none, so it ranks last and gets
-        # no plots, whose density would overflow to inf (and warn)
+        # rounding error: the fit reports none, so it ranks behind the UF
+        # fit and gets no plots, whose density would overflow to inf (and
+        # warn). The Kumaraswamy fit's finite loglik at b = inf belongs to
+        # no model either: it sinks too, behind Beta in the given order
         src = write(tmp_path / "w.csv", "0.5\n0.5\n0.5\n0.5000000000000001\n")
         out = tmp_path / "out"
         assert run("fit", src, "--outdir", str(out)) == 0
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[1] for r in rows] == ["uf", "kumaraswamy", "beta"]
+        assert [r.split(",")[1] for r in rows] == ["uf", "beta", "kumaraswamy"]
         assert not list(out.glob("plot_*_beta.csv"))
+        assert not list(out.glob("plot_*_kumaraswamy.csv"))
         for path in out.glob("*.csv"):
             assert "inf" not in path.read_text(), path.name
 

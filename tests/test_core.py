@@ -16,7 +16,6 @@ from scipy.integrate import quad
 from unitfrechet import (
     BivParams,
     DomainError,
-    FrechetParams,
     MomentInputs,
     ParameterError,
     UfParams,
@@ -24,14 +23,11 @@ from unitfrechet import (
     biv_cdf,
     biv_pdf,
     biv_sample,
-    frechet_cdf,
-    frechet_pdf,
     kernel_cdf,
     kernel_pdf,
     kernel_pdf_drho,
     kernel_pdf_dx,
     kernel_quantile,
-    kernel_sf,
     ratio_transform,
     stress_strength,
     uf_cdf,
@@ -177,14 +173,11 @@ class TestParams:
             UfParams(1.0, 0.0, 0.5)
         with pytest.raises(ParameterError):
             UfParams(1.0, 2.0, 1.5)
-        with pytest.raises(ParameterError):
-            FrechetParams(0.0, -1.0, 2.0)
 
     @pytest.mark.parametrize(
         "record, names",
-        [(UfParams, "sigma, alpha, rho"), (FrechetParams, "mu, sigma, alpha"),
-         (BivParams, "sigma1, sigma2, alpha, rho")],
-        ids=("UfParams", "FrechetParams", "BivParams"),
+        [(UfParams, "sigma, alpha, rho"), (BivParams, "sigma1, sigma2, alpha, rho")],
+        ids=("UfParams", "BivParams"),
     )
     def test_of_rejects_wrong_count(self, record, names):
         # one shared rule, whose message names the record's fields
@@ -206,8 +199,6 @@ class TestParams:
         "UfParams.of-rho": (lambda v: UfParams.of((1, 2, v)), "rho"),
         "BivParams.of-sigma2": (lambda v: BivParams.of((1, v, 2, 0.5)), "sigma2"),
         "BivParams-rho": (lambda v: BivParams(1.0, 1.0, 2.0, v), "rho"),
-        "FrechetParams-mu": (lambda v: FrechetParams(v, 1.0, 2.0), "mu"),
-        "FrechetParams.of-alpha": (lambda v: FrechetParams.of((0, 1, v)), "alpha"),
         "MomentInputs-mu1": (lambda v: MomentInputs(mu1=v, mu2=1.0), "mu1"),
         "MomentInputs-var2": (
             lambda v: MomentInputs(mu1=1.0, mu2=1.0, var1=0.5, var2=v), "var2"
@@ -236,12 +227,10 @@ class TestParams:
         huge = 10**400
         for call in (
             lambda: UfParams.of((None, 2, 0.5)),
-            lambda: FrechetParams(None, 1.0, 2.0),
             lambda: UfParams.of(5),
             lambda: uf_cdf(0.5, (huge, 2, 0.5)),
             lambda: stress_strength((1, huge, 0.5)),
             lambda: biv_sample((1, 1, huge, 0.5), 5, 1),
-            lambda: frechet_pdf(0.5, (0, huge, 2)),
             lambda: kernel_pdf(0.5, "a"),
             lambda: approx_moment(huge, MomentInputs(1.0, 1.0, 0.01, 0.01, 0.0)),
         ):
@@ -275,58 +264,10 @@ class TestParams:
         for record in (
             UfParams("1", 2, np.float64(0.5)),
             BivParams(1, "2", 3, 0),
-            FrechetParams(0, 1, "2"),
             MomentInputs(mu1=1, mu2="2", var1=0, var2=np.float32(1), cov=0),
         ):
             values = [getattr(record, f.name) for f in dataclasses.fields(record)]
             assert all(type(v) is float for v in values), record
-
-
-class TestFrechet:
-    def test_pdf_hand_value(self):
-        # (1/0.25) * exp(-1/0.5) at x=0.5, (mu,sigma,alpha)=(0,1,1)
-        assert_allclose(
-            frechet_pdf(0.5, FrechetParams(0.0, 1.0, 1.0)),
-            4.0 * math.exp(-2.0),
-            rtol=1e-14,
-        )
-
-    def test_below_support(self):
-        p = FrechetParams(0.0, 1.0, 2.0)
-        assert frechet_pdf(-1.0, p) == 0.0
-        assert frechet_cdf(-1.0, p) == 0.0
-
-    def test_normalization(self):
-        p = FrechetParams(0.0, 1.0, 2.0)
-        total, _ = quad(lambda x: frechet_pdf(x, p), 0.0, np.inf, limit=200)
-        assert abs(total - 1.0) < 1e-8
-
-    def test_past_the_double_range_is_quiet(self):
-        # z = (x - mu) / sigma = 1e600 reads inf: the CDF is 1 there and
-        # the density 0, without an overflow warning
-        p = FrechetParams(0.0, 1e-300, 1e3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert frechet_cdf(1e300, p) == 1.0
-            assert frechet_pdf(1e300, p) == 0.0
-
-    def test_underflowing_z_is_quiet(self):
-        # z = 5e-324 / 10 underflows to 0, where the CDF and the density
-        # are 0; at alpha = 1e-3 and z = 5e-324 the density lies past the
-        # largest double, and at alpha = 1e308 and z = 1e-10 both z**-alpha
-        # and z**(-alpha-1) overflow, where the density is 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert frechet_pdf(5e-324, (0.0, 10.0, 2.0)) == 0.0
-            assert frechet_cdf(5e-324, (0.0, 10.0, 2.0)) == 0.0
-            assert frechet_pdf(5e-324, (0.0, 1.0, 1e-3)) == np.inf
-            assert frechet_pdf(1e-10, (0.0, 1.0, 1e308)) == 0.0
-
-    def test_cdf_pdf_consistency(self):
-        p = FrechetParams(0.0, 2.0, 1.5)
-        for x in (0.5, 1.0, 2.0, 5.0):
-            fd = fd5(lambda t: frechet_cdf(t, p), x, 1e-3 * x)
-            assert_allclose(frechet_pdf(x, p), fd, rtol=1e-8)
 
 
 class TestKernelPdf:
@@ -390,7 +331,8 @@ class TestKernelCdf:
     @given(x=positive, rho=rhos)
     @settings(max_examples=200)
     def test_sf_complements_cdf(self, x, rho):
-        assert_allclose(kernel_cdf(x, rho) + kernel_sf(x, rho), 1.0, atol=1e-14)
+        # the upper tail is the CDF at 1/x
+        assert_allclose(kernel_cdf(x, rho) + kernel_cdf(1.0 / x, rho), 1.0, atol=1e-14)
 
     def test_limits(self):
         assert kernel_cdf(1e-12, 0.8) < 1e-11
@@ -914,9 +856,6 @@ class TestStressStrength:
 P_EDGES = (1e-300, 1.0 - 1e-16)
 W_CDF_EDGES = P_EDGES + (-0.5, 0.0, 1.0, 2.0)
 X_EDGES = (5e-324, 1e-300, 1.0 - 1e-16, 1.0, 3.0, 1e300)
-# below mu, mu, mu + 5e-324 (z underflows to 0 at sigma = 10) and +-inf
-FRECHET_EDGES = (-1.0, 0.0, 5e-324, np.inf, -np.inf)
-FRECHET_BLOCK = FrechetParams(0.0, 10.0, 2.0)
 # biv_cdf(x, 1 - x): both coordinates, or one, at 0
 BIV_EDGES = (0.0, 1.0, 5e-324, 1.0 - 1e-16)
 BLOCK_SIZES = (1, 7, core.BLOCK_ELEMENTS)
@@ -929,12 +868,9 @@ BLOCKED_CALLS = {
     "uf_quantile_rho1": (lambda p: uf_quantile(p, (0.7, 2.5, 1.0)), P_EDGES),
     "kernel_pdf": (lambda x: kernel_pdf(x, 0.5), X_EDGES),
     "kernel_cdf": (lambda x: kernel_cdf(x, 0.5), X_EDGES),
-    "kernel_sf": (lambda x: kernel_sf(x, 0.5), X_EDGES),
     "kernel_pdf_dx": (lambda x: kernel_pdf_dx(x, 0.5), X_EDGES),
     "kernel_pdf_drho": (lambda x: kernel_pdf_drho(x, 0.5), X_EDGES),
     "kernel_quantile": (lambda p: kernel_quantile(p, 0.9), P_EDGES),
-    "frechet_pdf": (lambda x: frechet_pdf(x, FRECHET_BLOCK), FRECHET_EDGES),
-    "frechet_cdf": (lambda x: frechet_cdf(x, FRECHET_BLOCK), FRECHET_EDGES),
     "biv_cdf": (lambda x: biv_cdf(x, 1.0 - x, (0.7, 1.3, 2.5, 0.5)), BIV_EDGES),
 }
 # SHA-256 of uf_sample((1, 2, 0.5), 10**5, 7).tobytes(), taken before
@@ -1050,11 +986,11 @@ WITH_NAN = np.array([0.3, math.nan])
 @pytest.mark.parametrize(
     "fn, args",
     [
-        (frechet_pdf, (WITH_NAN, (0.0, 1.0, 2.0))),
-        (frechet_cdf, (WITH_NAN, (0.0, 1.0, 2.0))),
+        (kernel_quantile, (math.nan, 0.5)),
+        (kernel_pdf, (math.nan, 0.5)),
         (kernel_pdf, (WITH_NAN, 0.5)),
         (kernel_cdf, (WITH_NAN, 0.5)),
-        (kernel_sf, (WITH_NAN, 0.5)),
+        (kernel_cdf, (math.nan, 0.5)),
         (kernel_pdf_dx, (WITH_NAN, 0.5)),
         (kernel_pdf_drho, (WITH_NAN, 0.5)),
         (kernel_quantile, (WITH_NAN, 0.5)),

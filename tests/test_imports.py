@@ -269,6 +269,7 @@ def test_bivariate_independent_of_uf_kernel():
         "Newton run stalled, hit its step cap or went non-finite",
         "data series must be a flat sequence of numbers",
         "data series is empty",
+        "outside the open interval (0, 1)",
     ),
 )
 def test_argument_rule_written_once(text):
@@ -276,7 +277,8 @@ def test_argument_rule_written_once(text):
     # core, or in inference's model table for a model's name and the
     # fewest observations its fit takes, or in inference's report owner
     # for the texts of an ill-posed fit and of one that did not converge,
-    # or in DataSeries for what a sample must be
+    # or in DataSeries for what a sample must be, its range included,
+    # which the CLI maps to a file row
     count = sum(path.read_text().count(text) for path in PACKAGE.rglob("*.py"))
     assert count == 1
 

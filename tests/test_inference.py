@@ -157,6 +157,8 @@ class TestDataSeries:
                 with pytest.raises(DataError) as info:
                     DataSeries(data)
                 assert str(info.value) == message
+                # the 0-based position, which the CLI maps to a file row
+                assert info.value.index == int(message.split()[1]) - 1
 
     @pytest.mark.parametrize(
         "values",
@@ -934,9 +936,16 @@ class TestModelSelect:
         base = fit_uf(uefa)
         import dataclasses
 
-        bad = dataclasses.replace(base, model="bad", aic=math.nan, bic=math.nan)
-        comp = model_select([bad, base])
-        assert comp.ranked[-1].model == "bad"
+        # a failed fit: the ill-posed report of identical data
+        bad = dataclasses.replace(fit_uf(series([0.4] * base.n)), model="bad")
+        assert math.isnan(bad.loglik) and math.isnan(bad.aic)
+        # a finite loglik at b = inf belongs to no model: it sinks too,
+        # behind the failed fit it follows, though its AIC is the lowest
+        edge = fit_kumaraswamy(series([0.5, 0.5, 0.5, 0.5000000000000001]))
+        assert edge.theta_hat[1] == math.inf and edge.aic < base.aic
+        edge = dataclasses.replace(edge, n=base.n)
+        comp = model_select([bad, edge, base])
+        assert [r.model for r in comp.ranked] == ["uf", "bad", "kumaraswamy"]
 
 
 class TestDescribe:
