@@ -907,8 +907,9 @@ def model_select(reports: Sequence[FitReport]) -> ModelComparison:
     """Rank fitted models on the same data by AIC, then BIC.
 
     Reports without a model (``has_model``: a non-finite estimate or
-    log-likelihood) sink to the end in their given order; a finite fit
-    that did not converge keeps its rank.
+    log-likelihood) or with undefined criteria (a non-finite AIC or BIC)
+    sink to the end in their given order; a finite fit that did not
+    converge keeps its rank.
     All reports must describe samples of the same size; mixing data of
     different lengths is an error because the criteria would not be
     comparable.
@@ -924,7 +925,7 @@ def model_select(reports: Sequence[FitReport]) -> ModelComparison:
         )
 
     def key(r: FitReport):
-        bad = not has_model(r.theta_hat, r.loglik)
+        bad = not (has_model(r.theta_hat, r.loglik) and all(map(math.isfinite, (r.aic, r.bic))))
         return (bad, r.aic if not bad else 0.0, r.bic if not bad else 0.0)
 
     return ModelComparison(ranked=tuple(sorted(reports, key=key)))

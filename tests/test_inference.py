@@ -936,16 +936,20 @@ class TestModelSelect:
         base = fit_uf(uefa)
         import dataclasses
 
+        # undefined criteria on a finite estimate and loglik
+        bad = dataclasses.replace(base, model="bad", aic=math.nan, bic=math.nan)
         # a failed fit: the ill-posed report of identical data
-        bad = dataclasses.replace(fit_uf(series([0.4] * base.n)), model="bad")
-        assert math.isnan(bad.loglik) and math.isnan(bad.aic)
+        failed = dataclasses.replace(fit_uf(series([0.4] * base.n)), model="failed")
+        assert math.isnan(failed.loglik) and math.isnan(failed.aic)
         # a finite loglik at b = inf belongs to no model: it sinks too,
-        # behind the failed fit it follows, though its AIC is the lowest
+        # behind those it follows, though its AIC is the lowest
         edge = fit_kumaraswamy(series([0.5, 0.5, 0.5, 0.5000000000000001]))
         assert edge.theta_hat[1] == math.inf and edge.aic < base.aic
         edge = dataclasses.replace(edge, n=base.n)
-        comp = model_select([bad, edge, base])
-        assert [r.model for r in comp.ranked] == ["uf", "bad", "kumaraswamy"]
+        for reports in ([bad, base], [bad, failed, edge, base], [base, bad, failed, edge]):
+            comp = model_select(reports)
+            sunk = [r.model for r in reports if r is not base]
+            assert [r.model for r in comp.ranked] == ["uf", *sunk]
 
 
 class TestDescribe:
