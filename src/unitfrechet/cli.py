@@ -299,10 +299,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     ecdf = np.arange(1, data.n + 1) / data.n
     _write_csv(outdir / "plot_ecdf.csv", "w,ecdf", zip(sorted_w, ecdf))
 
-    if len(reports) >= 2:
-        ranked = model_select(reports).ranked
-    else:
-        ranked = tuple(reports)
+    ranked = model_select(reports)
     _write_csv(
         outdir / "comparison.csv",
         "rank,model,k_params,loglik,aic,bic,ks_stat,ks_pvalue,converged,boundary_hit",

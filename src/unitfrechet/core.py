@@ -41,15 +41,15 @@ Public functions validate their arguments once (NaN raises
 ``DomainError``), through the argument rules written once here and
 shared with the sibling modules: ``as_float``, ``check_positive``,
 ``check_rho``, ``params_of`` (every parameter record's ``of``),
-``prepare`` and ``evaluate`` for array arguments, and, for both samplers,
-``sample_stream`` for n and the seed and ``uniforms`` for the clipped
-draws. Beneath them is an unvalidated array layer:
-``inference`` builds its likelihood from ``log_odds`` and
-``kernel_log_derivs`` on data it has validated. The elementwise
-public functions (through ``evaluate``) and both samplers' transforms
-run through ``blockwise`` in blocks of BLOCK_ELEMENTS elements, so
-their temporaries stay in cache; every kernel treats each element on
-its own, so no output depends on the block size.
+``prepare`` and ``evaluate`` for array arguments, ``check_integer`` for
+counts and seeds, and, for both samplers, ``sample_stream`` for n and
+the seed and ``uniforms`` for the clipped draws. Beneath them is an
+unvalidated array layer: ``inference`` builds its likelihood from
+``log_odds`` and ``kernel_log_derivs`` on data it has validated. The
+elementwise public functions (through ``evaluate``) and both samplers'
+transforms run through ``blockwise`` in blocks of BLOCK_ELEMENTS
+elements, so their temporaries stay in cache; every kernel treats each
+element on its own, so no output depends on the block size.
 
 All public functions are pure and accept scalars or numpy arrays;
 scalar input yields a Python float.
@@ -128,6 +128,23 @@ def check_rho(rho: float) -> float:
     if not 0.0 <= rho <= 1.0:
         raise ParameterError(f"rho must lie in [0, 1], got {rho!r}")
     return rho
+
+
+def is_number(value) -> bool:
+    """Whether value is a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, low: int) -> int:
+    """The one rule for counts and seeds: ``value`` as an int when it is a
+    number (``is_number``) of integral value, an integral float such as
+    30.0 included, and at least ``low``; DomainError naming the field
+    ``name`` for anything else, NaN and infinities included."""
+    integral = is_number(value) and (
+        isinstance(value, numbers.Integral) or float(value).is_integer())
+    if not (integral and int(value) >= low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def params_of(cls, value):
@@ -336,35 +353,16 @@ def _fold_log(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(-np.abs(u)), u > 0.0
 
 
-def as_integer(value) -> int | None:
-    """value as an int when it is an integral number other than a bool
-    (an integral float such as 30.0 counts); None for anything else,
-    NaN and infinities included."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return None
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    return int(value) if float(value).is_integer() else None
-
-
 def sample_stream(n: int, seed: int) -> tuple[int, np.random.Generator]:
     """``(n, generator)`` for a sampler's n draws: numpy's Philox
-    generator for ``seed``, the stream both samplers draw from. An n or
-    a seed that is not an integral number (``as_integer``), an n below
-    1 or above the largest array length, or a negative seed raises
-    ``DomainError``."""
-    count, key = as_integer(n), as_integer(seed)
-    if count is None:
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if count < 1:
-        raise DomainError(f"n must be a positive integer, got {count}")
-    if count > np.iinfo(np.intp).max:
-        raise DomainError(f"n must be <= {np.iinfo(np.intp).max}, got {count}")
-    if key is None:
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if key < 0:
-        raise DomainError(f"seed must be >= 0, got {key}")
-    return count, np.random.Generator(np.random.Philox(key))
+    generator for ``seed``, the stream both samplers draw from. n and the
+    seed pass ``check_integer`` with floors 1 and 0, n first; an n above
+    the largest array length raises ``DomainError`` before the seed is
+    checked."""
+    n = check_integer("n", n, 1)
+    if n > np.iinfo(np.intp).max:
+        raise DomainError(f"n must be <= {np.iinfo(np.intp).max}, got {n}")
+    return n, np.random.Generator(np.random.Philox(check_integer("seed", seed, 0)))
 
 
 def uniforms(gen: np.random.Generator, k: int) -> np.ndarray:

@@ -42,7 +42,7 @@ loads scipy.optimize.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property, wraps
 from typing import Callable, NamedTuple, Sequence
 
@@ -66,7 +66,6 @@ __all__ = [
     "DataSeries",
     "FitReport",
     "KSResult",
-    "ModelComparison",
     "ModelHandle",
     "describe",
     "fit_beta",
@@ -186,10 +185,8 @@ class KSResult(NamedTuple):
 
 @dataclass(frozen=True)
 class ModelHandle:
-    """Uniform (pdf, cdf, k_params, name) view of a fitted model."""
+    """Uniform (pdf, cdf) view of a fitted model."""
 
-    name: str
-    k_params: int
     pdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
 
@@ -461,22 +458,21 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
 
     Supported names, in any case (model_key): "uf" (theta = (sigma,
     alpha, rho)), "beta" (theta = (a, b)) and "kumaraswamy" (theta =
-    (a, b)).
+    (a, b)). theta is checked once, as the model's parameter record.
     """
     model = model_key(model)
+    params = MODELS[model].params.of(theta)
     if model == "uf":
-        th = UfParams.of(theta)
-
         def pdf(w):
-            return np.asarray(uf_pdf(w, th))
+            return np.asarray(uf_pdf(w, params))
 
         def cdf(w):
-            return np.asarray(uf_cdf(w, th))
+            return np.asarray(uf_cdf(w, params))
 
     elif model == "beta":
         from scipy.special import betainc, betaln
 
-        a, b = astuple(_Shapes.of(theta))
+        a, b = astuple(params)
 
         def pdf(w):
             return np.exp(
@@ -489,7 +485,7 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
             return betainc(a, b, np.asarray(w, dtype=float))
 
     else:
-        a, b = astuple(_Shapes.of(theta))
+        a, b = astuple(params)
 
         def pdf(w):
             logw = np.log(np.asarray(w, dtype=float))
@@ -498,7 +494,7 @@ def model_handle(model: str, theta: Sequence[float]) -> ModelHandle:
         def cdf(w):
             return -np.expm1(b * _log1m_pow(np.log(np.asarray(w, dtype=float)), a))
 
-    return ModelHandle(name=model, k_params=len(MODELS[model].param_names), pdf=pdf, cdf=cdf)
+    return ModelHandle(pdf=pdf, cdf=cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -859,10 +855,16 @@ def fit_kumaraswamy(data: DataSeries) -> tuple:
 
 
 class _Model(NamedTuple):
-    """A fitted model's parameter names, in theta order, and its fitter."""
+    """A fitted model: its parameter record, whose fields name theta's
+    entries in order, and its fitter."""
 
-    param_names: tuple[str, ...]
+    params: type
     fit: Callable[[DataSeries], FitReport]
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        """The names of the record's fields, in theta order."""
+        return tuple(f.name for f in fields(self.params))
 
     @property
     def min_n(self) -> int:
@@ -872,11 +874,11 @@ class _Model(NamedTuple):
 
 # The fitted models by name, in the CLI's default order: every report,
 # model handle, study and the CLI's fit command take a model's name,
-# parameter names, fitter and minimum sample size from here.
+# parameter record and names, fitter and minimum sample size from here.
 MODELS: dict[str, _Model] = {
-    "uf": _Model(("sigma", "alpha", "rho"), fit_uf),
-    "beta": _Model(("a", "b"), fit_beta),
-    "kumaraswamy": _Model(("a", "b"), fit_kumaraswamy),
+    "uf": _Model(UfParams, fit_uf),
+    "beta": _Model(_Shapes, fit_beta),
+    "kumaraswamy": _Model(_Shapes, fit_kumaraswamy),
 }
 
 
@@ -892,19 +894,10 @@ def model_key(model) -> str:
 # Model comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelComparison:
-    """Fit reports ranked by AIC, ties broken by BIC, then stably."""
-
-    ranked: tuple[FitReport, ...] = field(default_factory=tuple)
-
-    @property
-    def best(self) -> FitReport:
-        return self.ranked[0]
-
-
-def model_select(reports: Sequence[FitReport]) -> ModelComparison:
-    """Rank fitted models on the same data by AIC, then BIC.
+def model_select(reports: Sequence[FitReport]) -> tuple[FitReport, ...]:
+    """Rank fitted models on the same data by AIC, then BIC, then
+    stably, and return the reports in that order; a single report is
+    its own ranking, and an empty list is a DomainError.
 
     Reports without a model (``has_model``: a non-finite estimate or
     log-likelihood) or with undefined criteria (a non-finite AIC or BIC)
@@ -915,8 +908,8 @@ def model_select(reports: Sequence[FitReport]) -> ModelComparison:
     comparable.
     """
     reports = list(reports)
-    if len(reports) < 2:
-        raise DomainError("model_select needs at least 2 reports")
+    if not reports:
+        raise DomainError("model_select needs at least one report")
     sizes = {r.n for r in reports}
     if len(sizes) > 1:
         raise DataError(
@@ -928,4 +921,4 @@ def model_select(reports: Sequence[FitReport]) -> ModelComparison:
         bad = not (has_model(r.theta_hat, r.loglik) and all(map(math.isfinite, (r.aic, r.bic))))
         return (bad, r.aic if not bad else 0.0, r.bic if not bad else 0.0)
 
-    return ModelComparison(ranked=tuple(sorted(reports, key=key)))
+    return tuple(sorted(reports, key=key))

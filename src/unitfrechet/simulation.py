@@ -11,7 +11,6 @@ makes every parallelism give the same cells bit for bit.
 
 from __future__ import annotations
 
-import numbers
 import os
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import UfParams, as_integer, uf_sample
+from .core import UfParams, check_integer, is_number, uf_sample
 from .errors import DomainError, ParameterError, UnitFrechetError
 from .inference import MODELS, DataSeries, fit_uf
 
@@ -52,10 +51,6 @@ def _entries(value) -> tuple:
     return ()
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Study layout: parameter points, sample sizes, replication count.
@@ -71,9 +66,11 @@ class SimConfig:
     This is the one validator of a study config. Construction checks
     every field and raises a single DomainError that lists each defect
     on its own line with its field path: ``thetas[1][0]: `` followed by
-    ``UfParams``' complaint about that entry, or
-    ``sample_sizes[1]: must be an integer >= 4``. The integer fields
-    accept integral floats (30.0) but reject fractions and booleans.
+    ``UfParams``' complaint about that entry, or core's integer
+    complaint (``check_integer``) with the path, such as
+    ``sample_sizes[1]``, as the field's name. The integer fields accept
+    integral floats (30.0) but reject fractions and booleans; the sizes'
+    floor is the UF fit's ``min_n``.
     """
 
     thetas: tuple[tuple[float, float, float], ...]
@@ -86,10 +83,11 @@ class SimConfig:
         problems: list[str] = []
 
         def integer(path: str, value, low: int) -> Optional[int]:
-            n = as_integer(value)
-            if n is None or n < low:
-                problems.append(f"{path}: must be an integer >= {low}")
-            return n
+            try:
+                return check_integer(path, value, low)
+            except DomainError as exc:
+                problems.append(str(exc))
+                return None
 
         thetas = _entries(self.thetas)
         if self.thetas is None:
@@ -98,7 +96,7 @@ class SimConfig:
             problems.append("thetas: expected a nonempty array")
         for i, th in enumerate(thetas):
             th = _entries(th)
-            if len(th) != 3 or not all(_is_number(v) for v in th):
+            if len(th) != 3 or not all(map(is_number, th)):
                 problems.append(f"thetas[{i}]: expected an array of 3 numbers")
                 continue
             for j, v in enumerate(th):
@@ -197,11 +195,11 @@ class SimReport:
 
 
 def replication_seed(master_seed: int, theta_index: int, n: int, j: int) -> int:
-    """Seed for replication j of cell (theta_index, n); entries are integers >= 0."""
-    entries = (master_seed, theta_index, n, j)
-    key = tuple(map(as_integer, entries))
-    if None in key or min(key) < 0:
-        raise DomainError(f"replication_seed entries must be >= 0 and integral, got {entries}")
+    """Seed for replication j of cell (theta_index, n). Each entry passes
+    core's integer rule (``check_integer``) under its own name, with
+    floor 0."""
+    entries = dict(master_seed=master_seed, theta_index=theta_index, n=n, j=j)
+    key = [check_integer(name, value, 0) for name, value in entries.items()]
     return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 

@@ -122,7 +122,7 @@ def test_criterion_02_competing_models():
     if abs(kum.loglik - 4.7834) > 0.01:
         problems.append(f"kumaraswamy loglik={kum.loglik:.4f} vs 4.7834+-0.01")
 
-    ranking = [r.model for r in model_select([uf, beta, kum]).ranked]
+    ranking = [r.model for r in model_select([uf, beta, kum])]
     if ranking[0] != "uf":
         problems.append(f"AIC ranking (correct k) is {ranking}, uf not first")
     flat = sorted(

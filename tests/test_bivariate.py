@@ -229,7 +229,7 @@ class TestBivSample:
             biv_sample((1.0, 1.0, 2.0, 0.5), 0, 1)
 
     def test_negative_seed(self):
-        with pytest.raises(DomainError, match="seed must be >= 0"):
+        with pytest.raises(DomainError, match="^seed must be an integer >= 0, got -1$"):
             biv_sample((1.0, 1.0, 2.0, 0.5), 5, -1)
 
     def test_n_beyond_array_length(self):
@@ -454,7 +454,7 @@ class TestEstimateCov:
             estimate_cov((1.0, 1.0, 3.0, 0.5), 9_999, 1)
 
     def test_negative_seed(self):
-        with pytest.raises(DomainError, match="seed must be >= 0"):
+        with pytest.raises(DomainError, match="^seed must be an integer >= 0, got -3$"):
             estimate_cov((1.0, 1.0, 3.0, 0.5), 10_000, -3)
 
     @pytest.mark.parametrize(

@@ -111,7 +111,7 @@ class TestExitCodes:
             run("sample", "--sigma", "1", "--alpha", "2", "--rho", "0.5",
                 "-n", "0", "--seed", "1", "--outdir", str(tmp_path)) == 2
         )
-        assert "positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: n must be an integer >= 1, got 0\n"
 
     @pytest.mark.parametrize(
         "model",
@@ -123,7 +123,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run("sample", *model, "-n", "5", "--seed", "-1",
                    "--outdir", str(out)) == 2
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     def test_sample_missing_theta(self, tmp_path, capsys):
@@ -297,7 +297,7 @@ class TestExitCodes:
             run("moments", "--sigma1", "1", "--sigma2", "1", "--alpha", "4",
                 "--rho", "0.5", "--seed", "-3") == 2
         )
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -3\n"
 
     def test_numerical_failure_code(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
@@ -343,16 +343,17 @@ class TestExitCodes:
             }),
         )
         assert run("simulate", "--config", cfg, "--outdir", str(tmp_path)) == 3
-        err = capsys.readouterr().err
-        assert "bogus: unknown field" in err
-        assert "thetas[1][0]: sigma" in err
-        assert "thetas[1][1]: alpha" in err
-        assert "thetas[1][2]: rho" in err
-        assert "sample_sizes[1]" in err
-        assert "sample_sizes[2]: must be an integer" in err
-        assert "replications: must be an integer" in err
-        assert "master_seed: must be an integer" in err
-        assert "parallelism: must be an integer" in err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bogus: unknown field",
+            "thetas[1][0]: sigma must be finite and > 0, got 0.0",
+            "thetas[1][1]: alpha must be finite and > 0, got -1.0",
+            "thetas[1][2]: rho must lie in [0, 1], got 2.0",
+            "sample_sizes[1] must be an integer >= 4, got 2",
+            "sample_sizes[2] must be an integer >= 4, got 30.7",
+            "replications must be an integer >= 1, got True",
+            "master_seed must be an integer >= 0, got 2.9",
+            "parallelism must be an integer >= 1, got 1.5",
+        ]
 
     def test_simulate_theta_past_the_double_range(self, tmp_path, capsys):
         # JSON reads a 401-digit integer exactly; float() cannot hold it

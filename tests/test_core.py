@@ -270,6 +270,28 @@ class TestParams:
             assert all(type(v) is float for v in values), record
 
 
+class TestCheckInteger:
+    # core's one rule for counts and seeds
+    @pytest.mark.parametrize(
+        "value, low, want",
+        [(30.0, 1, 30), (np.int64(7), 0, 7), (10**400, 4, 10**400)],
+        ids=("integral-float", "numpy-int", "huge"),
+    )
+    def test_accepts_integral_numbers(self, value, low, want):
+        # a 401-digit int never goes through float
+        got = core.check_integer("count", value, low)
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value", [True, "3", 2.5, math.nan, math.inf, None, 2],
+        ids=("bool", "text", "fraction", "nan", "inf", "none", "below-low"),
+    )
+    def test_refuses_naming_the_field(self, value):
+        with pytest.raises(DomainError) as info:
+            core.check_integer("replications", value, 3)
+        assert str(info.value) == f"replications must be an integer >= 3, got {value!r}"
+
+
 class TestKernelPdf:
     def test_hand_value_at_one(self):
         # [8 - 0]/16 - 1/4 = 1/4
@@ -751,7 +773,7 @@ class TestUfSample:
             uf_sample(th, 0, 42)
 
     def test_negative_seed(self):
-        with pytest.raises(DomainError, match="seed must be >= 0"):
+        with pytest.raises(DomainError, match="^seed must be an integer >= 0, got -1$"):
             uf_sample(UfParams(1.0, 1.0, 0.0), 5, -1)
 
     def test_n_beyond_array_length(self):
@@ -983,27 +1005,28 @@ def test_edge_sweep(alpha, sigma, rho):
 WITH_NAN = np.array([0.3, math.nan])
 
 
+# each case's id names the function, the argument holding the NaN and
+# whether it is a scalar or an array
 @pytest.mark.parametrize(
     "fn, args",
     [
-        (kernel_quantile, (math.nan, 0.5)),
-        (kernel_pdf, (math.nan, 0.5)),
-        (kernel_pdf, (WITH_NAN, 0.5)),
-        (kernel_cdf, (WITH_NAN, 0.5)),
-        (kernel_cdf, (math.nan, 0.5)),
-        (kernel_pdf_dx, (WITH_NAN, 0.5)),
-        (kernel_pdf_drho, (WITH_NAN, 0.5)),
-        (kernel_quantile, (WITH_NAN, 0.5)),
-        (uf_pdf, (WITH_NAN, (1.0, 2.0, 0.5))),
-        (uf_logpdf, (WITH_NAN, (1.0, 2.0, 0.5))),
-        (uf_cdf, (WITH_NAN, (1.0, 2.0, 0.5))),
-        (uf_cdf, (math.nan, (1.0, 2.0, 0.5))),
-        (uf_quantile, (WITH_NAN, (1.0, 2.0, 0.5))),
-        (biv_cdf, (WITH_NAN, 1.0, (1.0, 2.0, 2.0, 0.5))),
-        (biv_cdf, (1.0, math.nan, (1.0, 2.0, 2.0, 0.5))),
-        (biv_pdf, (WITH_NAN, 1.0, (1.0, 2.0, 2.0, 0.5))),
+        pytest.param(kernel_quantile, (math.nan, 0.5), id="kernel_quantile-p-scalar"),
+        pytest.param(kernel_pdf, (math.nan, 0.5), id="kernel_pdf-x-scalar"),
+        pytest.param(kernel_pdf, (WITH_NAN, 0.5), id="kernel_pdf-x-array"),
+        pytest.param(kernel_cdf, (WITH_NAN, 0.5), id="kernel_cdf-x-array"),
+        pytest.param(kernel_cdf, (math.nan, 0.5), id="kernel_cdf-x-scalar"),
+        pytest.param(kernel_pdf_dx, (WITH_NAN, 0.5), id="kernel_pdf_dx-x-array"),
+        pytest.param(kernel_pdf_drho, (WITH_NAN, 0.5), id="kernel_pdf_drho-x-array"),
+        pytest.param(kernel_quantile, (WITH_NAN, 0.5), id="kernel_quantile-p-array"),
+        pytest.param(uf_pdf, (WITH_NAN, (1.0, 2.0, 0.5)), id="uf_pdf-w-array"),
+        pytest.param(uf_logpdf, (WITH_NAN, (1.0, 2.0, 0.5)), id="uf_logpdf-w-array"),
+        pytest.param(uf_cdf, (WITH_NAN, (1.0, 2.0, 0.5)), id="uf_cdf-w-array"),
+        pytest.param(uf_cdf, (math.nan, (1.0, 2.0, 0.5)), id="uf_cdf-w-scalar"),
+        pytest.param(uf_quantile, (WITH_NAN, (1.0, 2.0, 0.5)), id="uf_quantile-p-array"),
+        pytest.param(biv_cdf, (WITH_NAN, 1.0, (1.0, 2.0, 2.0, 0.5)), id="biv_cdf-x1-array"),
+        pytest.param(biv_cdf, (1.0, math.nan, (1.0, 2.0, 2.0, 0.5)), id="biv_cdf-x2-scalar"),
+        pytest.param(biv_pdf, (WITH_NAN, 1.0, (1.0, 2.0, 2.0, 0.5)), id="biv_pdf-x1-array"),
     ],
-    ids=lambda v: getattr(v, "__name__", None),
 )
 def test_nan_argument_raises(fn, args):
     with pytest.raises(DomainError):

@@ -261,6 +261,7 @@ def test_bivariate_independent_of_uf_kernel():
         "1e-300, 1.0 - 1e-16",
         "has no finite variance",
         "must be a number within the double range",
+        "must be an integer",
         "must be a double or a regular array of doubles",
         "do not broadcast",
         "unknown model",
@@ -274,7 +275,7 @@ def test_bivariate_independent_of_uf_kernel():
 )
 def test_argument_rule_written_once(text):
     # each argument rule has one definition that every module calls: in
-    # core, or in inference's model table for a model's name and the
+    # core (counts and seeds included), or in inference's model table for a model's name and the
     # fewest observations its fit takes, or in inference's report owner
     # for the texts of an ill-posed fit and of one that did not converge,
     # or in DataSeries for what a sample must be, its range included,
